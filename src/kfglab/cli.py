@@ -106,7 +106,7 @@ def cmd_evolve(args) -> int:
         f"worst_majorana_deviation={traj.metadata['worst_majorana_deviation']}",
     ]
     if system.is_static:
-        n_diag = len(eigenmodes(system.kinetic()).diagnostics)
+        n_diag = len(system.modes().diagnostics)
         comments.append(f"nonpositive_mode_count={n_diag}")
     rows = traj.summary_rows()
     columns = list(rows[0].keys())

@@ -150,7 +150,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mode list: {exc}") from exc
-        return system.synthesize(coeffs, t=t0, kind=kind)
+        return system.frozen(t0).synthesize(coeffs, t=t0, kind=kind)
     if "tabulated" in d:
         td = d["tabulated"]
         try:

@@ -122,6 +122,10 @@ class SpatialProfile:
     offset: float = 0.0
     values: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "step", "quadratic", "tabulated"):
+            raise ValueError(f"unknown spatial profile kind {self.kind!r}")
+
     def sample(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
@@ -130,12 +134,10 @@ class SpatialProfile:
             return np.where(x < self.x0, self.left, self.right)
         if self.kind == "quadratic":
             return self.coefficient * (x - self.x0) ** 2 + self.offset
-        if self.kind == "tabulated":
-            vals = np.asarray(self.values, dtype=float)
-            if len(vals) != len(x):
-                raise InvalidPotential("tabulated profile length must match the grid")
-            return vals
-        raise InvalidPotential(f"unknown spatial profile kind {self.kind!r}")
+        vals = np.asarray(self.values, dtype=float)  # tabulated
+        if len(vals) != len(x):
+            raise InvalidPotential("tabulated profile length must match the grid")
+        return vals
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -146,9 +148,7 @@ class SpatialProfile:
             return np.zeros_like(x)
         if self.kind == "quadratic":
             return 2.0 * self.coefficient * (x - self.x0)
-        if self.kind == "tabulated":
-            return np.gradient(self.sample(x), x)
-        raise InvalidPotential(f"unknown spatial profile kind {self.kind!r}")
+        return np.gradient(self.sample(x), x)  # tabulated
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,10 @@ class TimeFactor:
     offset: float = 0.0
     rate: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "sinusoidal", "linear"):
+            raise ValueError(f"unknown time factor kind {self.kind!r}")
+
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
@@ -176,18 +180,14 @@ class TimeFactor:
             return self.scale
         if self.kind == "sinusoidal":
             return self.amplitude * math.sin(self.omega * t + self.phase) + self.offset
-        if self.kind == "linear":
-            return self.offset + self.rate * t
-        raise InvalidPotential(f"unknown time factor kind {self.kind!r}")
+        return self.offset + self.rate * t  # linear
 
     def derivative(self, t: float) -> float:
         if self.kind == "constant":
             return 0.0
         if self.kind == "sinusoidal":
             return self.amplitude * self.omega * math.cos(self.omega * t + self.phase)
-        if self.kind == "linear":
-            return self.rate
-        raise InvalidPotential(f"unknown time factor kind {self.kind!r}")
+        return self.rate  # linear
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,13 @@ class ScalarPotential:
                 f"potential flagged nonnegative but min S = {s.min():.3e} at t = {t}"
             )
         return s
+
+    def frozen(self, t: float) -> "ScalarPotential":
+        """Static snapshot of the potential at one instant."""
+        return ScalarPotential(
+            profile=self.profile,
+            time_factor=TimeFactor(kind="constant", scale=self.time_factor.value(t)),
+        )
 
     def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.profile.sample(x) * self.time_factor.derivative(t)

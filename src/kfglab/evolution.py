@@ -6,11 +6,12 @@ Applied to the two-component form with A = h/(i hbar) this is the usual
 (1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar); `step_cayley` implements
 that literal form.  The driver `evolve` steps the algebraically identical
 wave form z = (v, v_t) with A = [[0, 1], [-K/hbar^2, 0]] in the weighted
-representation, where the Cayley matrix is *real* whenever the boundary
-closure is real.  The real matrix is applied separately to the real and
-imaginary parts of z, so a strictly neutral state (exactly real z, or
-exactly imaginary for the minus sector) stays in its sector to the bit:
-sector preservation is structural rather than a round-off budget.
+representation, where the step is *real* whenever the boundary closure is
+real.  It acts separately on the real and imaginary parts of z, so a
+strictly neutral state (exactly real z, or exactly imaginary for the minus
+sector) stays in its sector to the bit: sector preservation is structural
+rather than a round-off budget.  K is tridiagonal plus two corner entries,
+so the step reduces to one banded solve of size n (see `CayleyPropagator`).
 
 Both forms preserve the indefinite inner product and, for static potentials,
 the energy bracket exactly in exact arithmetic (the generator is
@@ -21,14 +22,24 @@ generator at the step midpoint, keeping second order.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .core import FvState, KfgLabError, KfgState, PhysicalUnits, majorana_project
 from .observables import GlobalSummary, global_summary
-from .operators import DiscreteHamiltonian, KineticMatrix, System
+from .operators import (
+    Bands,
+    DiscreteHamiltonian,
+    KineticMatrix,
+    System,
+    closure_bands,
+    hermitian_frame,
+    potential_diag,
+)
 
 
 class SingularPropagator(KfgLabError):
@@ -175,23 +186,99 @@ def _apply_split(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return r @ z
 
 
+# Static runs with at most this many unknowns step with the precomputed dense
+# 2m x 2m matrix: one BLAS product beats the ~20 small numpy calls of the
+# banded step below about 160-200 unknowns, and the many short static runs of
+# the verify suites sit at n <= 64.
+DENSE_STEP_MAX_DOF = 160
+
+
+class _ShiftedBandsFactor:
+    """Factor of M = I + c B for tridiagonal-plus-corner bands B.
+
+    LAPACK ?gttrf factors the tridiagonal part in O(m); the corners enter as
+    a rank-2 Woodbury correction M = T + U C with U = [e_0, e_(m-1)].
+    """
+
+    def __init__(self, bands: Bands, c: float):
+        gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
+            ("gttrf", "gttrs"), (bands.main, bands.upper, bands.lower)
+        )
+        *lu, info = gttrf(c * bands.lower, 1.0 + c * bands.main, c * bands.upper)
+        if info != 0:
+            raise SingularPropagator(f"banded Cayley factor is singular (info {info})")
+        self._lu = lu
+        self._corners = c * np.array([bands.top_right, bands.bottom_left])
+        self._woodbury = None
+        if np.any(self._corners != 0.0):
+            m = len(bands.main)
+            unit = np.zeros((m, 2), dtype=lu[1].dtype, order="F")
+            unit[0, 0] = unit[-1, 1] = 1.0
+            z = self._gttrs(*lu, unit)[0]
+            capacitance = np.eye(2) + self._corners[:, None] * z[[-1, 0], :]
+            try:
+                self._woodbury = np.linalg.inv(capacitance).T @ z.T
+            except np.linalg.LinAlgError as exc:
+                raise SingularPropagator(str(exc)) from exc
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 applied along the last axis of an (r, m) array."""
+        y = self._gttrs(*self._lu, rhs.T)[0].T
+        if self._woodbury is not None:
+            y = y - (y[:, [-1, 0]] * self._corners) @ self._woodbury
+        return y
+
+
 class CayleyPropagator:
-    """Steps the weighted wave vector; caches the dense step matrix when the
-    potential is static and rebuilds it at the midpoint time otherwise."""
+    """Steps the weighted wave vector z = (v, w) by the Cayley map of
+    A = [[0, 1], [-K/hbar^2, 0]], with K taken at the step midpoint.
+
+    With k = dt/2 and M = I + k^2 K/hbar^2 the map (I - kA)^-1 (I + kA) is
+    u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u: one solve with
+    the banded M, O(m) per step.  A static run factors M once; a driven run
+    keeps the kinetic bands and refactors with the midpoint potential at each
+    step.  A static run with at most DENSE_STEP_MAX_DOF unknowns applies the
+    precomputed dense step matrix instead.  On a real closure the step acts
+    on the real and imaginary parts of z separately, which keeps a neutral
+    sector to the bit.
+    """
 
     def __init__(self, system: System, dt: float):
         self.system = system
         self.dt = dt
-        self._static_r: np.ndarray | None = None
-        if system.is_static:
-            self._static_r = _wave_cayley(system.kinetic(), dt, system.units.hbar)
+        closure, hbar = system.closure, system.units.hbar
+        self._dense: np.ndarray | None = None
+        if system.is_static and closure.n_dof <= DENSE_STEP_MAX_DOF:
+            self._dense = _wave_cayley(system.kinetic(), dt, hbar)
+            return
+        self._k = 0.5 * dt
+        self._m_scale = (self._k / hbar) ** 2
+        self._w_scale = 2.0 * self._k / hbar**2
+        self._kinetic_bands, _ = hermitian_frame(
+            closure, closure_bands(closure, system.units, np.zeros(system.grid.n))
+        )
+        self._static_factor = self._factor_at(0.0) if system.is_static else None
+
+    def _factor_at(self, t: float) -> tuple[Bands, _ShiftedBandsFactor]:
+        system = self.system
+        diag = potential_diag(system.closure, system.potential, system.units, t)
+        bands = dataclasses.replace(
+            self._kinetic_bands,
+            main=self._kinetic_bands.main + diag[system.closure.dof],
+        )
+        return bands, _ShiftedBandsFactor(bands, self._m_scale)
 
     def advance(self, z: np.ndarray, t: float) -> np.ndarray:
-        if self._static_r is not None:
-            return _apply_split(self._static_r, z)
-        kin = self.system.kinetic(t + 0.5 * self.dt)
-        r = _wave_cayley(kin, self.dt, self.system.units.hbar)
-        return _apply_split(r, z)
+        if self._dense is not None:
+            return _apply_split(self._dense, z)
+        bands, factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
+        real = np.isrealobj(bands.main)
+        x = np.array([z.real, z.imag]) if real else z[None, :]
+        m = len(bands.main)
+        v, w = x[:, :m], x[:, m:]
+        u = factor.solve(v + self._k * w)
+        out = np.concatenate([2.0 * u - v, w - self._w_scale * bands.matvec(u)], axis=1)
+        return out[0] + 1j * out[1] if real else out[0]
 
 
 def _pairing_deviation(z: np.ndarray, kind: str, units: PhysicalUnits) -> float:

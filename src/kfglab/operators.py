@@ -230,13 +230,162 @@ def e2_field(
     return out
 
 
+def potential_diag(
+    closure: DiscreteClosure,
+    potential: ScalarPotential,
+    units: PhysicalUnits,
+    t: float,
+) -> np.ndarray:
+    """(mc^2)^2 + 2 mc^2 S(x, t) on the full grid.
+
+    Raises SingularClosure for an end-identifying closure over a potential
+    with S(a, t) != S(b, t).
+    """
+    s = np.asarray(potential.sample(closure.grid.x, t), dtype=float)
+    if closure.slaved is not None and abs(s[0] - s[-1]) > 1e-12 * (1.0 + np.max(np.abs(s))):
+        raise SingularClosure(
+            "end-identifying boundary condition requires S(a, t) = S(b, t)"
+        )
+    mc2 = units.mc2
+    return mc2**2 + 2.0 * mc2 * s
+
+
+@dataclass(frozen=True)
+class Bands:
+    """Tridiagonal matrix plus the two corner entries (0, m-1) and (m-1, 0).
+
+    `upper[r]` is entry (r, r+1) and `lower[r]` is entry (r+1, r).  Every
+    closure's eliminated operator has this shape: a ghost map reaches only
+    an endpoint, its neighbour and the opposite end.
+    """
+
+    main: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    top_right: complex
+    bottom_left: complex
+
+    def dense(self) -> np.ndarray:
+        m = len(self.main)
+        out = np.zeros((m, m), dtype=np.result_type(self.main, self.upper, self.lower))
+        i = np.arange(m)
+        out[i, i] = self.main
+        out[i[:-1], i[1:]] = self.upper
+        out[i[1:], i[:-1]] = self.lower
+        out[0, -1] = self.top_right
+        out[-1, 0] = self.bottom_left
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The matrix applied along the last axis of x."""
+        out = self.main * x
+        out[..., :-1] += self.upper * x[..., 1:]
+        out[..., 1:] += self.lower * x[..., :-1]
+        out[..., 0] += self.top_right * x[..., -1]
+        out[..., -1] += self.bottom_left * x[..., 0]
+        return out
+
+    def similarity(self, s: np.ndarray) -> "Bands":
+        """Bands of diag(s) B diag(s)^(-1).
+
+        The diagonal goes through the same products as the off-diagonals,
+        so dense forms match the dense similarity transform to the bit.
+        """
+        return Bands(
+            main=s * self.main / s,
+            upper=s[:-1] * self.upper / s[1:],
+            lower=s[1:] * self.lower / s[:-1],
+            top_right=s[0] * self.top_right / s[-1],
+            bottom_left=s[-1] * self.bottom_left / s[0],
+        )
+
+    def hermiticity_defect(self) -> float:
+        """Relative Frobenius norm of B - B^dag."""
+        corners = np.array([self.top_right, self.bottom_left])
+        entries = np.concatenate([self.main, self.upper, self.lower, corners])
+        # B^dag keeps the diagonal and swaps upper with lower and the corners
+        adjoint = np.concatenate([self.main, self.lower, self.upper, corners[::-1]]).conj()
+        return float(np.linalg.norm(entries - adjoint) / max(np.linalg.norm(entries), 1e-300))
+
+
+def closure_bands(
+    closure: DiscreteClosure, units: PhysicalUnits, diag: np.ndarray
+) -> Bands:
+    """Bands of the eliminated operator L = (hbar c)^2 D2 + diag on the unknowns.
+
+    Written in O(n) straight from the ghost maps: every row of an unknown
+    carries the three-point stencil, an endpoint row adds its ghost map,
+    a pinned neighbour contributes nothing and a slaved one folds onto the
+    first unknown with the slaving factor.
+    """
+    n = closure.grid.n
+    lo, m = int(closure.dof[0]), closure.n_dof
+    real = not closure.is_complex
+    # stencil coefficients in units of 1/dx^2, scaled below in complex
+    # arithmetic as `DiscreteClosure.second_difference` does, so that dense
+    # forms match the operator applied to unit vectors to the bit
+    main = np.full(m, 2.0 + 0j)
+    upper = np.full(m - 1, -1.0 + 0j)
+    lower = np.full(m - 1, -1.0 + 0j)
+    corners = np.zeros(2, dtype=np.complex128)
+
+    def add(row: int, col: int, value: complex):
+        r = row - lo
+        if lo <= col < lo + m:
+            c = col - lo
+        elif closure.slaved is not None and col == closure.slaved[0]:
+            c, value = 0, value * closure.slaved[1]
+        else:
+            return  # a pinned point holds zero
+        if c == r:
+            main[r] += value
+        elif c == r + 1:
+            upper[r] += value
+        elif c == r - 1:
+            lower[c] += value
+        elif (r, c) == (0, m - 1):
+            corners[0] += value
+        elif (r, c) == (m - 1, 0):
+            corners[1] += value
+        else:
+            raise SingularClosure(f"ghost map couples grid points {row} and {col}")
+
+    for row, ghost in ((0, closure.ghost_a), (n - 1, closure.ghost_b)):
+        if lo <= row < lo + m:
+            for idx, coef in zip(ghost.indices, ghost.coefs):
+                add(row, idx % n, -complex(coef))
+    if lo + m < n:
+        add(lo + m - 1, lo + m, -1.0 + 0j)  # neighbour beyond the last unknown
+
+    kappa = (units.hbar * units.c) ** 2
+    dx2 = closure.grid.dx**2
+    main, upper, lower, corners = (kappa * (b / dx2) for b in (main, upper, lower, corners))
+    main = main + diag[closure.dof]
+    if real:
+        main, upper, lower, corners = main.real, upper.real, lower.real, corners.real
+    return Bands(main, upper, lower, corners[0], corners[1])
+
+
+def hermitian_frame(closure: DiscreteClosure, bands: Bands) -> tuple[Bands, float]:
+    """K = W^(1/2) L W^(-1/2) and its Hermiticity defect.
+
+    Raises SingularClosure when the defect exceeds 1e-12.
+    """
+    sym = bands.similarity(np.sqrt(closure.dof_weights))
+    defect = sym.hermiticity_defect()
+    if defect > 1e-12:
+        raise SingularClosure(f"closure is not self-adjoint (defect {defect:.3e})")
+    return sym, defect
+
+
 @dataclass(frozen=True)
 class KineticMatrix:
     """Discrete c^2 p^2 + (mc^2)^2 + 2 mc^2 S with the closure baked in.
 
     `sym` is the Hermitian similarity-transformed representation on the
     unknowns; `l_dof` is the untransformed dynamic representation whose
-    eigenvectors are the physical grid modes.
+    eigenvectors are the physical grid modes.  Both are the dense forms of
+    `closure_bands` and its `hermitian_frame`.
     """
 
     closure: DiscreteClosure
@@ -268,37 +417,12 @@ def assemble_kinetic(
     an end-identifying closure over a potential with S(a) != S(b).
     """
     closure = build_closure(grid, bc)
-    x = grid.x
-    s = np.asarray(potential.sample(x, t), dtype=float)
-    if closure.slaved is not None and abs(s[0] - s[-1]) > 1e-12 * (1.0 + np.max(np.abs(s))):
-        raise SingularClosure(
-            "end-identifying boundary condition requires S(a, t) = S(b, t)"
-        )
-    mc2 = units.mc2
-    diag = mc2**2 + 2.0 * mc2 * s
-    kappa = (units.hbar * units.c) ** 2
-
-    nd = closure.n_dof
-    dtype = np.complex128 if closure.is_complex else np.float64
-    l_dof = np.empty((nd, nd), dtype=dtype)
-    unit = np.zeros(nd, dtype=dtype)
-    for j in range(nd):
-        unit[j] = 1.0
-        full = closure.extend(unit)
-        col = (kappa * closure.second_difference(full) + diag * full)[closure.dof]
-        l_dof[:, j] = col if closure.is_complex else col.real
-        unit[j] = 0.0
-
-    sqrt_w = np.sqrt(closure.dof_weights)
-    sym = (sqrt_w[:, None] * l_dof) / sqrt_w[None, :]
-    defect = float(
-        np.linalg.norm(sym - sym.conj().T) / max(np.linalg.norm(sym), 1e-300)
-    )
-    if defect > 1e-12:
-        raise SingularClosure(f"closure is not self-adjoint (defect {defect:.3e})")
+    diag = potential_diag(closure, potential, units, t)
+    bands = closure_bands(closure, units, diag)
+    sym, defect = hermitian_frame(closure, bands)
     return KineticMatrix(
         closure=closure, units=units, t=t, diag=diag,
-        l_dof=l_dof, sym=sym, hermiticity_defect=defect,
+        l_dof=bands.dense(), sym=sym.dense(), hermiticity_defect=defect,
     )
 
 
@@ -470,6 +594,12 @@ class System:
                 self._hamiltonian_static = assemble_fv_hamiltonian(self.kinetic())
             return self._hamiltonian_static
         return assemble_fv_hamiltonian(self.kinetic(t))
+
+    def frozen(self, t: float) -> "System":
+        """This system with its potential frozen at time t (itself if static)."""
+        if self.is_static:
+            return self
+        return System(self.grid, self.bc, self.potential.frozen(t), self.units)
 
     def modes(self) -> ModeSet:
         if not self.is_static:

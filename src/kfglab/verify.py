@@ -601,15 +601,6 @@ def _window_residuals(system: System, state0: KfgState, dt: float, kind: str | N
     return continuity_residuals(traj.states, system)
 
 
-def _freeze_potential(potential: ScalarPotential, t: float) -> ScalarPotential:
-    """Static snapshot of a (possibly driven) potential at one instant."""
-    return ScalarPotential(
-        profile=potential.profile,
-        time_factor=TimeFactor(kind="constant", scale=potential.time_factor.value(t)),
-        nonneg=False,
-    )
-
-
 def check_continuity_convergence(n_coarse: int = 128):
     checks = []
     ratios_detail = []
@@ -622,12 +613,7 @@ def check_continuity_convergence(n_coarse: int = 128):
         for n in (n_coarse, n_fine):
             grid = Grid(0.0, math.pi, n)
             system = make_system(grid)
-            synth = system
-            if not system.is_static:
-                synth = System(
-                    grid, system.bc, _freeze_potential(system.potential, 0.0),
-                    system.units,
-                )
+            synth = system.frozen(0.0)
             i, j = _nondegenerate_pair(synth)
             rng = np.random.default_rng(seed)
             coeffs = [(i, 1.0, rng.uniform(0, 2)), (j, 0.7, rng.uniform(0, 2))]

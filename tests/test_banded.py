@@ -1,0 +1,170 @@
+"""Banded operator and banded Cayley step: the bands against the matrix-free
+E^2 action, the step against the dense oracle, conservation and exact
+neutral sectors over long runs, and the midpoint closure check."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kfglab.bc import CATALOG, bc_realization
+from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile, TimeFactor
+from kfglab.evolution import (
+    DENSE_STEP_MAX_DOF,
+    CayleyPropagator,
+    EvolutionConfig,
+    SingularPropagator,
+    _ShiftedBandsFactor,
+    evolve,
+    state_to_wave,
+    wave_to_state,
+)
+from kfglab.observables import global_summary
+from kfglab.operators import (
+    Bands,
+    SingularClosure,
+    System,
+    build_closure,
+    closure_bands,
+    e2_field,
+    hermitian_frame,
+    potential_diag,
+)
+
+# above the crossover, so static runs step banded as well as driven ones
+N = DENSE_STEP_MAX_DOF + 8
+DT = 2e-3
+# one closure of each elimination branch, and the complex coupled one
+BRANCHES = ("dirichlet", "robin_mit_plus", "periodic", "rotation:0.0", "quasimixed+")
+REAL_BRANCHES = BRANCHES[:-1]
+QUADRATIC = SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3)
+DRIVE = TimeFactor(kind="sinusoidal", amplitude=0.5, omega=2.0, offset=1.0)
+
+
+def make_system(tag: str, driven: bool) -> System:
+    pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
+    system = System(Grid(0.0, math.pi, N), CATALOG[tag].params, pot)
+    assert system.closure.n_dof > DENSE_STEP_MAX_DOF
+    return system
+
+
+def packet_wave(system: System) -> np.ndarray:
+    """Weighted wave vector of a charged Gaussian packet on the unknowns."""
+    x = system.grid.x[system.closure.dof]
+    psi = np.exp(-(((x - 1.2) / 0.3) ** 2) + 4j * x)
+    sqw = np.sqrt(system.closure.dof_weights)
+    return np.concatenate([sqw * psi, -1j * math.sqrt(17.0) * sqw * psi])
+
+
+def dense_oracle(system: System):
+    """Step z -> (I - kA)^-1 (I + kA) z with the dense generator
+    A = [[0, 1], [-K/hbar^2, 0]], K taken at the step midpoint."""
+
+    def cayley_pair(t_mid: float):
+        sym = system.kinetic(t_mid).sym
+        m = sym.shape[0]
+        a = np.zeros((2 * m, 2 * m), dtype=sym.dtype)
+        a[:m, m:] = np.eye(m)
+        a[m:, :m] = -sym / system.units.hbar**2
+        eye = np.eye(2 * m)
+        return eye - 0.5 * DT * a, eye + 0.5 * DT * a
+
+    def solve(lhs, rhs):
+        if np.isrealobj(lhs):  # real LU on the real and imaginary parts
+            parts = np.linalg.solve(lhs, np.stack([rhs.real, rhs.imag], axis=1))
+            return parts[:, 0] + 1j * parts[:, 1]
+        return np.linalg.solve(lhs, rhs)
+
+    if system.is_static:
+        lhs, rhs = cayley_pair(0.0)
+        r = np.linalg.solve(lhs, rhs)
+        return lambda z, t_mid: r @ z
+
+    def step(z, t_mid):
+        lhs, rhs = cayley_pair(t_mid)
+        return solve(lhs, rhs @ z)
+
+    return step
+
+
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_bands_reproduce_e2_field(tag):
+    units = PhysicalUnits(hbar=0.7, c=1.3, mass=0.9)
+    grid = Grid(0.0, math.pi, 40)
+    closure = build_closure(grid, bc_realization(CATALOG[tag].params))
+    diag = potential_diag(closure, ScalarPotential(profile=QUADRATIC), units, 0.0)
+    bands = closure_bands(closure, units, diag)
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=closure.n_dof) + 1j * rng.normal(size=closure.n_dof)
+    expect = e2_field(closure, units, diag, closure.extend(u))[closure.dof]
+    tol = 1e-13 * np.max(np.abs(expect))
+    assert np.max(np.abs(bands.matvec(u) - expect)) <= tol
+    # the Hermitian frame acts on weighted unknowns
+    sym, defect = hermitian_frame(closure, bands)
+    sqw = np.sqrt(closure.dof_weights)
+    assert np.max(np.abs(sym.matvec(sqw * u) - sqw * expect)) <= tol
+    assert defect <= 1e-15
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_banded_step_matches_dense_oracle(tag, driven):
+    system = make_system(tag, driven)
+    prop = CayleyPropagator(system, DT)
+    oracle = dense_oracle(system)
+    z = zd = packet_wave(system)
+    for k in range(200):
+        z = prop.advance(z, k * DT)
+        zd = oracle(zd, (k + 0.5) * DT)
+    assert np.linalg.norm(z - zd) <= 1e-9 * np.linalg.norm(zd)
+
+
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_charged_brackets_conserved_over_ten_thousand_steps(tag):
+    system = make_system(tag, driven=False)
+    st0 = system.synthesize([(0, 1.0, 0.1), (1, 0.7, 0.8), (2, 0.4, 1.7)], kind="none")
+    traj = evolve(st0, system, EvolutionConfig(dt=DT, steps=10_000, record_every=2_500))
+    n0 = traj.records[0].summary.norm
+    e0 = traj.records[0].summary.energy_mean.real
+    assert max(abs(r.summary.norm - n0) for r in traj.records) <= 1e-10 * abs(n0)
+    assert max(abs(r.summary.energy_mean.real - e0) for r in traj.records) <= 1e-10 * abs(e0)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+@pytest.mark.parametrize("tag", REAL_BRANCHES)
+def test_neutral_sector_exact_over_ten_thousand_steps(tag, kind):
+    system = make_system(tag, driven=False)
+    st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], kind=kind)
+    prop = CayleyPropagator(system, DT)
+    z = state_to_wave(st0, system)
+    leaks = 0
+    for k in range(10_000):
+        z = prop.advance(z, k * DT)
+        leaks += np.count_nonzero(z.imag if kind == "plus" else z.real)
+    assert leaks == 0
+    e0 = global_summary(st0, system).energy_mean.real
+    e1 = global_summary(wave_to_state(z, system, 10_000 * DT), system).energy_mean.real
+    assert abs(e1 - e0) <= 1e-10 * abs(e0)
+
+
+def test_driven_identifying_closure_checks_every_midpoint():
+    # S(a, t) = S(b, t) only at t = 0, where the modes are taken
+    lopsided = ScalarPotential(
+        profile=SpatialProfile(kind="quadratic", x0=0.0, coefficient=0.2),
+        time_factor=TimeFactor(kind="sinusoidal", amplitude=1.0, omega=2.0),
+    )
+    system = System(Grid(0.0, math.pi, N), CATALOG["periodic"].params, lopsided)
+    st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.0)], kind="plus")
+    with pytest.raises(SingularClosure):
+        evolve(st0, system, EvolutionConfig(dt=DT, steps=3), majorana="plus")
+
+
+@pytest.mark.parametrize("main, corner", [(-2.0, 0.0), (0.0, 2.0)],
+                         ids=["tridiagonal", "corners"])
+def test_singular_factor_raises(main, corner):
+    # M = I + B/2 has a zero pivot, or a singular 2x2 block [[1, 1], [1, 1]]
+    # on the first and last unknowns
+    m = 12
+    bands = Bands(np.full(m, main), np.zeros(m - 1), np.zeros(m - 1), corner, corner)
+    with pytest.raises(SingularPropagator):
+        _ShiftedBandsFactor(bands, 0.5)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from kfglab.cli import main
+from kfglab.config import initial_state_from_config, system_from_config
+from kfglab.operators import System
 
 
 def write_config(path, **overrides):
@@ -77,6 +79,13 @@ class TestClassify:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "spectrum", "evolve"])
+    @pytest.mark.parametrize("section", ["profile", "time_factor"])
+    def test_unknown_potential_kind_is_config_error(self, tmp_path, command, section):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={section: {"kind": "parabola"}})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_neutral_run_on_complex_closure_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -159,6 +168,24 @@ class TestEvolve:
             evolution={"dt": 0.002, "steps": 10, "record_every": 5},
         )
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+    def test_driven_run_starts_from_modes_frozen_at_t0(self, tmp_path):
+        potential = {
+            "profile": {"kind": "quadratic", "x0": math.pi / 2, "coefficient": 0.3},
+            "time_factor": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 2.0,
+                            "offset": 1.0},
+        }
+        cfg = tmp_path / "c.json"
+        data = write_config(cfg, potential=potential, t0=0.4)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        system = system_from_config(data)
+        frozen = System(system.grid, system.bc, system.potential.frozen(0.4), system.units)
+        assert frozen.is_static
+        expect = frozen.synthesize([(0, 1.0, 0.3), (2, 0.6, 1.1)], t=0.4, kind="plus")
+        state = initial_state_from_config(data, system)
+        assert np.array_equal(state.psi, expect.psi)
+        assert np.array_equal(state.psi_t, expect.psi_t)
 
 
 class TestEnumerateAndVerify:
