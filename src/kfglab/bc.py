@@ -107,10 +107,6 @@ class BcParams:
         if self.sin_mu < -1e-15:
             raise InvalidParams("sin(mu) must be nonnegative for mu in [0, pi)")
 
-    @property
-    def m_vector(self) -> np.ndarray:
-        return np.array([self.m0, self.m1, self.m2, self.m3])
-
     def with_lam(self, lam: float) -> "BcParams":
         return replace(self, lam=lam)
 
@@ -371,10 +367,6 @@ _EXTRA_TAGS = {
     "quasiperiodic-": BcParams(0, 0, -1, 0, math.pi / 2, cos_mu=0.0, sin_mu=1.0),
     "quasimixed-": BcParams(0, 0, -1, 0, 0.0, cos_mu=1.0, sin_mu=0.0),
 }
-
-
-def catalog_tags() -> list[str]:
-    return list(CATALOG)
 
 
 def params_from_tag(tag: str, lam: float = 1.0) -> BcParams:

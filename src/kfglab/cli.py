@@ -32,22 +32,15 @@ from .evolution import evolve
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, columns: list[str], rows: list[list], comments: list[str]):
+def _write_csv(path: Path, columns: list[str], table, comments: list[str]):
+    """Write a float table; %.17g prints integers and 0/1 flags without a
+    decimal point."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.asarray(table, dtype=float), fmt="%.17g", delimiter=",")
 
 
 def _write_json(path: Path, payload: dict):
@@ -118,16 +111,14 @@ def cmd_evolve(args) -> int:
     )
     final = traj.records[-1].state
     fields = local_fields(final, system)
-    x = system.grid.x
     field_cols = ["x"]
-    field_rows = [[x[i]] for i in range(system.grid.n)]
+    field_data = [system.grid.x]
     for name in DENSITY_NAMES:
         arr = getattr(fields, name)
         field_cols += [f"{name}_re", f"{name}_im"]
-        for i in range(system.grid.n):
-            field_rows[i] += [arr[i].real, arr[i].imag]
-    _write_csv(out / "fields_final.csv", field_cols, field_rows,
-               comments[:1] + [f"t={_fmt(final.t)}"])
+        field_data += [arr.real, arr.imag]
+    _write_csv(out / "fields_final.csv", field_cols, np.column_stack(field_data),
+               comments[:1] + [f"t={final.t:.17g}"])
     print(f"wrote {out / 'trajectory.csv'} ({len(rows)} snapshots) and "
           f"{out / 'fields_final.csv'}")
     return 0

@@ -20,6 +20,7 @@ Psi = (psi1, psi2) with psi1 + psi2 = psi and psi1 - psi2 = E psi / mc^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,9 +83,12 @@ class Grid:
     def length(self) -> float:
         return self.b - self.a
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.n)
+        """Grid points, built once and read-only."""
+        x = np.linspace(self.a, self.b, self.n)
+        x.flags.writeable = False
+        return x
 
     @property
     def trapezoid_weights(self) -> np.ndarray:

@@ -147,9 +147,8 @@ def two_component_fields(
 def endpoint_data(system: System, field: np.ndarray):
     """(f_a, f_b, f_x(a), f_x(b)) with ghost-consistent endpoint derivatives."""
     field = np.asarray(field, dtype=np.complex128)
-    g_a, g_b = system.closure.ghosts(field)
-    h2 = 2.0 * system.grid.dx
-    return field[0], field[-1], (field[1] - g_a) / h2, (g_b - field[-2]) / h2
+    d1 = system.closure.dx1(field)
+    return field[0], field[-1], d1[0], d1[-1]
 
 
 def _direct_j(system: System, psi_e, dpsi_e) -> float:

@@ -78,13 +78,16 @@ class InvalidMode(KfgLabError):
 
 @dataclass(frozen=True)
 class GhostMap:
-    """Ghost value as a sparse linear combination of grid values."""
+    """Ghost value as a sparse linear combination of grid values.
+
+    Acts along the last axis, so a stack of fields gives a stack of ghosts.
+    """
 
     indices: tuple[int, ...]
     coefs: np.ndarray
 
-    def __call__(self, field: np.ndarray) -> complex:
-        return complex(np.dot(self.coefs, field[list(self.indices)]))
+    def __call__(self, field: np.ndarray) -> np.ndarray:
+        return field[..., list(self.indices)] @ self.coefs
 
 
 @dataclass(frozen=True)
@@ -109,37 +112,41 @@ class DiscreteClosure:
         return np.asarray(full)[self.dof]
 
     def extend(self, values: np.ndarray) -> np.ndarray:
+        """Full-grid fields from the unknowns, along the last axis."""
+        values = np.asarray(values)
         dtype = np.complex128 if (self.is_complex or np.iscomplexobj(values)) else np.float64
-        full = np.zeros(self.grid.n, dtype=dtype)
-        full[self.dof] = values
+        full = np.zeros(values.shape[:-1] + (self.grid.n,), dtype=dtype)
+        full[..., self.dof] = values
         if self.slaved is not None:
             pt, factor = self.slaved
-            full[pt] = (factor.real if not np.iscomplexobj(full) else factor) * full[0]
+            full[..., pt] = (factor.real if not np.iscomplexobj(full) else factor) * full[..., 0]
         return full
 
-    def ghosts(self, full: np.ndarray) -> tuple[complex, complex]:
+    def ghosts(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.ghost_a(full), self.ghost_b(full)
 
     def dx1(self, full: np.ndarray) -> np.ndarray:
-        """First derivative: centered everywhere, ghost values at the ends."""
+        """First derivative along the last axis: centered everywhere, ghost
+        values at the ends."""
         full = np.asarray(full, dtype=np.complex128)
         g_a, g_b = self.ghosts(full)
         out = np.empty_like(full)
         h2 = 2.0 * self.grid.dx
-        out[1:-1] = (full[2:] - full[:-2]) / h2
-        out[0] = (full[1] - g_a) / h2
-        out[-1] = (g_b - full[-2]) / h2
+        out[..., 1:-1] = (full[..., 2:] - full[..., :-2]) / h2
+        out[..., 0] = (full[..., 1] - g_a) / h2
+        out[..., -1] = (g_b - full[..., -2]) / h2
         return out
 
     def second_difference(self, full: np.ndarray) -> np.ndarray:
-        """(-f[i-1] + 2 f[i] - f[i+1]) / dx^2 at every grid point, with ghosts."""
+        """(-f[i-1] + 2 f[i] - f[i+1]) / dx^2 at every grid point along the
+        last axis, with ghosts."""
         full = np.asarray(full, dtype=np.complex128)
         g_a, g_b = self.ghosts(full)
         dx2 = self.grid.dx**2
         out = np.empty_like(full)
-        out[1:-1] = (-full[:-2] + 2.0 * full[1:-1] - full[2:]) / dx2
-        out[0] = (-g_a + 2.0 * full[0] - full[1]) / dx2
-        out[-1] = (-full[-2] + 2.0 * full[-1] - g_b) / dx2
+        out[..., 1:-1] = (-full[..., :-2] + 2.0 * full[..., 1:-1] - full[..., 2:]) / dx2
+        out[..., 0] = (-g_a + 2.0 * full[..., 0] - full[..., 1]) / dx2
+        out[..., -1] = (-full[..., -2] + 2.0 * full[..., -1] - g_b) / dx2
         return out
 
 
@@ -222,11 +229,11 @@ def e2_field(
     diag: np.ndarray,
     field: np.ndarray,
 ) -> np.ndarray:
-    """On-shell E^2 action on a full-grid field (pinned rows vanish)."""
+    """On-shell E^2 action on full-grid fields along the last axis (pinned
+    rows vanish)."""
     kappa = (units.hbar * units.c) ** 2
     out = kappa * closure.second_difference(field) + diag * np.asarray(field)
-    for p in closure.pinned:
-        out[p] = 0.0
+    out[..., list(closure.pinned)] = 0.0
     return out
 
 
@@ -313,57 +320,34 @@ def closure_bands(
 ) -> Bands:
     """Bands of the eliminated operator L = (hbar c)^2 D2 + diag on the unknowns.
 
-    Written in O(n) straight from the ghost maps: every row of an unknown
-    carries the three-point stencil, an endpoint row adds its ghost map,
-    a pinned neighbour contributes nothing and a slaved one folds onto the
-    first unknown with the slaving factor.
+    Read off `e2_field` with five probes in one stacked call: the two end
+    unknowns, and three combs of spacing 3 over the interior unknowns (the
+    comb colouring of Curtis, Powell & Reid, 1974).  No row reaches two
+    unknowns of one probe, so every entry has the bits of a unit-vector
+    probe, and the ghost maps stay the only encoding of the closure.
+
+    Raises SingularClosure when the bands do not reproduce the probes, as
+    for a ghost map that reaches an interior point (one on the comb of the
+    endpoint's neighbour adds into that band entry unseen).
     """
-    n = closure.grid.n
-    lo, m = int(closure.dof[0]), closure.n_dof
-    real = not closure.is_complex
-    # stencil coefficients in units of 1/dx^2, scaled below in complex
-    # arithmetic as `DiscreteClosure.second_difference` does, so that dense
-    # forms match the operator applied to unit vectors to the bit
-    main = np.full(m, 2.0 + 0j)
-    upper = np.full(m - 1, -1.0 + 0j)
-    lower = np.full(m - 1, -1.0 + 0j)
-    corners = np.zeros(2, dtype=np.complex128)
-
-    def add(row: int, col: int, value: complex):
-        r = row - lo
-        if lo <= col < lo + m:
-            c = col - lo
-        elif closure.slaved is not None and col == closure.slaved[0]:
-            c, value = 0, value * closure.slaved[1]
-        else:
-            return  # a pinned point holds zero
-        if c == r:
-            main[r] += value
-        elif c == r + 1:
-            upper[r] += value
-        elif c == r - 1:
-            lower[c] += value
-        elif (r, c) == (0, m - 1):
-            corners[0] += value
-        elif (r, c) == (m - 1, 0):
-            corners[1] += value
-        else:
-            raise SingularClosure(f"ghost map couples grid points {row} and {col}")
-
-    for row, ghost in ((0, closure.ghost_a), (n - 1, closure.ghost_b)):
-        if lo <= row < lo + m:
-            for idx, coef in zip(ghost.indices, ghost.coefs):
-                add(row, idx % n, -complex(coef))
-    if lo + m < n:
-        add(lo + m - 1, lo + m, -1.0 + 0j)  # neighbour beyond the last unknown
-
-    kappa = (units.hbar * units.c) ** 2
-    dx2 = closure.grid.dx**2
-    main, upper, lower, corners = (kappa * (b / dx2) for b in (main, upper, lower, corners))
-    main = main + diag[closure.dof]
-    if real:
-        main, upper, lower, corners = main.real, upper.real, lower.real, corners.real
-    return Bands(main, upper, lower, corners[0], corners[1])
+    m = closure.n_dof
+    col = np.arange(m)
+    colour = np.where(col == 0, 0, np.where(col == m - 1, 1, 2 + col % 3))
+    probes = (colour == np.arange(5)[:, None]).astype(float)
+    out = e2_field(closure, units, diag, closure.extend(probes))[:, closure.dof]
+    if not closure.is_complex:
+        out = out.real
+    # entry (r, c) of L sits in row r of the probe holding unknown c
+    bands = Bands(
+        main=out[colour, col],
+        upper=out[colour[1:], col[:-1]],
+        lower=out[colour[:-1], col[1:]],
+        top_right=out[1, 0],
+        bottom_left=out[0, m - 1],
+    )
+    if not np.array_equal(bands.matvec(probes), out, equal_nan=True):
+        raise SingularClosure("ghost map couples points outside the band shape")
+    return bands
 
 
 def hermitian_frame(closure: DiscreteClosure, bands: Bands) -> tuple[Bands, float]:
@@ -383,9 +367,10 @@ class KineticMatrix:
     """Discrete c^2 p^2 + (mc^2)^2 + 2 mc^2 S with the closure baked in.
 
     `sym` is the Hermitian similarity-transformed representation on the
-    unknowns; `l_dof` is the untransformed dynamic representation whose
-    eigenvectors are the physical grid modes.  Both are the dense forms of
-    `closure_bands` and its `hermitian_frame`.
+    unknowns that the dense eigensolve reads; `l_dof` is the untransformed
+    dynamic representation whose eigenvectors are the physical grid modes,
+    kept for tests and for byte counts of the assembly.  Both are the dense
+    forms of `closure_bands` and its `hermitian_frame`.
     """
 
     closure: DiscreteClosure
@@ -399,9 +384,6 @@ class KineticMatrix:
     @property
     def n_dof(self) -> int:
         return self.closure.n_dof
-
-    def apply_full(self, field: np.ndarray) -> np.ndarray:
-        return e2_field(self.closure, self.units, self.diag, field)
 
 
 def assemble_kinetic(
@@ -505,14 +487,8 @@ def eigenmodes(kinetic: KineticMatrix, positivity_tol: float = 1e-12) -> ModeSet
     cutoff = positivity_tol * max(1.0, float(np.max(np.abs(vals))))
     keep = vals > cutoff
     diagnostics = tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
-    sqrt_w = np.sqrt(closure.dof_weights)
-    fields = []
-    for i in np.flatnonzero(keep):
-        u = vecs[:, i] / sqrt_w
-        fields.append(closure.extend(u))
-    energies = np.sqrt(vals[keep])
-    fields_arr = np.array(fields) if fields else np.zeros((0, closure.grid.n))
-    return ModeSet(energies=energies, fields=fields_arr, diagnostics=diagnostics)
+    fields = closure.extend(vecs[:, keep].T / np.sqrt(closure.dof_weights))
+    return ModeSet(energies=np.sqrt(vals[keep]), fields=fields, diagnostics=diagnostics)
 
 
 def synthesize_state(
@@ -613,11 +589,7 @@ class System:
 
     def e2_apply(self, field: np.ndarray, t: float = 0.0) -> np.ndarray:
         """On-shell E^2 psi = c^2 p^2 psi + (mc^2)^2 psi + 2 mc^2 S psi."""
-        if self.is_static:
-            return self.kinetic().apply_full(field)
-        mc2 = self.units.mc2
-        s = np.asarray(self.potential.sample(self.grid.x, t), dtype=float)
-        diag = mc2**2 + 2.0 * mc2 * s
+        diag = potential_diag(self.closure, self.potential, self.units, t)
         return e2_field(self.closure, self.units, diag, field)
 
     def synthesize(

@@ -2,6 +2,7 @@
 E^2 action, the step against the dense oracle, conservation and exact
 neutral sectors over long runs, and the midpoint closure check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from kfglab.evolution import (
 from kfglab.observables import global_summary
 from kfglab.operators import (
     Bands,
+    GhostMap,
     SingularClosure,
     System,
     build_closure,
@@ -104,6 +106,55 @@ def test_bands_reproduce_e2_field(tag):
     sqw = np.sqrt(closure.dof_weights)
     assert np.max(np.abs(sym.matvec(sqw * u) - sqw * expect)) <= tol
     assert defect <= 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 64])
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_dense_bands_equal_unit_vector_probes(tag, n):
+    # the five comb probes give every entry the bits of its own unit probe
+    units = PhysicalUnits(hbar=0.7, c=1.3, mass=0.9)
+    closure = build_closure(Grid(0.0, math.pi, n), bc_realization(CATALOG[tag].params))
+    diag = potential_diag(closure, ScalarPotential(profile=QUADRATIC), units, 0.0)
+    dense = closure_bands(closure, units, diag).dense()
+    unit = np.eye(closure.n_dof)
+    columns = [e2_field(closure, units, diag, closure.extend(e))[closure.dof] for e in unit]
+    expect = np.array(columns).T
+    if not closure.is_complex:
+        expect = expect.real
+    assert dense.dtype == expect.dtype
+    assert dense.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def test_ghost_map_reaching_an_interior_point_is_singular():
+    closure = build_closure(Grid(0.0, math.pi, 16), bc_realization(CATALOG["neumann"].params))
+    reach = dataclasses.replace(
+        closure, ghost_a=GhostMap((0, 1, 3), np.array([0.0, 1.0, 0.5]))
+    )
+    with pytest.raises(SingularClosure):
+        closure_bands(reach, PhysicalUnits(), np.ones(16))
+
+
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_closure_maps_act_on_stacks_row_by_row(tag):
+    system = make_system(tag, driven=False)
+    closure, n = system.closure, system.grid.n
+    diag = potential_diag(closure, system.potential, system.units, 0.0)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(4, closure.n_dof)) + 1j * rng.normal(size=(4, closure.n_dof))
+    full = closure.extend(u)
+    assert full.shape == (4, n)
+    stacked = {
+        "extend": full,
+        "e2_field": e2_field(closure, system.units, diag, full),
+        "dx1": closure.dx1(full),
+    }
+    rows = {
+        "extend": [closure.extend(r) for r in u],
+        "e2_field": [e2_field(closure, system.units, diag, f) for f in full],
+        "dx1": [closure.dx1(f) for f in full],
+    }
+    for name, out in stacked.items():
+        assert out.tobytes() == np.array(rows[name]).tobytes(), name
 
 
 @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kfglab.cli import main
+from kfglab.cli import _write_csv, main
 from kfglab.config import initial_state_from_config, system_from_config
 from kfglab.operators import System
 
@@ -186,6 +186,16 @@ class TestEvolve:
         state = initial_state_from_config(data, system)
         assert np.array_equal(state.psi, expect.psi)
         assert np.array_equal(state.psi_t, expect.psi_t)
+
+
+def test_csv_row_bytes(tmp_path):
+    path = tmp_path / "row.csv"
+    _write_csv(path, ["i", "flag", "a", "b", "c", "d"],
+               [[3, True, 0.1, -0.0, float("nan"), 1e-300]], ["config_hash=0"])
+    assert path.read_bytes() == (
+        b"# config_hash=0\ni,flag,a,b,c,d\n"
+        b"3,1,0.10000000000000001,-0,nan,1e-300\n"
+    )
 
 
 class TestEnumerateAndVerify:

@@ -50,6 +50,12 @@ class TestUnitsAndGrid:
         assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(math.pi)
         assert len(g.x) == 11
 
+    def test_grid_points_built_once_and_read_only(self):
+        g = Grid(0.0, math.pi, 11)
+        assert g.x is g.x
+        assert not g.x.flags.writeable
+        assert np.array_equal(g.x, np.linspace(0.0, math.pi, 11))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid(1.0, 0.0, 16)

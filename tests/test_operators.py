@@ -209,7 +209,7 @@ class TestSpectra:
         ms = system.modes()
         for k in (0, 3, 7):
             u = ms.fields[k]
-            resid = kin.apply_full(u) - ms.energies[k] ** 2 * u
+            resid = system.e2_apply(u) - ms.energies[k] ** 2 * u
             assert np.max(np.abs(resid)) <= 1e-8 * np.linalg.norm(kin.sym)
 
 
