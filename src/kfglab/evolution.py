@@ -22,7 +22,6 @@ generator at the step midpoint, keeping second order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +30,7 @@ import scipy.linalg.lapack
 
 from .core import FvState, KfgLabError, KfgState, PhysicalUnits, majorana_project
 from .observables import GlobalSummary, global_summary
-from .operators import (
-    Bands,
-    DiscreteHamiltonian,
-    KineticMatrix,
-    System,
-    closure_bands,
-    hermitian_frame,
-    potential_diag,
-)
+from .operators import Bands, DiscreteHamiltonian, NumericalFailure, System
 
 
 class SingularPropagator(KfgLabError):
@@ -161,33 +152,8 @@ def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     )
 
 
-def _wave_generator(kinetic: KineticMatrix, hbar: float) -> np.ndarray:
-    m = kinetic.n_dof
-    a = np.zeros((2 * m, 2 * m), dtype=kinetic.sym.dtype)
-    a[:m, m:] = np.eye(m)
-    a[m:, :m] = -kinetic.sym / hbar**2
-    return a
-
-
-def _wave_cayley(kinetic: KineticMatrix, dt: float, hbar: float) -> np.ndarray:
-    a = _wave_generator(kinetic, hbar)
-    eye = np.eye(a.shape[0])
-    try:
-        return scipy.linalg.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularPropagator(str(exc)) from exc
-
-
-def _apply_split(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """r @ z with a real r applied to real and imaginary parts separately,
-    so exact zeros in either part are preserved exactly."""
-    if np.isrealobj(r):
-        return (r @ z.real) + 1j * (r @ z.imag)
-    return r @ z
-
-
-# Static runs with at most this many unknowns step with the precomputed dense
-# 2m x 2m matrix: one BLAS product beats the ~20 small numpy calls of the
+# Static runs with at most this many unknowns step with the dense 2m x 2m
+# step matrix: one BLAS product beats the ~20 small numpy calls of the
 # banded step below about 160-200 unknowns, and the many short static runs of
 # the verify suites sit at n <= 64.
 DENSE_STEP_MAX_DOF = 160
@@ -231,53 +197,47 @@ class _ShiftedBandsFactor:
 
 class CayleyPropagator:
     """Steps the weighted wave vector z = (v, w) by the Cayley map of
-    A = [[0, 1], [-K/hbar^2, 0]], with K taken at the step midpoint.
+    A = [[0, 1], [-K/hbar^2, 0]], with K = `system.kinetic(t).bands` taken
+    at the step midpoint.
 
     With k = dt/2 and M = I + k^2 K/hbar^2 the map (I - kA)^-1 (I + kA) is
     u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u: one solve with
     the banded M, O(m) per step.  A static run factors M once; a driven run
-    keeps the kinetic bands and refactors with the midpoint potential at each
-    step.  A static run with at most DENSE_STEP_MAX_DOF unknowns applies the
-    precomputed dense step matrix instead.  On a real closure the step acts
-    on the real and imaginary parts of z separately, which keeps a neutral
-    sector to the bit.
+    refactors with the midpoint potential at each step.  A static run with
+    at most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix
+    instead, whose row i is the banded step of unit vector i.  On a real
+    closure the step acts on the real and imaginary parts of z as a real
+    (2, 2m) stack, which keeps a neutral sector to the bit.
     """
 
     def __init__(self, system: System, dt: float):
         self.system = system
         self.dt = dt
-        closure, hbar = system.closure, system.units.hbar
-        self._dense: np.ndarray | None = None
-        if system.is_static and closure.n_dof <= DENSE_STEP_MAX_DOF:
-            self._dense = _wave_cayley(system.kinetic(), dt, hbar)
-            return
+        hbar = system.units.hbar
         self._k = 0.5 * dt
         self._m_scale = (self._k / hbar) ** 2
         self._w_scale = 2.0 * self._k / hbar**2
-        self._kinetic_bands, _ = hermitian_frame(
-            closure, closure_bands(closure, system.units, np.zeros(system.grid.n))
-        )
         self._static_factor = self._factor_at(0.0) if system.is_static else None
+        self._dense: np.ndarray | None = None
+        if system.is_static and system.closure.n_dof <= DENSE_STEP_MAX_DOF:
+            self._dense = self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
 
     def _factor_at(self, t: float) -> tuple[Bands, _ShiftedBandsFactor]:
-        system = self.system
-        diag = potential_diag(system.closure, system.potential, system.units, t)
-        bands = dataclasses.replace(
-            self._kinetic_bands,
-            main=self._kinetic_bands.main + diag[system.closure.dof],
-        )
+        bands = self.system.kinetic(t).bands
         return bands, _ShiftedBandsFactor(bands, self._m_scale)
 
-    def advance(self, z: np.ndarray, t: float) -> np.ndarray:
-        if self._dense is not None:
-            return _apply_split(self._dense, z)
-        bands, factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
-        real = np.isrealobj(bands.main)
-        x = np.array([z.real, z.imag]) if real else z[None, :]
+    def _step(self, x: np.ndarray, bands: Bands, factor: _ShiftedBandsFactor) -> np.ndarray:
+        """The step applied to each row of an (r, 2m) stack."""
         m = len(bands.main)
         v, w = x[:, :m], x[:, m:]
         u = factor.solve(v + self._k * w)
-        out = np.concatenate([2.0 * u - v, w - self._w_scale * bands.matvec(u)], axis=1)
+        return np.concatenate([2.0 * u - v, w - self._w_scale * bands.matvec(u)], axis=1)
+
+    def advance(self, z: np.ndarray, t: float) -> np.ndarray:
+        bands, factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
+        real = np.isrealobj(bands.main)
+        x = np.array([z.real, z.imag]) if real else z[None, :]
+        out = x @ self._dense if self._dense is not None else self._step(x, bands, factor)
         return out[0] + 1j * out[1] if real else out[0]
 
 
@@ -301,10 +261,11 @@ def evolve(
 ) -> Trajectory:
     """Propagate a state and record snapshots every `record_every` steps.
 
-    The final step is always recorded.  For a neutral run (majorana set) the
-    recorded states are projected back onto the neutral sector and the raw
-    sector deviation is stored alongside; with a real closure the deviation
-    is structurally zero.
+    The final step is always recorded, and a snapshot whose state or summary
+    is not finite raises NumericalFailure.  For a neutral run (majorana set)
+    the recorded states are projected back onto the neutral sector and the
+    raw sector deviation is stored alongside; with a real closure the
+    deviation is structurally zero.
     """
     prop = CayleyPropagator(system, config.dt)
     z = state_to_wave(state0, system)
@@ -317,6 +278,8 @@ def evolve(
     def snapshot(step_index: int, zz: np.ndarray):
         nonlocal worst_dev
         t = t0 + step_index * config.dt
+        if not np.all(np.isfinite(zz)):
+            raise NumericalFailure(f"the state is not finite at t = {t:.6g}")
         state = wave_to_state(zz, system, t)
         dev = None
         if majorana is not None:
@@ -324,6 +287,8 @@ def evolve(
             worst_dev = max(worst_dev, dev)
             state = majorana_project(state, majorana)
         summary = global_summary(state, system) if with_summaries else None
+        if summary is not None and not np.all(np.isfinite(list(summary.as_row().values()))):
+            raise NumericalFailure(f"the summary is not finite at t = {t:.6g}")
         records.append(
             TrajectoryRecord(t=t, state=state, summary=summary, majorana_deviation=dev)
         )

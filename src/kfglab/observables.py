@@ -147,8 +147,17 @@ def two_component_fields(
 def endpoint_data(system: System, field: np.ndarray):
     """(f_a, f_b, f_x(a), f_x(b)) with ghost-consistent endpoint derivatives."""
     field = np.asarray(field, dtype=np.complex128)
-    d1 = system.closure.dx1(field)
+    return _ends(field, system.closure.dx1(field))
+
+
+def _ends(field: np.ndarray, d1: np.ndarray):
     return field[0], field[-1], d1[0], d1[-1]
+
+
+def _state_ends(state: KfgState, system: System):
+    """Endpoint data of psi and of E psi."""
+    e_field = state.e_psi(system.units)
+    return endpoint_data(system, state.psi), endpoint_data(system, e_field)
 
 
 def _direct_j(system: System, psi_e, dpsi_e) -> float:
@@ -156,29 +165,6 @@ def _direct_j(system: System, psi_e, dpsi_e) -> float:
     cp = -1j * u.hbar * u.c * dpsi_e
     cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
     return ((np.conj(psi_e) * cp - cps * psi_e) / (2.0 * u.mass * u.c)).real
-
-
-def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
-    """Charge current at the two endpoints.
-
-    The a-end uses the closed-form endpoint-coupling expression when its
-    denominator m0 + cos(mu) is regular (direct stencil otherwise); the
-    b-end always uses the direct stencil.  Pseudo self-adjointness makes the
-    two equal; both vanish for strictly neutral states.
-    """
-    u = system.units
-    p = system.bc
-    psi_a, psi_b, dpsi_a, dpsi_b = endpoint_data(system, state.psi)
-    j_b = _direct_j(system, psi_b, dpsi_b)
-    denom = p.m0 + p.cos_mu
-    if abs(denom) > 1e-10:
-        q = (p.m1 + 1j * p.m2) / denom
-        j_a = float(
-            -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi_a) * psi_b)
-        )
-    else:
-        j_a = _direct_j(system, psi_a, dpsi_a)
-    return j_a, j_b
 
 
 def _direct_j_e(system: System, psi_e, dpsi_e, epsi_e, depsi_e) -> complex:
@@ -190,19 +176,21 @@ def _direct_j_e(system: System, psi_e, dpsi_e, epsi_e, depsi_e) -> complex:
     )
 
 
-def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
-    """Proper energy current at the two endpoints (formula at a, direct at b).
-
-    Equal at the two ends for every pseudo self-adjoint closure; zero at both
-    ends exactly when the closure is confining (m1 = 0 in the neutral sector).
-    """
+def _boundary_currents(system: System, psi_ends, epsi_ends) -> tuple:
+    """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b) from the endpoint data
+    of psi and E psi; see the three public functions below."""
     u = system.units
     p = system.bc
-    e_field = state.e_psi(u)
-    psi_a, psi_b, dpsi_a, dpsi_b = endpoint_data(system, state.psi)
-    epsi_a, epsi_b, depsi_a, depsi_b = endpoint_data(system, e_field)
-    je_b = _direct_j_e(system, psi_b, dpsi_b, epsi_b, depsi_b)
+    psi_a, psi_b, dpsi_a, dpsi_b = psi_ends
+    epsi_a, epsi_b, depsi_a, depsi_b = epsi_ends
     denom = p.m0 + p.cos_mu
+    if abs(denom) > 1e-10:
+        q = (p.m1 + 1j * p.m2) / denom
+        j_a = float(
+            -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi_a) * psi_b)
+        )
+    else:
+        j_a = _direct_j(system, psi_a, dpsi_a)
     if abs(p.m2) <= 1e-10 and abs(denom) > 1e-10:
         q = p.m1 / denom
         je_a = complex(
@@ -212,7 +200,38 @@ def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
         )
     else:
         je_a = _direct_j_e(system, psi_a, dpsi_a, epsi_a, depsi_a)
-    return je_a, je_b
+
+    def jt(epsi_e, dpsi_e) -> float:
+        cp = -1j * u.hbar * u.c * dpsi_e
+        cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
+        e_star = -np.conj(epsi_e)  # E psi* = -(E psi)*
+        return ((-(e_star * cp + cps * epsi_e)) / (2.0 * u.mass * u.c)).real
+
+    return (
+        j_a, _direct_j(system, psi_b, dpsi_b),
+        je_a, _direct_j_e(system, psi_b, dpsi_b, epsi_b, depsi_b),
+        jt(epsi_a, dpsi_a), jt(epsi_b, dpsi_b),
+    )
+
+
+def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
+    """Charge current at the two endpoints.
+
+    The a-end uses the closed-form endpoint-coupling expression when its
+    denominator m0 + cos(mu) is regular (direct stencil otherwise); the
+    b-end always uses the direct stencil.  Pseudo self-adjointness makes the
+    two equal; both vanish for strictly neutral states.
+    """
+    return _boundary_currents(system, *_state_ends(state, system))[:2]
+
+
+def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
+    """Proper energy current at the two endpoints (formula at a, direct at b).
+
+    Equal at the two ends for every pseudo self-adjoint closure; zero at both
+    ends exactly when the closure is confining (m1 = 0 in the neutral sector).
+    """
+    return _boundary_currents(system, *_state_ends(state, system))[2:4]
 
 
 def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, float]:
@@ -222,19 +241,7 @@ def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, fl
     preserve the tau_1 bilinear form (Dirichlet/Neumann/mixed/periodic/
     antiperiodic), which is the datum this evaluation exists to expose.
     """
-    u = system.units
-    e_field = state.e_psi(u)
-    psi_a, psi_b, dpsi_a, dpsi_b = endpoint_data(system, state.psi)
-    epsi_a, epsi_b, _, _ = endpoint_data(system, e_field)
-
-    def jt(epsi_e, dpsi_e) -> float:
-        cp = -1j * u.hbar * u.c * dpsi_e
-        cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
-        e_star = -np.conj(epsi_e)  # E psi* = -(E psi)*
-        return ((-(e_star * cp + cps * epsi_e)) / (2.0 * u.mass * u.c)).real
-
-    a_val = jt(epsi_a, dpsi_a)
-    b_val = jt(epsi_b, dpsi_b)
+    a_val, b_val = _boundary_currents(system, *_state_ends(state, system))[4:]
     return a_val, b_val, b_val - a_val
 
 
@@ -330,8 +337,11 @@ def global_summary(
 
     norm = grid.integrate(fields.rho).real
     energy_mean = grid.integrate(fields.rho_E)
-    cp_e_psi = -1j * u.hbar * u.c * system.dx1(e_psi)
-    cp_psi = -1j * u.hbar * u.c * system.dx1(psi)
+    d_e_psi = system.dx1(e_psi)
+    d_psi = system.dx1(psi)
+    psi_ends, epsi_ends = _ends(psi, d_psi), _ends(e_psi, d_e_psi)
+    cp_e_psi = -1j * u.hbar * u.c * d_e_psi
+    cp_psi = -1j * u.hbar * u.c * d_psi
     momentum_mean = grid.integrate(
         (np.conj(psi) * cp_e_psi - e_psi_star * cp_psi) / (2.0 * mc2)
     )
@@ -356,7 +366,7 @@ def global_summary(
     current_split = abs(j_e_total - current_boundary - jt_total)
 
     # mean-energy decomposition; the gradient piece is the staggered sum
-    psi_a, psi_b, dpsi_a, dpsi_b = endpoint_data(system, psi)
+    psi_a, psi_b, dpsi_a, dpsi_b = psi_ends
     surf = (u.hbar / (2.0 * u.mass * u.c)) * (
         np.imag(np.conj(psi_b) * (-1j * u.hbar * u.c * dpsi_b))
         - np.imag(np.conj(psi_a) * (-1j * u.hbar * u.c * dpsi_a))
@@ -371,9 +381,7 @@ def global_summary(
     pot_term = grid.integrate(s * abs2).real
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
-    j_a, j_b = boundary_j(state, system)
-    je_a, je_b = boundary_j_E(state, system)
-    jt_a, jt_b, _ = boundary_jtilde_E(state, system)
+    j_a, j_b, je_a, je_b, jt_a, jt_b = _boundary_currents(system, psi_ends, epsi_ends)
 
     return GlobalSummary(
         t=state.t,

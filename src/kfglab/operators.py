@@ -33,8 +33,10 @@ relations identically and endpoint-balance statements hold to round-off.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -326,10 +328,14 @@ def closure_bands(
     unknowns of one probe, so every entry has the bits of a unit-vector
     probe, and the ghost maps stay the only encoding of the closure.
 
-    Raises SingularClosure when the bands do not reproduce the probes, as
-    for a ghost map that reaches an interior point (one on the comb of the
-    endpoint's neighbour adds into that band entry unseen).
+    Raises SingularClosure for a ghost map that reaches past an endpoint's
+    neighbour (one on the comb of that neighbour would add into its band
+    entry unseen), and when the bands do not reproduce the probes.
     """
+    n = closure.grid.n
+    reach = {i % n for g in (closure.ghost_a, closure.ghost_b) for i in g.indices}
+    if not reach <= {0, 1, n - 2, n - 1}:
+        raise SingularClosure("ghost map reaches an interior grid point")
     m = closure.n_dof
     col = np.arange(m)
     colour = np.where(col == 0, 0, np.where(col == m - 1, 1, 2 + col % 3))
@@ -366,24 +372,41 @@ def hermitian_frame(closure: DiscreteClosure, bands: Bands) -> tuple[Bands, floa
 class KineticMatrix:
     """Discrete c^2 p^2 + (mc^2)^2 + 2 mc^2 S with the closure baked in.
 
-    `sym` is the Hermitian similarity-transformed representation on the
-    unknowns that the dense eigensolve reads; `l_dof` is the untransformed
-    dynamic representation whose eigenvectors are the physical grid modes,
-    kept for tests and for byte counts of the assembly.  Both are the dense
-    forms of `closure_bands` and its `hermitian_frame`.
+    `kinetic_bands` is K_0, the potential-free operator in the Hermitian
+    frame; `bands` is K = K_0 + diag on the unknowns, which the step, the
+    modes and the oracles read, and `at` moves it to time t in O(n).  The
+    dense `sym` (K) and `l_dof` (W^(-1/2) K W^(1/2), whose eigenvectors are
+    the grid modes) are built on first read.
     """
 
     closure: DiscreteClosure
     units: PhysicalUnits
     t: float
     diag: np.ndarray      # (mc^2)^2 + 2 mc^2 S on the full grid
-    l_dof: np.ndarray
-    sym: np.ndarray
+    kinetic_bands: Bands
     hermiticity_defect: float
 
     @property
     def n_dof(self) -> int:
         return self.closure.n_dof
+
+    @cached_property
+    def bands(self) -> Bands:
+        k0 = self.kinetic_bands
+        return dataclasses.replace(k0, main=k0.main + self.diag[self.closure.dof])
+
+    @cached_property
+    def sym(self) -> np.ndarray:
+        return self.bands.dense()
+
+    @cached_property
+    def l_dof(self) -> np.ndarray:
+        return self.bands.similarity(1.0 / np.sqrt(self.closure.dof_weights)).dense()
+
+    def at(self, potential: ScalarPotential, t: float) -> "KineticMatrix":
+        """The same operator with the potential taken at time t."""
+        diag = potential_diag(self.closure, potential, self.units, t)
+        return dataclasses.replace(self, t=t, diag=diag)
 
 
 def assemble_kinetic(
@@ -399,12 +422,13 @@ def assemble_kinetic(
     an end-identifying closure over a potential with S(a) != S(b).
     """
     closure = build_closure(grid, bc)
-    diag = potential_diag(closure, potential, units, t)
-    bands = closure_bands(closure, units, diag)
-    sym, defect = hermitian_frame(closure, bands)
+    kinetic_bands, defect = hermitian_frame(
+        closure, closure_bands(closure, units, np.zeros(grid.n))
+    )
     return KineticMatrix(
-        closure=closure, units=units, t=t, diag=diag,
-        l_dof=bands.dense(), sym=sym.dense(), hermiticity_defect=defect,
+        closure=closure, units=units, t=t,
+        diag=potential_diag(closure, potential, units, t),
+        kinetic_bands=kinetic_bands, hermiticity_defect=defect,
     )
 
 
@@ -547,7 +571,7 @@ class System:
         self.units = units
         self.realization = bc_realization(bc)
         self.closure = build_closure(grid, self.realization)
-        self._kinetic_static: KineticMatrix | None = None
+        self._kinetic: KineticMatrix | None = None
         self._hamiltonian_static: DiscreteHamiltonian | None = None
         self._modes: ModeSet | None = None
 
@@ -556,13 +580,14 @@ class System:
         return self.potential.is_static
 
     def kinetic(self, t: float = 0.0) -> KineticMatrix:
-        if self.is_static:
-            if self._kinetic_static is None:
-                self._kinetic_static = assemble_kinetic(
-                    self.grid, self.potential, self.realization, self.units, t=0.0
-                )
-            return self._kinetic_static
-        return assemble_kinetic(self.grid, self.potential, self.realization, self.units, t=t)
+        """The operator at time t: assembled once, then only its diagonal moves."""
+        if self._kinetic is None:
+            self._kinetic = assemble_kinetic(
+                self.grid, self.potential, self.realization, self.units, t=t
+            )
+        if self.is_static or t == self._kinetic.t:
+            return self._kinetic
+        return self._kinetic.at(self.potential, t)
 
     def hamiltonian(self, t: float = 0.0) -> DiscreteHamiltonian:
         if self.is_static:

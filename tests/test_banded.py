@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from kfglab import operators
 from kfglab.bc import CATALOG, bc_realization
 from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile, TimeFactor
 from kfglab.evolution import (
@@ -33,8 +34,10 @@ from kfglab.operators import (
     potential_diag,
 )
 
-# above the crossover, so static runs step banded as well as driven ones
+# above the crossover, so static runs step banded as well as driven ones;
+# static runs at N_DENSE step with the dense step matrix
 N = DENSE_STEP_MAX_DOF + 8
+N_DENSE = DENSE_STEP_MAX_DOF - 8
 DT = 2e-3
 # one closure of each elimination branch, and the complex coupled one
 BRANCHES = ("dirichlet", "robin_mit_plus", "periodic", "rotation:0.0", "quasimixed+")
@@ -43,10 +46,10 @@ QUADRATIC = SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3)
 DRIVE = TimeFactor(kind="sinusoidal", amplitude=0.5, omega=2.0, offset=1.0)
 
 
-def make_system(tag: str, driven: bool) -> System:
+def make_system(tag: str, driven: bool, n: int = N) -> System:
     pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
-    system = System(Grid(0.0, math.pi, N), CATALOG[tag].params, pot)
-    assert system.closure.n_dof > DENSE_STEP_MAX_DOF
+    system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot)
+    assert (system.closure.n_dof > DENSE_STEP_MAX_DOF) == (n == N)
     return system
 
 
@@ -126,12 +129,15 @@ def test_dense_bands_equal_unit_vector_probes(tag, n):
 
 
 def test_ghost_map_reaching_an_interior_point_is_singular():
+    # 3, 4, 5 and 7 are interior points, 4 and 7 on the comb of point 1;
+    # 14 = n - 2 is an allowed index that the band shape cannot hold here
     closure = build_closure(Grid(0.0, math.pi, 16), bc_realization(CATALOG["neumann"].params))
-    reach = dataclasses.replace(
-        closure, ghost_a=GhostMap((0, 1, 3), np.array([0.0, 1.0, 0.5]))
-    )
-    with pytest.raises(SingularClosure):
-        closure_bands(reach, PhysicalUnits(), np.ones(16))
+    for far in (3, 4, 5, 7, 14):
+        reach = dataclasses.replace(
+            closure, ghost_a=GhostMap((0, 1, far), np.array([0.0, 1.0, 0.5]))
+        )
+        with pytest.raises(SingularClosure):
+            closure_bands(reach, PhysicalUnits(), np.ones(16))
 
 
 @pytest.mark.parametrize("tag", BRANCHES)
@@ -157,10 +163,11 @@ def test_closure_maps_act_on_stacks_row_by_row(tag):
         assert out.tobytes() == np.array(rows[name]).tobytes(), name
 
 
-@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("driven, n", [(False, N), (True, N), (False, N_DENSE)],
+                         ids=["static", "driven", "dense"])
 @pytest.mark.parametrize("tag", BRANCHES)
-def test_banded_step_matches_dense_oracle(tag, driven):
-    system = make_system(tag, driven)
+def test_banded_step_matches_dense_oracle(tag, driven, n):
+    system = make_system(tag, driven, n)
     prop = CayleyPropagator(system, DT)
     oracle = dense_oracle(system)
     z = zd = packet_wave(system)
@@ -181,10 +188,12 @@ def test_charged_brackets_conserved_over_ten_thousand_steps(tag):
     assert max(abs(r.summary.energy_mean.real - e0) for r in traj.records) <= 1e-10 * abs(e0)
 
 
-@pytest.mark.parametrize("kind", ["plus", "minus"])
+@pytest.mark.parametrize("kind, n", [("plus", N), ("minus", N), ("plus", N_DENSE),
+                                     ("minus", N_DENSE)],
+                         ids=["plus", "minus", "plus-dense", "minus-dense"])
 @pytest.mark.parametrize("tag", REAL_BRANCHES)
-def test_neutral_sector_exact_over_ten_thousand_steps(tag, kind):
-    system = make_system(tag, driven=False)
+def test_neutral_sector_exact_over_ten_thousand_steps(tag, kind, n):
+    system = make_system(tag, driven=False, n=n)
     st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], kind=kind)
     prop = CayleyPropagator(system, DT)
     z = state_to_wave(st0, system)
@@ -196,6 +205,58 @@ def test_neutral_sector_exact_over_ten_thousand_steps(tag, kind):
     e0 = global_summary(st0, system).energy_mean.real
     e1 = global_summary(wave_to_state(z, system, 10_000 * DT), system).energy_mean.real
     assert abs(e1 - e0) <= 1e-10 * abs(e0)
+
+
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_kinetic_at_later_time_matches_fresh_assembly(tag):
+    system = make_system(tag, driven=True)
+    first = system.kinetic(0.0)
+    kin = system.kinetic(0.37)
+    closure, units = system.closure, system.units
+    diag = potential_diag(closure, system.potential, units, 0.37)
+    bands = closure_bands(closure, units, diag)
+    fresh, _ = hermitian_frame(closure, bands)
+    for got, want in ((kin.bands, fresh), (kin.l_dof, bands.dense())):
+        got = got.dense() if isinstance(got, Bands) else got
+        want = want.dense() if isinstance(want, Bands) else want
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert kin.kinetic_bands is first.kinetic_bands
+    assert kin.sym is kin.sym and kin.l_dof is kin.l_dof
+    assert system.kinetic(0.0) is first
+
+
+def counting_closure_bands(monkeypatch) -> list:
+    calls = []
+    original = operators.closure_bands
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "closure_bands", counted)
+    return calls
+
+
+def test_static_run_from_modes_builds_bands_once(monkeypatch):
+    calls = counting_closure_bands(monkeypatch)
+    for n in (N, N_DENSE):
+        system = make_system("periodic", driven=False, n=n)
+        st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], kind="plus")
+        evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2), majorana="plus")
+    assert len(calls) == 2
+
+
+def test_driven_run_builds_bands_once_per_system(monkeypatch):
+    calls = counting_closure_bands(monkeypatch)
+    system = make_system("robin_mit_plus", driven=True)
+    st0 = wave_to_state(packet_wave(system), system, 0.0)
+    evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2))
+    assert len(calls) == 1
+    # from modes, the system frozen at t0 is a second System with its own bands
+    system = make_system("robin_mit_plus", driven=True)
+    st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.5)], kind="none")
+    evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2))
+    assert len(calls) == 3
 
 
 def test_driven_identifying_closure_checks_every_midpoint():

@@ -169,6 +169,17 @@ class TestEvolve:
         )
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
+    def test_run_that_stops_being_finite_fails(self, tmp_path, capsys):
+        # the two quarantined nonpositive-E^2 modes grow from round-off until
+        # the energy overflows near t = 20
+        cfg = tmp_path / "c.json"
+        write_config(cfg, bc="robin_mit_minus",
+                     units={"hbar": 1.0, "c": 1.0, "mass": 0.3, "lambda": 0.05},
+                     evolution={"dt": 0.01, "steps": 2500, "record_every": 50})
+        with np.errstate(all="ignore"):
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "not finite at t = " in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_driven_run_starts_from_modes_frozen_at_t0(self, tmp_path):
         potential = {

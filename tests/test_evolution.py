@@ -16,7 +16,7 @@ from kfglab.core import (
     fv_to_kfg,
 )
 from kfglab.bc import CATALOG
-from kfglab.operators import KineticMatrix, System, assemble_fv_hamiltonian
+from kfglab.operators import Bands, KineticMatrix, System, assemble_fv_hamiltonian
 from kfglab.evolution import (
     CayleyPropagator,
     EvolutionConfig,
@@ -71,7 +71,8 @@ class TestStepExamples:
         nd = kin.n_dof
         flat = KineticMatrix(
             closure=kin.closure, units=kin.units, t=0.0, diag=kin.diag,
-            l_dof=np.eye(nd), sym=np.eye(nd), hermiticity_defect=0.0,
+            kinetic_bands=Bands(np.zeros(nd), np.zeros(nd - 1), np.zeros(nd - 1), 0.0, 0.0),
+            hermiticity_defect=0.0,
         )
         h = assemble_fv_hamiltonian(flat)
         dt = 0.3

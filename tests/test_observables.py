@@ -235,6 +235,20 @@ class TestGlobalSummary:
         total = boundary + kinetic + mass + tderiv + pot
         assert summ.energy_mean.real == pytest.approx(total, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "tag", ["dirichlet", "robin_mit_plus", "periodic", "rotation:0.0", "quasimixed+"]
+    )
+    def test_boundary_values_equal_the_public_functions(self, tag):
+        # the summary reuses its own derivatives of psi and E psi
+        system = System(GRID, CATALOG[tag].params, BUMP)
+        st0 = charged(system, seed=15)
+        summ = global_summary(st0, system)
+        public = (*boundary_j(st0, system), *boundary_j_E(st0, system),
+                  *boundary_jtilde_E(st0, system)[:2])
+        got = (summ.j_a, summ.j_b, summ.jE_a, summ.jE_b, summ.jtildeE_a, summ.jtildeE_b)
+        assert [complex(v) for v in got] == [complex(v) for v in public]
+        assert [type(v) for v in got] == [type(v) for v in public]
+
     def test_norms(self):
         system = System(GRID, CATALOG["dirichlet"].params)
         stn = neutral_state(system)

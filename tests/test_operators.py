@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kfglab.core import Grid, ScalarPotential, SpatialProfile, TimeFactor
 from kfglab.bc import BcParams, CATALOG, bc_realization, params_from_tag
 from kfglab.operators import (
+    Bands,
     InvalidMode,
     KineticMatrix,
     SingularClosure,
@@ -100,7 +101,8 @@ class TestAssembly:
         nd = kin.n_dof
         flat = KineticMatrix(
             closure=kin.closure, units=kin.units, t=0.0, diag=kin.diag,
-            l_dof=np.eye(nd), sym=np.eye(nd), hermiticity_defect=0.0,
+            kinetic_bands=Bands(np.zeros(nd), np.zeros(nd - 1), np.zeros(nd - 1), 0.0, 0.0),
+            hermiticity_defect=0.0,
         )
         h = assemble_fv_hamiltonian(flat)
         expect = np.zeros((2 * nd, 2 * nd), dtype=complex)
