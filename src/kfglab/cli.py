@@ -99,7 +99,8 @@ def cmd_evolve(args) -> int:
         f"worst_majorana_deviation={traj.metadata['worst_majorana_deviation']}",
     ]
     if system.is_static:
-        n_diag = len(system.modes().diagnostics)
+        # any mode set lists every quarantined mode: reuse synthesis's
+        n_diag = len(system.modes(1).diagnostics)
         comments.append(f"nonpositive_mode_count={n_diag}")
     rows = traj.summary_rows()
     columns = list(rows[0].keys())

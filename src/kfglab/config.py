@@ -19,7 +19,7 @@ from .core import (
 )
 from .bc import BcParams, InvalidParams, params_from_tag
 from .evolution import EvolutionConfig
-from .operators import System
+from .operators import SingularClosure, System, check_end_values
 
 
 class ConfigError(KfgLabError):
@@ -115,11 +115,19 @@ def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
 
 
 def system_from_config(cfg: dict) -> System:
+    """The configured system.  A closure that identifies the end values
+    (periodic, say) needs a profile with S(a) = S(b), at every time, so a
+    profile with different end values is a configuration error."""
     units = units_from_config(cfg)
     grid = grid_from_config(cfg)
     potential = potential_from_config(cfg)
     bc = bc_from_config(cfg, units)
-    return System(grid=grid, bc=bc, potential=potential, units=units)
+    system = System(grid=grid, bc=bc, potential=potential, units=units)
+    try:
+        check_end_values(system.closure, potential.profile.sample(grid.x))
+    except SingularClosure as exc:
+        raise ConfigError(f"bc {cfg['bc']!r} with this potential profile: {exc}") from exc
+    return system
 
 
 def majorana_from_config(cfg: dict) -> str | None:

@@ -30,7 +30,13 @@ import scipy.linalg.lapack
 
 from .core import FvState, KfgLabError, KfgState, PhysicalUnits, majorana_project
 from .observables import GlobalSummary, global_summary
-from .operators import Bands, DiscreteHamiltonian, NumericalFailure, System
+from .operators import (
+    DENSE_STEP_MAX_DOF,
+    Bands,
+    DiscreteHamiltonian,
+    NumericalFailure,
+    System,
+)
 
 
 class SingularPropagator(KfgLabError):
@@ -150,13 +156,6 @@ def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     return KfgState(
         psi=cl.extend(z[:m] / sqw), psi_t=cl.extend(z[m:] / sqw), t=t
     )
-
-
-# Static runs with at most this many unknowns step with the dense 2m x 2m
-# step matrix: one BLAS product beats the ~20 small numpy calls of the
-# banded step below about 160-200 unknowns, and the many short static runs of
-# the verify suites sit at n <= 64.
-DENSE_STEP_MAX_DOF = 160
 
 
 class _ShiftedBandsFactor:

@@ -40,6 +40,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .core import (
     Grid,
@@ -60,6 +62,19 @@ from .bc import (
 
 SLAVED_CUTOFF = 1e-10
 PIN_CUTOFF = 1e-10
+
+# The dense/banded crossover, in unknowns.  At or below it a static run
+# steps with the dense 2m x 2m step matrix (one BLAS product beats the ~20
+# small numpy calls of the banded step below about 160-200 unknowns, and the
+# many short static runs of the verify suites sit at n <= 64), and
+# `eigenmodes` always takes the dense `eigh`.  Above it `eigenmodes(count=k)`
+# solves only for the lowest modes.  Dense `eigh` against 3 modes plus the
+# extreme eigenvalue, ms, at n = 128 / 160 / 192 grid points (best of 7,
+# one BLAS thread, 2 shared vCPUs, quadratic potential): periodic 3.52/2.30,
+# 7.33/3.74, 9.62/2.44; rotation:0.0 2.19/2.83, 3.85/2.55, 5.80/2.83;
+# quasimixed+ 3.89/3.21, 6.02/3.54, 9.01/3.64.  On separated closures the
+# partial solve was the faster one at every n measured, from 96 up.
+DENSE_STEP_MAX_DOF = 160
 
 
 class SingularClosure(KfgLabError):
@@ -251,12 +266,18 @@ def potential_diag(
     with S(a, t) != S(b, t).
     """
     s = np.asarray(potential.sample(closure.grid.x, t), dtype=float)
+    check_end_values(closure, s)
+    mc2 = units.mc2
+    return mc2**2 + 2.0 * mc2 * s
+
+
+def check_end_values(closure: DiscreteClosure, s: np.ndarray) -> None:
+    """Raise SingularClosure when an end-identifying closure meets a grid
+    field s (a potential or a profile) with s(a) != s(b)."""
     if closure.slaved is not None and abs(s[0] - s[-1]) > 1e-12 * (1.0 + np.max(np.abs(s))):
         raise SingularClosure(
             "end-identifying boundary condition requires S(a, t) = S(b, t)"
         )
-    mc2 = units.mc2
-    return mc2**2 + 2.0 * mc2 * s
 
 
 @dataclass(frozen=True)
@@ -273,6 +294,11 @@ class Bands:
     lower: np.ndarray
     top_right: complex
     bottom_left: complex
+
+    @property
+    def tridiagonal(self) -> bool:
+        """Real with no corner entries."""
+        return self.top_right == 0.0 and self.bottom_left == 0.0 and np.isrealobj(self.main)
 
     def dense(self) -> np.ndarray:
         m = len(self.main)
@@ -415,13 +441,16 @@ def assemble_kinetic(
     bc: BcRealization,
     units: PhysicalUnits = NATURAL_UNITS,
     t: float = 0.0,
+    closure: DiscreteClosure | None = None,
 ) -> KineticMatrix:
     """Build the closed spatial operator at time t.
 
+    `closure`, if given, is `build_closure(grid, bc)` already built.
     Raises SingularClosure when the closure cannot be eliminated, including
     an end-identifying closure over a potential with S(a) != S(b).
     """
-    closure = build_closure(grid, bc)
+    if closure is None:
+        closure = build_closure(grid, bc)
     kinetic_bands, defect = hermitian_frame(
         closure, closure_bands(closure, units, np.zeros(grid.n))
     )
@@ -497,21 +526,153 @@ class ModeSet:
         return len(self.energies)
 
 
-def eigenmodes(kinetic: KineticMatrix, positivity_tol: float = 1e-12) -> ModeSet:
-    """Full Hermitian eigendecomposition of the closed kinetic operator.
+def _hermitian_csc(bands: Bands) -> scipy.sparse.csc_array:
+    """The bands as a sparse Hermitian matrix, read from the lower triangle
+    and the bottom-left corner as the dense `eigh` reads `sym`."""
+    m = len(bands.main)
+    i = np.arange(m)
+    rows = np.concatenate([i, i[1:], i[:-1], [m - 1, 0]])
+    cols = np.concatenate([i, i[:-1], i[1:], [0, m - 1]])
+    corner = bands.bottom_left
+    data = np.concatenate(
+        [bands.main.real, bands.lower, bands.lower.conj(), [corner, np.conj(corner)]]
+    )
+    return scipy.sparse.csc_array((data, (rows, cols)), shape=(m, m))
+
+
+def _positive_definite_factor(a: scipy.sparse.csc_array, sigma: float):
+    """LU of a - sigma I without pivoting if every pivot is positive, else
+    None.  Unpivoted LU of a Hermitian matrix is its LDL^H, so by
+    Sylvester's law of inertia positive pivots mean sigma lies below the
+    spectrum of a."""
+    shifted = a - sigma * scipy.sparse.eye_array(a.shape[0], format="csc")
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError:  # exactly singular
+        return None
+    natural = np.arange(a.shape[0])
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        return None
+    return lu if np.all(lu.U.diagonal().real > 0.0) else None
+
+
+def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of Hermitian bands, ascending, in O(m k^2).
+
+    Tridiagonal bands go to bisection and inverse iteration (LAPACK ?stebz,
+    ?stein): 11 ms for three modes at m = 8190, where MRRR (?stemr) took
+    291 ms.  With corners, shift-invert Lanczos (ARPACK) runs below a shift
+    sigma certified to lie under the spectrum.  The corners are a rank-2
+    term with one negative eigenvalue, so by interlacing at most one
+    eigenvalue of K lies below the lowest one of its tridiagonal part T, and
+    none below lambda_0(T) - |corner|.  The first shift is lambda_0(T) -
+    (lambda_1(T) - lambda_0(T)); while a pivot of K - sigma I is not
+    positive the drop below lambda_0(T) doubles.
+    """
+    if bands.tridiagonal:
+        try:
+            return scipy.linalg.eigh_tridiagonal(
+                bands.main, bands.lower, select="i", select_range=(0, k - 1),
+                lapack_driver="stebz",
+            )
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    a = _hermitian_csc(bands)
+    t0, t1 = scipy.linalg.eigvalsh_tridiagonal(
+        bands.main.real, np.abs(bands.lower), select="i", select_range=(0, 1)
+    )
+    floor = t0 - 2.0 * abs(bands.bottom_left) - (t1 - t0)
+    drop = max(t1 - t0, 1e-12 * max(1.0, abs(t0)))
+    while True:
+        sigma = max(t0 - drop, floor)
+        lu = _positive_definite_factor(a, sigma)
+        if lu is not None:
+            break
+        if sigma == floor:
+            raise NumericalFailure("no shift below the spectrum could be certified")
+        drop *= 2.0
+    m = a.shape[0]
+    inverse = scipy.sparse.linalg.LinearOperator((m, m), matvec=lu.solve, dtype=a.dtype)
+    # a fixed generic start vector: ones would be orthogonal to every mode
+    # that is odd under a symmetry of the problem
+    v0 = np.random.default_rng(0).standard_normal(m).astype(a.dtype)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            a, k=k, sigma=sigma, OPinv=inverse, v0=v0, tol=0.0
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _spectral_radius(bands: Bands, lowest: float) -> float:
+    """max |E^2| over the spectrum, given its lowest eigenvalue."""
+    m = len(bands.main)
+    if bands.tridiagonal:
+        top = scipy.linalg.eigvalsh_tridiagonal(
+            bands.main, bands.lower, select="i", select_range=(m - 1, m - 1)
+        )[0]
+    else:
+        negated = Bands(-bands.main, -bands.upper, -bands.lower,
+                        -bands.top_right, -bands.bottom_left)
+        top = -_lowest_eigenpairs(negated, 1)[0][0]
+    return max(abs(lowest), abs(top))
+
+
+# Modes are gauged at the first entry within this relative distance of the
+# largest |entry|, so that entries equal up to the solver's error (the two
+# peaks of an odd mode on a symmetric problem) give the same choice on both
+# paths.  Stiff closures at the pinning and slaving cutoffs reach a relative
+# error of 5e-5 in their fields, where 1e-6 flipped 3 of 120 modes.
+GAUGE_TIE = 1e-3
+
+
+def gauge(fields: np.ndarray) -> np.ndarray:
+    """Scale each row so that its largest-|entry| (the first one within
+    GAUGE_TIE of it) is real and positive."""
+    mag = np.abs(fields)
+    pivot = np.argmax(mag >= (1.0 - GAUGE_TIE) * mag.max(axis=-1, keepdims=True), axis=-1)
+    rows = np.arange(len(fields))
+    return fields * (mag[rows, pivot] / fields[rows, pivot])[:, None]
+
+
+def eigenmodes(
+    kinetic: KineticMatrix, positivity_tol: float = 1e-12, count: int | None = None
+) -> ModeSet:
+    """Stationary modes of the closed kinetic operator.
 
     Eigenvalues are E^2; modes store E = +sqrt(E^2) with fields extended to
-    the full grid and orthonormal under the trapezoid weights.
+    the full grid, orthonormal under the trapezoid weights and gauged (see
+    `gauge`).  E^2 <= positivity_tol * max(1, max |E^2|) is quarantined in
+    `diagnostics`.  count=None gives every mode from a dense `eigh`.  With a
+    count and more than DENSE_STEP_MAX_DOF unknowns only the lowest modes
+    are computed, from the bands, until `count` of them are positive, so
+    every quarantined mode is among them; a count that would need half of
+    the unknowns or more takes the dense path.
     """
-    try:
-        vals, vecs = scipy.linalg.eigh(kinetic.sym)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    if count is not None and count < 1:
+        raise ValueError("count must be at least 1")
+    m = kinetic.n_dof
+    k = count if count is not None and m > DENSE_STEP_MAX_DOF else m
+    radius = None
+    while 2 * k < m:
+        vals, vecs = _lowest_eigenpairs(kinetic.bands, k)
+        if radius is None:
+            radius = _spectral_radius(kinetic.bands, vals[0])
+        keep = vals > positivity_tol * max(1.0, radius)
+        if np.count_nonzero(keep) >= count:
+            break
+        k = count + np.count_nonzero(~keep)
+    else:  # every mode
+        try:
+            vals, vecs = scipy.linalg.eigh(kinetic.sym)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+        keep = vals > positivity_tol * max(1.0, float(np.max(np.abs(vals))))
     closure = kinetic.closure
-    cutoff = positivity_tol * max(1.0, float(np.max(np.abs(vals))))
-    keep = vals > cutoff
     diagnostics = tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
-    fields = closure.extend(vecs[:, keep].T / np.sqrt(closure.dof_weights))
+    fields = closure.extend(gauge(vecs[:, keep].T / np.sqrt(closure.dof_weights)))
     return ModeSet(energies=np.sqrt(vals[keep]), fields=fields, diagnostics=diagnostics)
 
 
@@ -583,7 +744,8 @@ class System:
         """The operator at time t: assembled once, then only its diagonal moves."""
         if self._kinetic is None:
             self._kinetic = assemble_kinetic(
-                self.grid, self.potential, self.realization, self.units, t=t
+                self.grid, self.potential, self.realization, self.units, t=t,
+                closure=self.closure,
             )
         if self.is_static or t == self._kinetic.t:
             return self._kinetic
@@ -602,11 +764,18 @@ class System:
             return self
         return System(self.grid, self.bc, self.potential.frozen(t), self.units)
 
-    def modes(self) -> ModeSet:
+    def modes(self, count: int | None = None) -> ModeSet:
+        """Every mode (count=None), or a set holding at least `count`
+        positive modes (see `eigenmodes`).  A cached set is reused when it
+        is complete or holds enough positive modes."""
         if not self.is_static:
             raise NumericalFailure("stationary modes require a static potential")
-        if self._modes is None:
-            self._modes = eigenmodes(self.kinetic())
+        cached = self._modes
+        if cached is None or not (
+            cached.count + len(cached.diagnostics) == self.closure.n_dof
+            or (count is not None and cached.count >= count)
+        ):
+            self._modes = eigenmodes(self.kinetic(), count=count)
         return self._modes
 
     def dx1(self, field: np.ndarray) -> np.ndarray:
@@ -627,4 +796,5 @@ class System:
             raise NotMajoranaCompatible(
                 "complex boundary closure admits no strictly neutral states"
             )
-        return synthesize_state(self.modes(), coefficients, t, kind, self.units)
+        count = max([1] + [index + 1 for index, _, _ in coefficients])
+        return synthesize_state(self.modes(count), coefficients, t, kind, self.units)

@@ -87,6 +87,16 @@ class TestClassify:
         write_config(cfg, potential={section: {"kind": "parabola"}})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["classify", "spectrum", "evolve"])
+    def test_identified_ends_need_equal_end_potentials(self, tmp_path, command, capsys):
+        # periodic identifies psi(a) with psi(b), so S(a) != S(b) is no closure
+        cfg = tmp_path / "c.json"
+        step = {"kind": "step", "x0": 1.0, "left": 0.0, "right": 0.5}
+        write_config(cfg, bc="periodic", potential={"profile": step})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "S(a, t) = S(b, t)" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_neutral_run_on_complex_closure_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, bc="quasiperiodic+",

@@ -1,0 +1,157 @@
+"""The partial eigensolve (only the lowest modes, from the bands) against the
+dense `eigh` of every mode: eigenvalues, quarantine, gauged fields, the
+certified shift, the mode-set cache and the errors of mode synthesis."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kfglab import operators
+from kfglab.bc import CATALOG, BcParams, params_from_tag
+from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile
+from kfglab.operators import (
+    DENSE_STEP_MAX_DOF,
+    PIN_CUTOFF,
+    SLAVED_CUTOFF,
+    InvalidMode,
+    System,
+    eigenmodes,
+    gauge,
+)
+
+# above the crossover, so a count takes the partial path
+N = DENSE_STEP_MAX_DOF + 8
+COUNT = 4
+QUADRATIC = ScalarPotential(SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3))
+# rotation:2.1:- has a negative E^2 below the first shift tried
+TAGS = list(CATALOG) + ["rotation:2.1:-"]
+
+
+def both_paths(params: BcParams, count: int = COUNT):
+    kin = System(Grid(0.0, math.pi, N), params, QUADRATIC).kinetic()
+    fresh = dataclasses.replace(kin)
+    partial = eigenmodes(fresh, count=count)
+    assert "sym" not in vars(fresh)  # the partial path never forms the dense matrix
+    return eigenmodes(kin), partial
+
+
+def assert_agree(dense, partial, field_tol):
+    """Same quarantine and eigenvalues within 1e-12 max|E^2|; fields within
+    field_tol[i] of their scale, gauge included."""
+    e2 = np.concatenate([[v for _, v in dense.diagnostics], dense.energies**2])
+    top = np.max(np.abs(e2))
+    k = partial.count
+    assert [i for i, _ in partial.diagnostics] == [i for i, _ in dense.diagnostics]
+    quarantined = [v for _, v in dense.diagnostics]
+    assert np.allclose([v for _, v in partial.diagnostics], quarantined, rtol=0, atol=1e-12 * top)
+    assert np.max(np.abs(partial.energies**2 - dense.energies[:k] ** 2)) <= 1e-12 * top
+    scale = np.max(np.abs(dense.fields[:k]), axis=1)
+    err = np.max(np.abs(partial.fields - dense.fields[:k]), axis=1) / scale
+    assert np.all(err <= field_tol), err
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_partial_modes_match_dense(tag, monkeypatch):
+    shifts = []
+    certify = operators._positive_definite_factor
+
+    def recorded(a, sigma):
+        lu = certify(a, sigma)
+        shifts.append(lu is not None)
+        return lu
+
+    monkeypatch.setattr(operators, "_positive_definite_factor", recorded)
+    dense, partial = both_paths(params_from_tag(tag))
+    assert partial.count == COUNT
+    assert_agree(dense, partial, 1e-9)
+    if tag == "rotation:2.1:-":
+        assert dense.diagnostics and shifts[0] is False  # the shift was lowered
+    elif CATALOG[tag].params.m1 == 0.0 and CATALOG[tag].params.m2 == 0.0:
+        assert shifts == []  # separated: tridiagonal, no shift-invert
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cutoff=st.sampled_from(["pin", "slave"]),
+    offset=st.floats(-0.5, 0.5),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_paths_agree_near_the_branch_cutoffs(cutoff, offset, sign):
+    """U(2) points on either side of the pinning and slaving cutoffs, where
+    the closure is stiff (E^2 up to ~1e12): the fields agree to the solvers'
+    error, 1e-14 max|E^2| / gap, and keep the same gauge."""
+    if cutoff == "pin":  # beta_a = beta_b ~ -eps/2; dirichlet at eps = 0
+        eps = sign * 2.0 * PIN_CUTOFF * (1.0 + offset)
+        params = BcParams(-math.cos(eps), 0.0, 0.0, math.sin(eps), 0.0)
+    else:  # M[0, 1] ~ -eps; periodic at eps = 0
+        eps = sign * 2.0 * SLAVED_CUTOFF * (1.0 + offset)
+        params = BcParams(eps, math.sqrt(1.0 - eps**2), 0.0, 0.0, math.pi / 2)
+    dense, partial = both_paths(params, count=3)
+    e2 = np.concatenate([[v for _, v in dense.diagnostics], dense.energies**2])
+    lo = len(dense.diagnostics)
+    gaps = [np.min(np.abs(np.delete(e2, lo + i) - e2[lo + i])) for i in range(3)]
+    assert_agree(dense, partial, 1e-9 + 1e-14 * np.max(np.abs(e2)) / np.array(gaps))
+
+
+def test_gauge_makes_the_largest_entry_real_and_positive():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+    out = gauge(rows)
+    pivot = np.argmax(np.abs(rows), axis=1)
+    top = out[np.arange(5), pivot]
+    assert np.allclose(top.imag, 0.0, atol=1e-15) and np.all(top.real > 0.0)
+    assert np.allclose(np.abs(out), np.abs(rows), rtol=1e-15)
+    # a tie up to round-off resolves to the first of the two entries
+    odd = np.array([[0.0, -1.0, 0.5, 1.0 + 1e-15, 0.0]])
+    assert gauge(odd)[0, 1] == 1.0
+    assert np.array_equal(gauge(-odd), gauge(odd))
+
+
+def test_mode_sets_are_cached_and_grown():
+    system = System(Grid(0.0, math.pi, N), CATALOG["periodic"].params, QUADRATIC)
+    small = system.modes(2)
+    assert small.count == 2
+    assert system.modes(1) is small
+    larger = system.modes(5)
+    assert larger.count == 5 and system.modes(3) is larger
+    full = system.modes()
+    assert full.count == system.closure.n_dof
+    assert system.modes(7) is full
+
+
+def test_index_beyond_the_positive_modes_raises(monkeypatch):
+    seen = []
+    lowest = operators._lowest_eigenpairs
+
+    def recorded(bands, k):
+        seen.append(k)
+        return lowest(bands, k)
+
+    monkeypatch.setattr(operators, "_lowest_eigenpairs", recorded)
+    system = System(Grid(0.0, math.pi, N), params_from_tag("rotation:2.1:-"), QUADRATIC)
+    m = system.closure.n_dof
+    positive = m - 1  # one quarantined mode
+    for index in (2, positive - 1):
+        state = system.synthesize([(index, 1.0, 0.0)], kind="plus")
+        assert np.all(np.isfinite(state.psi))
+    for index in (positive, m, 10**9):
+        with pytest.raises(InvalidMode):
+            system.synthesize([(index, 1.0, 0.0)], kind="plus")
+    assert seen and all(2 * k < m for k in seen)
+
+
+def test_every_quarantined_mode_is_listed():
+    # the count grows past the two negative E^2 of robin_mit_minus at a
+    # small mass and length scale
+    units = PhysicalUnits(mass=0.3, bc_length=0.05)
+    params = CATALOG["robin_mit_minus"].params.with_lam(0.05)
+    kin = System(Grid(0.0, math.pi, N), params, QUADRATIC, units).kinetic()
+    dense = eigenmodes(kin)
+    assert len(dense.diagnostics) == 2
+    for count in (1, 2, 3):
+        partial = eigenmodes(dataclasses.replace(kin), count=count)
+        assert partial.count == count
+        assert [i for i, _ in partial.diagnostics] == [0, 1]

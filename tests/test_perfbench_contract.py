@@ -26,14 +26,14 @@ def load_tracer():
     return module
 
 
-def evolve_config(path: Path, driven: bool) -> Path:
-    n = 32
+def evolve_config(path: Path, driven: bool, n: int = 32, modes: int = 1) -> Path:
     x = np.linspace(0.0, math.pi, n)
     psi = np.exp(-(((x - 1.2) / 0.3) ** 2))
     factor = ({"kind": "sinusoidal", "amplitude": 0.5, "omega": 2.0, "offset": 1.0}
               if driven else {"kind": "constant"})
     initial = ({"tabulated": {"psi_re": psi.tolist(), "psi_t_im": (-psi).tolist()}}
-               if driven else {"modes": [{"index": 0, "amplitude": 1.0, "phase": 0.3}]})
+               if driven else {"modes": [{"index": i, "amplitude": 1.0, "phase": 0.3}
+                                         for i in range(modes)]})
     cfg = {
         "grid": {"a": 0.0, "b": math.pi, "n": n},
         "potential": {
@@ -84,3 +84,21 @@ def test_tracer_sees_every_evolve_layer(tmp_path):
         kfglab.cli.evolve,
     )
     assert all(a is b for a, b in zip(restored, originals))
+
+
+def test_static_evolve_computes_only_the_modes_it_synthesizes(tmp_path):
+    # n = 256 lies above the dense crossover: one partial eigensolve of the
+    # three synthesized modes, on the System's one closure
+    tracer_mod = load_tracer()
+    cfg = evolve_config(tmp_path / "cfg.json", driven=False, n=256, modes=3)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert kfglab.cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    stats = tracer_mod.layer_stats(tracer.spans)
+    assert stats["operators.eigenmodes"]["calls"] == 1
+    computed = stats["operators.eigenmodes"]["counts"]["modes_computed"]
+    assert computed == stats["operators.synthesize_state"]["counts"]["modes_used"] == 3
+    assert stats["operators.build_closure"]["calls"] == 1
