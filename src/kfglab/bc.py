@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import KfgLabError
 
@@ -247,15 +246,23 @@ def m_matrix(params: BcParams) -> BcRealization:
     return bc_realization(params)
 
 
-def _confining_residuals(m0, m3, cmu, smu) -> dict[str, float]:
-    return {
-        "m0*m3": abs(m0 * m3),
-        "sin*cos": abs(smu * cmu),
-        "m0*sin": abs(m0 * smu),
-        "m3*cos": abs(m3 * cmu),
-        "m0^2-cos^2": abs(m0 * m0 - cmu * cmu),
-        "m3^2-sin^2": abs(m3 * m3 - smu * smu),
-    }
+def _confining_residuals(m0, m3, cos_mu, sin_mu):
+    """The six equations whose simultaneous zeros are the confining closures
+    with balanced endpoint products, stacked along a new last axis.
+
+    Polynomial in its arguments, so it also takes complex input (the
+    complex-step Jacobian of `_polish`)."""
+    return np.stack(
+        [
+            m0 * m3,
+            sin_mu * cos_mu,
+            m0 * sin_mu,
+            m3 * cos_mu,
+            m0 * m0 - cos_mu * cos_mu,
+            m3 * m3 - sin_mu * sin_mu,
+        ],
+        axis=-1,
+    )
 
 
 def check_confining_conditions(params: BcParams, tol: float = ALG_TOL) -> bool:
@@ -299,15 +306,28 @@ def check_energy_condition(params: BcParams, tol: float = ALG_TOL) -> bool:
     the two global energy currents equal and the mean energy positive for
     nonnegative potentials.  Expects the Majorana sector (m2 = 0).
     """
-    c, s = params.cos_mu, params.sin_mu
-    checks = [
-        (params.m3 + s) * (params.m0 + c),
-        (params.m3 + s) ** 2 - params.m1**2,
-        (params.m0 + c) ** 2,
-        (-params.m3 + s) * (params.m0 + c),
-        (-params.m3 + s) ** 2 - params.m1**2,
-    ]
-    return all(abs(v) <= tol for v in checks)
+    return _energy_defect(params) <= tol
+
+
+def _energy_residuals(m0, m1, m3, cos_mu, sin_mu):
+    """The five (1 + tau_3) bilinear-form equations of the energy condition,
+    stacked along a new last axis (polynomial, like `_confining_residuals`)."""
+    return np.stack(
+        [
+            (m3 + sin_mu) * (m0 + cos_mu),
+            (m3 + sin_mu) ** 2 - m1**2,
+            (m0 + cos_mu) ** 2,
+            (-m3 + sin_mu) * (m0 + cos_mu),
+            (-m3 + sin_mu) ** 2 - m1**2,
+        ],
+        axis=-1,
+    )
+
+
+def _energy_defect(params: BcParams) -> float:
+    """Max-norm residual of the energy condition at one parameter point."""
+    r = _energy_residuals(params.m0, params.m1, params.m3, params.cos_mu, params.sin_mu)
+    return float(np.max(np.abs(r)))
 
 
 # --------------------------------------------------------------------------
@@ -470,14 +490,7 @@ def classify(params: BcParams) -> BcReport:
         else:
             tau1 = check_tau1_condition(m_matrix(params))
         energy = check_energy_condition(params)
-        c, s = params.cos_mu, params.sin_mu
-        details["endpoint_weight_defect"] = max(
-            abs((params.m3 + s) * (params.m0 + c)),
-            abs((params.m3 + s) ** 2 - params.m1**2),
-            abs((params.m0 + c) ** 2),
-            abs((-params.m3 + s) * (params.m0 + c)),
-            abs((-params.m3 + s) ** 2 - params.m1**2),
-        )
+        details["endpoint_weight_defect"] = _energy_defect(params)
     tag, roman = match_catalog(params)
     return BcReport(
         majorana_compatible=majorana,
@@ -505,7 +518,7 @@ CONFINING_SOLUTIONS = (
 def confining_system_residual(m0, m3, cmu, smu) -> float:
     """Max-norm residual of the six scalar equations whose simultaneous
     zeros are the confining closures with balanced endpoint products."""
-    return max(_confining_residuals(m0, m3, cmu, smu).values())
+    return float(np.max(np.abs(_confining_residuals(m0, m3, cmu, smu))))
 
 
 def _canonical_point(theta: float, mu: float) -> tuple[float, float, float]:
@@ -523,71 +536,56 @@ def _canonical_point(theta: float, mu: float) -> tuple[float, float, float]:
     return m0, m3, mu_n
 
 
+_GN_ITERATIONS = 8  # the screened starts converge to round-off in four
+_COMPLEX_STEP = 1e-20
+
+
+def _polish(residuals, starts: np.ndarray, keep: int):
+    """Screen `starts` (shape (samples, p)) by max-norm residual and polish
+    the best `keep` of them at once with damped Gauss-Newton steps.
+
+    `residuals` maps points (..., p) to residuals (..., r) and must be
+    analytic, so its Jacobian comes from one complex step per coordinate.
+    The damping |r|^2 (Levenberg-Marquardt with a vanishing parameter)
+    keeps the normal equations solvable away from the zeros and leaves the
+    quadratic convergence at simple zeros intact.  Returns the polished
+    points and their max-norm residuals.
+    """
+    screen = np.max(np.abs(residuals(starts)), axis=-1)
+    x = starts[np.argsort(screen)[:keep]]
+    eye = np.eye(x.shape[-1])
+    for _ in range(_GN_ITERATIONS):
+        r = residuals(x)
+        # row j of jac_t is dr/dx_j, from r(x + i h e_j).imag / h
+        jac_t = residuals(x[:, None, :] + 1j * _COMPLEX_STEP * eye).imag / _COMPLEX_STEP
+        lhs = jac_t @ jac_t.swapaxes(-1, -2) + np.sum(r * r, axis=-1)[:, None, None] * eye
+        x = x - np.linalg.solve(lhs, jac_t @ r[..., None])[..., 0]
+    return x, np.max(np.abs(residuals(x)), axis=-1)
+
+
 def enumerate_confining_solutions(
-    samples: int,
-    tol: float,
-    seed: int = 0,
-    candidates: list[tuple[float, float, float, float]] | None = None,
+    samples: int, tol: float, seed: int = 0
 ) -> list[tuple[float, float, float]]:
     """Search the confining slice (m1 = m2 = 0) for closures that balance the
     endpoint products, i.e. the zeros of the six-equation system.
 
-    Random samples over (theta, mu) are screened by residual, the best are
-    polished with a local minimizer, and converged points are clustered.
-    With `candidates` the residual is instead evaluated exactly on the given
-    (m0, m3, cos_mu, sin_mu) tuples (tol = 0 then keeps exact zeros only).
+    Random samples over (theta, mu) are screened by residual, the best 256
+    are polished together (`_polish`), and converged points are clustered.
 
     Returns the cluster representatives as (m0, m3, mu) tuples.
     """
-    if candidates is not None:
-        hits = [
-            (m0, m3, math.atan2(smu, cmu))
-            for (m0, m3, cmu, smu) in candidates
-            if confining_system_residual(m0, m3, cmu, smu) <= tol
-        ]
-        return _cluster(hits)
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a meaningful search")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2 * math.pi, samples)
     mu = rng.uniform(0.0, math.pi, samples)
-    m0, m3 = np.cos(theta), np.sin(theta)
-    cmu, smu = np.cos(mu), np.sin(mu)
-    res = np.max(
-        np.stack(
-            [
-                np.abs(m0 * m3),
-                np.abs(smu * cmu),
-                np.abs(m0 * smu),
-                np.abs(m3 * cmu),
-                np.abs(m0 * m0 - cmu * cmu),
-                np.abs(m3 * m3 - smu * smu),
-            ]
-        ),
-        axis=0,
-    )
-    n_polish = min(256, samples)
-    order = np.argsort(res)[:n_polish]
 
-    def objective(z):
-        th, m = z
-        p0, p3 = math.cos(th), math.sin(th)
-        c, s = math.cos(m), math.sin(m)
-        r = _confining_residuals(p0, p3, c, s)
-        return sum(v * v for v in r.values())
+    def residuals(z):
+        th, m = z[..., 0], z[..., 1]
+        return _confining_residuals(np.cos(th), np.sin(th), np.cos(m), np.sin(m))
 
-    hits = []
-    for idx in order:
-        sol = minimize(
-            objective,
-            x0=[theta[idx], mu[idx]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400},
-        )
-        p0, p3, mu_c = _canonical_point(sol.x[0], sol.x[1])
-        if confining_system_residual(p0, p3, math.cos(mu_c), math.sin(mu_c)) <= tol:
-            hits.append((p0, p3, mu_c))
-    return _cluster(hits)
+    x, res = _polish(residuals, np.column_stack([theta, mu]), 256)
+    return _cluster([_canonical_point(th, m) for th, m in x[res <= tol].tolist()])
 
 
 def enumerate_energy_slice_solutions(
@@ -599,43 +597,24 @@ def enumerate_energy_slice_solutions(
         raise ValueError("need at least 1e4 samples for a meaningful search")
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.0, math.pi, samples)
-    c, s = np.cos(mu), np.sin(mu)
-    res = np.max(np.stack([np.abs(s * c), np.abs(s * s - 1.0), np.abs(c * c)]), axis=0)
-    order = np.argsort(res)[: min(128, samples)]
 
-    def objective(z):
-        cc, ss = math.cos(z[0]), math.sin(z[0])
-        return (ss * cc) ** 2 + (ss * ss - 1.0) ** 2 + cc**4
+    def residuals(z):
+        return _energy_residuals(0.0, 1.0, 0.0, np.cos(z[..., 0]), np.sin(z[..., 0]))
 
-    hits = []
-    for idx in order:
-        sol = minimize(
-            objective,
-            x0=[mu[idx]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 200},
-        )
-        m = sol.x[0] % math.pi
-        cc, ss = math.cos(m), math.sin(m)
-        if max(abs(ss * cc), abs(ss * ss - 1.0), abs(cc * cc)) <= tol:
-            hits.append(m)
-    clusters: list[float] = []
-    for m in sorted(hits):
-        if not clusters or abs(m - clusters[-1]) > 1e-3:
-            clusters.append(m)
-    return clusters
+    x, res = _polish(residuals, mu[:, None], 128)
+    return [p[0] for p in _cluster([(m % math.pi,) for m in x[res <= tol, 0].tolist()])]
 
 
-def _cluster(points: list[tuple[float, float, float]], radius: float = 1e-3):
-    """Group nearby (m0, m3, mu) points; mu compared through (cos, sin)."""
-    reps: list[tuple[float, float, float]] = []
+def _cluster(points: list[tuple[float, ...]], radius: float = 1e-3):
+    """Group nearby points whose last entry is an angle, compared through
+    (cos, sin); returns the first point of each group, sorted."""
+    reps: list[tuple[float, ...]] = []
     for p in points:
         for q in reps:
             d = math.hypot(
-                p[0] - q[0],
-                p[1] - q[1],
-                math.cos(p[2]) - math.cos(q[2]),
-                math.sin(p[2]) - math.sin(q[2]),
+                *(a - b for a, b in zip(p[:-1], q[:-1])),
+                math.cos(p[-1]) - math.cos(q[-1]),
+                math.sin(p[-1]) - math.sin(q[-1]),
             )
             if d < radius:
                 break

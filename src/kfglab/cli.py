@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .core import KfgLabError
-from .bc import InvalidParams, classify
+from .bc import InvalidParams, classify, enumerate_confining_solutions
 from .config import (
     ConfigError,
     config_hash,
@@ -126,8 +127,12 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .bc import enumerate_confining_solutions
-
+    if args.samples < 10_000:
+        raise ConfigError(f"--samples must be at least 10000, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     found = enumerate_confining_solutions(args.samples, args.tol, seed=args.seed)
     payload = {
         "samples": args.samples,

@@ -321,16 +321,13 @@ def _staggered(f: np.ndarray):
     return mid
 
 
-def global_summary(
-    state: KfgState, system: System, fields: ObservableFields | None = None
-) -> GlobalSummary:
+def global_summary(state: KfgState, system: System) -> GlobalSummary:
     """Assemble every global quantity for one snapshot."""
     u = system.units
     grid = system.grid
     mc2 = u.mc2
     dx = grid.dx
-    if fields is None:
-        fields = local_fields(state, system)
+    fields = local_fields(state, system)
     psi = state.psi
     e_psi = state.e_psi(u)
     e_psi_star = 1j * u.hbar * np.conj(state.psi_t)

@@ -24,8 +24,11 @@ import numpy as np
 
 from .core import Grid, KfgState, ScalarPotential, SpatialProfile, TimeFactor, kfg_to_fv
 from .bc import (
+    ALG_TOL,
     CATALOG,
     CONFINING_SOLUTIONS,
+    _energy_residuals,
+    bc_realization,
     check_energy_condition,
     classify,
     enumerate_confining_solutions,
@@ -175,17 +178,10 @@ def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
     n_scan = 5000
     theta = rng.uniform(0.0, 2 * math.pi, n_scan)
     mu = rng.uniform(0.0, math.pi, n_scan)
-    stray = 0
-    from .bc import BcParams
-
-    for th, m in zip(theta, mu):
-        p = BcParams(math.cos(th), 0.0, 0.0, math.sin(th), m)
-        if check_energy_condition(p):
-            near_dirichlet = (
-                abs(p.m0 + 1) < 1e-4 and abs(p.m3) < 1e-4 and abs(p.sin_mu) < 1e-4
-            )
-            if not near_dirichlet:
-                stray += 1
+    m0, m3, sin_mu = np.cos(theta), np.sin(theta), np.sin(mu)
+    defect = np.max(np.abs(_energy_residuals(m0, 0.0, m3, np.cos(mu), sin_mu)), axis=-1)
+    near_dirichlet = (np.abs(m0 + 1) < 1e-4) & (np.abs(m3) < 1e-4) & (np.abs(sin_mu) < 1e-4)
+    stray = int(np.count_nonzero((defect <= ALG_TOL) & ~near_dirichlet))
     catalog_pass = [
         tag
         for tag in ("dirichlet", "neumann", "mixed_a0", "mixed_b0",
@@ -220,8 +216,6 @@ def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
 
 
 def check_pseudo_self_adjointness(n: int = 128):
-    from .bc import bc_realization
-
     grid = Grid(0.0, math.pi, n)
     pot = ScalarPotential()
     checks = []

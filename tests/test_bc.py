@@ -1,11 +1,15 @@
 """Boundary-condition family: parameterization, closures, classification."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import kfglab
 from kfglab.bc import (
     ALG_TOL,
     BcParams,
@@ -255,13 +259,25 @@ class TestEnumeration:
             assert d < 1e-4
 
     def test_exact_catalog_points_at_zero_tol(self):
-        candidates = [
-            (e.params.m0, e.params.m3, e.params.cos_mu, e.params.sin_mu)
-            for e in (CATALOG["dirichlet"], CATALOG["neumann"],
-                      CATALOG["mixed_a0"], CATALOG["mixed_b0"])
-        ]
-        found = enumerate_confining_solutions(10_000, 0.0, candidates=candidates)
+        for tag in ("dirichlet", "neumann", "mixed_a0", "mixed_b0"):
+            p = CATALOG[tag].params
+            assert confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) == 0.0, tag
+
+    @pytest.mark.parametrize("samples", [10_000, 100_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_searches_land_on_exact_points(self, seed, samples):
+        found = enumerate_confining_solutions(samples, 1e-6, seed=seed)
         assert len(found) == 4
+        for m0, m3, mu in CONFINING_SOLUTIONS:
+            d = min(
+                math.hypot(p[0] - m0, p[1] - m3, math.cos(p[2]) - math.cos(mu),
+                           math.sin(p[2]) - math.sin(mu))
+                for p in found
+            )
+            assert d < 1e-14
+        mus = enumerate_energy_slice_solutions(samples, 1e-6, seed=seed)
+        assert len(mus) == 1
+        assert abs(mus[0] - math.pi / 2) < 1e-14
 
     def test_robin_points_fail_the_system(self):
         p = CATALOG["robin_mit_plus"].params
@@ -275,6 +291,54 @@ class TestEnumeration:
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
             enumerate_confining_solutions(100, 1e-6)
+
+
+def _literal_energy_checks(p):
+    """The five energy-condition expressions, written out term by term."""
+    c, s = p.cos_mu, p.sin_mu
+    return [
+        (p.m3 + s) * (p.m0 + c),
+        (p.m3 + s) ** 2 - p.m1**2,
+        (p.m0 + c) ** 2,
+        (-p.m3 + s) * (p.m0 + c),
+        (-p.m3 + s) ** 2 - p.m1**2,
+    ]
+
+
+def _energy_oracle_points():
+    tags = [*CATALOG, "quasiperiodic-", "quasimixed-", "rotation:0.7", "rotation:2.1:-"]
+    points = [params_from_tag(t) for t in tags]
+    rng = np.random.default_rng(17)
+    for k in range(200):
+        m = rng.normal(size=4)
+        if k % 2:
+            m[2] = 0.0  # half of them in the Majorana sector
+        m /= np.linalg.norm(m)
+        points.append(BcParams(*m.tolist(), float(rng.uniform(0.0, math.pi))))
+    return points
+
+
+def test_energy_condition_matches_literal_form_bit_for_bit():
+    for p in _energy_oracle_points():
+        defect = max(abs(v) for v in _literal_energy_checks(p))
+        for tol in (ALG_TOL, defect, math.nextafter(defect, -math.inf)):
+            expected = all(abs(v) <= tol for v in _literal_energy_checks(p))
+            assert check_energy_condition(p, tol) is expected, p
+        details = classify(p).details
+        if abs(p.m2) <= ALG_TOL:
+            assert details["endpoint_weight_defect"] == defect, p
+        else:
+            assert "endpoint_weight_defect" not in details
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kfglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, kfglab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestTagsAndCatalog:

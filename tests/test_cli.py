@@ -227,6 +227,12 @@ class TestEnumerateAndVerify:
         payload = json.loads((tmp_path / "confining_solutions.json").read_text())
         assert len(payload["clusters"]) == 4
 
+    @pytest.mark.parametrize("flag,value", [("--samples", "100"), ("--tol", "-1"),
+                                            ("--tol", "nan"), ("--seed", "-1")])
+    def test_enumerate_bad_input_exits_2(self, flag, value, capsys):
+        assert main(["enumerate-confining", flag, value]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])

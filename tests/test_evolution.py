@@ -122,7 +122,7 @@ class TestStepExamples:
         system = System(GRID, CATALOG["periodic"].params)
         st0 = system.synthesize([(0, 1.0, 0.2), (1, 0.5, 1.0)], t=0.1, kind="none")
         dt = 3e-3
-        fv1 = step_cayley(kfg_to_fv(st0), system.hamiltonian(), dt, system)
+        fv1 = step_cayley(kfg_to_fv(st0), assemble_fv_hamiltonian(system.kinetic()), dt, system)
         k1 = fv_to_kfg(fv1)
         prop = CayleyPropagator(system, dt)
         k2 = wave_to_state(prop.advance(state_to_wave(st0, system), st0.t), system, st0.t + dt)
@@ -217,7 +217,7 @@ class TestMajoranaPreservation:
     def test_propagator_commutes_with_conjugation_swap(self):
         # tau_1 G* tau_1 = G for the two-component Cayley matrix (real closure)
         system = System(GRID, CATALOG["mixed_b0"].params)
-        g = propagator_matrix(system.hamiltonian(), 1.5e-3, system.units)
+        g = propagator_matrix(assemble_fv_hamiltonian(system.kinetic()), 1.5e-3, system.units)
         m = g.shape[0] // 2
         twin = np.block(
             [[np.conj(g[m:, m:]), np.conj(g[m:, :m])],

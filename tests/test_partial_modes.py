@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kfglab import operators
 from kfglab.bc import CATALOG, BcParams, params_from_tag
@@ -79,6 +79,7 @@ def test_partial_modes_match_dense(tag, monkeypatch):
     offset=st.floats(-0.5, 0.5),
     sign=st.sampled_from([1.0, -1.0]),
 )
+@example(cutoff="slave", offset=0.125, sign=-1.0)  # E^2 ~ -9e11 below a near pair
 def test_paths_agree_near_the_branch_cutoffs(cutoff, offset, sign):
     """U(2) points on either side of the pinning and slaving cutoffs, where
     the closure is stiff (E^2 up to ~1e12): the fields agree to the solvers'
