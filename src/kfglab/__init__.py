@@ -74,7 +74,6 @@ from .evolution import (
     Trajectory,
     check_majorana_preservation,
     evolve,
-    step_cayley,
 )
 
 __version__ = "0.1.0"

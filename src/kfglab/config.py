@@ -39,6 +39,15 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _count(value, name: str) -> int:
+    """An integral JSON number; int() would truncate 64.7 and take true as 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def units_from_config(cfg: dict) -> PhysicalUnits:
     d = cfg.get("units", {})
     try:
@@ -57,7 +66,7 @@ def grid_from_config(cfg: dict) -> Grid:
     if d is None:
         raise ConfigError("config is missing the grid section")
     try:
-        return Grid(a=float(d["a"]), b=float(d["b"]), n=int(d["n"]))
+        return Grid(a=float(d["a"]), b=float(d["b"]), n=_count(d["n"], "grid.n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
@@ -153,7 +162,11 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
     if "modes" in d:
         try:
             coeffs = [
-                (int(m["index"]), float(m.get("amplitude", 1.0)), float(m.get("phase", 0.0)))
+                (
+                    _count(m["index"], "mode index"),
+                    float(m.get("amplitude", 1.0)),
+                    float(m.get("phase", 0.0)),
+                )
                 for m in d["modes"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
@@ -184,8 +197,8 @@ def evolution_from_config(cfg: dict) -> EvolutionConfig:
     try:
         return EvolutionConfig(
             dt=float(d["dt"]),
-            steps=int(d["steps"]),
-            record_every=int(d.get("record_every", 1)),
+            steps=_count(d["steps"], "evolution.steps"),
+            record_every=_count(d.get("record_every", 1), "evolution.record_every"),
             scheme=d.get("scheme", "cayley"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -50,8 +50,9 @@ class PhysicalUnits:
 
     def __post_init__(self):
         for name in ("hbar", "c", "mass", "bc_length"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
     @property
     def mc2(self) -> float:
@@ -70,6 +71,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"grid requires finite a and b, got a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError("grid requires b > a")
         if self.n < 8:

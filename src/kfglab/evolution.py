@@ -3,8 +3,8 @@
 The update rule is the Cayley (implicit midpoint) form of the first-order
 generator: one step maps the state by (1 - (dt/2) A)^(-1) (1 + (dt/2) A).
 Applied to the two-component form with A = h/(i hbar) this is the usual
-(1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar); `step_cayley` implements
-that literal form.  The driver `evolve` steps the algebraically identical
+(1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar), kept only as a dense test
+oracle.  The driver `evolve` steps the algebraically identical
 wave form z = (v, v_t) with A = [[0, 1], [-K/hbar^2, 0]] in the weighted
 representation, where the step is *real* whenever the boundary closure is
 real.  It acts separately on the real and imaginary parts of z, so a
@@ -22,21 +22,15 @@ generator at the step midpoint, keeping second order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
-from .core import FvState, KfgLabError, KfgState, PhysicalUnits, majorana_project
+from .core import KfgLabError, KfgState, PhysicalUnits, majorana_project
 from .observables import GlobalSummary, global_summary
-from .operators import (
-    DENSE_STEP_MAX_DOF,
-    Bands,
-    DiscreteHamiltonian,
-    NumericalFailure,
-    System,
-)
+from .operators import DENSE_STEP_MAX_DOF, Bands, NumericalFailure, System
 
 
 class SingularPropagator(KfgLabError):
@@ -51,8 +45,8 @@ class EvolutionConfig:
     scheme: str = "cayley"
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.record_every < 1:
@@ -86,51 +80,6 @@ class Trajectory:
 
     def summary_rows(self) -> list[dict]:
         return [r.summary.as_row() for r in self.records if r.summary is not None]
-
-
-# --------------------------------------------------------------------------
-# literal two-component Cayley step
-# --------------------------------------------------------------------------
-
-
-def _cayley_matrices(h: np.ndarray, dt: float, hbar: float):
-    kappa = 0.5 * dt / hbar
-    eye = np.eye(h.shape[0])
-    return eye + 1j * kappa * h, eye - 1j * kappa * h
-
-
-def propagator_matrix(
-    h: DiscreteHamiltonian, dt: float, units: PhysicalUnits
-) -> np.ndarray:
-    """Dense one-step Cayley matrix of the two-component generator."""
-    a_plus, a_minus = _cayley_matrices(h.matrix, dt, units.hbar)
-    try:
-        return scipy.linalg.solve(a_plus, a_minus)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularPropagator(str(exc)) from exc
-
-
-def step_cayley(
-    state: FvState, h: DiscreteHamiltonian, dt: float, system: System
-) -> FvState:
-    """One Cayley step of a full-grid two-component state (literal form)."""
-    u = system.units
-    cl = system.closure
-    sqw = np.sqrt(cl.dof_weights)
-    vec = np.concatenate(
-        [sqw * cl.restrict(state.psi1), sqw * cl.restrict(state.psi2)]
-    )
-    a_plus, a_minus = _cayley_matrices(h.matrix, dt, u.hbar)
-    try:
-        out = scipy.linalg.solve(a_plus, a_minus @ vec)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularPropagator(str(exc)) from exc
-    m = cl.n_dof
-    return FvState(
-        psi1=cl.extend(out[:m] / sqw),
-        psi2=cl.extend(out[m:] / sqw),
-        t=state.t + dt,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -204,9 +153,12 @@ class CayleyPropagator:
     the banded M, O(m) per step.  A static run factors M once; a driven run
     refactors with the midpoint potential at each step.  A static run with
     at most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix
-    instead, whose row i is the banded step of unit vector i.  On a real
-    closure the step acts on the real and imaginary parts of z as a real
-    (2, 2m) stack, which keeps a neutral sector to the bit.
+    instead, whose row i is the banded step of unit vector i.
+
+    The step acts on a packed stack (`pack`): on a real closure the real
+    (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the bit, and
+    on a complex closure z as one (1, 2m) row.  A run packs once and steps
+    the stack; `unpack` gives z back.
     """
 
     def __init__(self, system: System, dt: float):
@@ -216,6 +168,8 @@ class CayleyPropagator:
         self._k = 0.5 * dt
         self._m_scale = (self._k / hbar) ** 2
         self._w_scale = 2.0 * self._k / hbar**2
+        # a real closure has real bands at every time
+        self._real = not system.closure.is_complex
         self._static_factor = self._factor_at(0.0) if system.is_static else None
         self._dense: np.ndarray | None = None
         if system.is_static and system.closure.n_dof <= DENSE_STEP_MAX_DOF:
@@ -232,20 +186,33 @@ class CayleyPropagator:
         u = factor.solve(v + self._k * w)
         return np.concatenate([2.0 * u - v, w - self._w_scale * bands.matvec(u)], axis=1)
 
+    def pack(self, z: np.ndarray) -> np.ndarray:
+        """The stack the step acts on, for a 1-D wave vector z."""
+        return np.array([z.real, z.imag]) if self._real else z[None, :]
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """The wave vector z held in a packed stack."""
+        return x[0] + 1j * x[1] if self._real else x[0]
+
     def advance(self, z: np.ndarray, t: float) -> np.ndarray:
+        """One step from time t of a packed stack, or of a 1-D wave vector
+        (packed before the step and unpacked after it)."""
+        x = self.pack(z) if z.ndim == 1 else z
         bands, factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
-        real = np.isrealobj(bands.main)
-        x = np.array([z.real, z.imag]) if real else z[None, :]
         out = x @ self._dense if self._dense is not None else self._step(x, bands, factor)
-        return out[0] + 1j * out[1] if real else out[0]
+        return self.unpack(out) if z.ndim == 1 else out
 
 
-def _pairing_deviation(z: np.ndarray, kind: str, units: PhysicalUnits) -> float:
-    """Max-norm violation of the neutral-sector condition in the wave vector,
+def _pairing_deviation(x: np.ndarray, kind: str, units: PhysicalUnits) -> float:
+    """Max-norm violation of the neutral-sector condition in a packed stack,
     relative to its own scale.  The time-derivative half is weighted by
     hbar/mc^2 so both halves carry the dimensions of psi."""
-    m = len(z) // 2
-    weighted = np.concatenate([z[:m], (units.hbar / units.mc2) * z[m:]])
+    weighted = np.empty(x.shape[-1], dtype=np.complex128)
+    if len(x) == 2:
+        weighted.real, weighted.imag = x
+    else:
+        weighted[:] = x[0]
+    weighted[len(weighted) // 2:] *= units.hbar / units.mc2
     part = weighted.imag if kind == "plus" else weighted.real
     scale = float(max(np.max(np.abs(weighted)), 1e-300))
     return float(np.max(np.abs(part))) / scale
@@ -264,7 +231,8 @@ def evolve(
     is not finite raises NumericalFailure.  For a neutral run (majorana set)
     the recorded states are projected back onto the neutral sector and the
     raw sector deviation is stored alongside; with a real closure the
-    deviation is structurally zero.
+    deviation is structurally zero.  Between snapshots the state stays a
+    packed stack.
     """
     prop = CayleyPropagator(system, config.dt)
     z = state_to_wave(state0, system)
@@ -274,7 +242,7 @@ def evolve(
     records: list[TrajectoryRecord] = []
     worst_dev = 0.0
 
-    def snapshot(step_index: int, zz: np.ndarray):
+    def snapshot(step_index: int, x: np.ndarray, zz: np.ndarray):
         nonlocal worst_dev
         t = t0 + step_index * config.dt
         if not np.all(np.isfinite(zz)):
@@ -282,7 +250,7 @@ def evolve(
         state = wave_to_state(zz, system, t)
         dev = None
         if majorana is not None:
-            dev = _pairing_deviation(zz, majorana, system.units)
+            dev = _pairing_deviation(x, majorana, system.units)
             worst_dev = max(worst_dev, dev)
             state = majorana_project(state, majorana)
         summary = global_summary(state, system) if with_summaries else None
@@ -292,11 +260,12 @@ def evolve(
             TrajectoryRecord(t=t, state=state, summary=summary, majorana_deviation=dev)
         )
 
-    snapshot(0, z)
+    x = prop.pack(z)
+    snapshot(0, x, z)
     for k in range(config.steps):
-        z = prop.advance(z, t0 + k * config.dt)
+        x = prop.advance(x, t0 + k * config.dt)
         if (k + 1) in record_at:
-            snapshot(k + 1, z)
+            snapshot(k + 1, x, prop.unpack(x))
     meta = {"worst_majorana_deviation": worst_dev if majorana else None}
     return Trajectory(records=records, config=config, majorana=majorana, metadata=meta)
 
@@ -306,10 +275,10 @@ def check_majorana_preservation(
 ) -> float:
     """Maximum raw neutral-sector deviation over an un-projected evolution."""
     prop = CayleyPropagator(system, dt)
-    z = state_to_wave(state0, system)
-    worst = _pairing_deviation(z, kind, system.units)
+    x = prop.pack(state_to_wave(state0, system))
+    worst = _pairing_deviation(x, kind, system.units)
     t = state0.t
     for k in range(steps):
-        z = prop.advance(z, t + k * dt)
-        worst = max(worst, _pairing_deviation(z, kind, system.units))
+        x = prop.advance(x, t + k * dt)
+        worst = max(worst, _pairing_deviation(x, kind, system.units))
     return worst

@@ -10,13 +10,21 @@ import pytest
 
 from kfglab import operators
 from kfglab.bc import CATALOG, bc_realization
-from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile, TimeFactor
+from kfglab.core import (
+    Grid,
+    PhysicalUnits,
+    ScalarPotential,
+    SpatialProfile,
+    TimeFactor,
+    majorana_project,
+)
 from kfglab.evolution import (
     DENSE_STEP_MAX_DOF,
     CayleyPropagator,
     EvolutionConfig,
     SingularPropagator,
     _ShiftedBandsFactor,
+    check_majorana_preservation,
     evolve,
     state_to_wave,
     wave_to_state,
@@ -33,6 +41,7 @@ from kfglab.operators import (
     hermitian_frame,
     potential_diag,
 )
+from oracles import pairing_deviation
 
 # above the crossover, so static runs step banded as well as driven ones;
 # static runs at N_DENSE step with the dense step matrix
@@ -46,9 +55,11 @@ QUADRATIC = SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3)
 DRIVE = TimeFactor(kind="sinusoidal", amplitude=0.5, omega=2.0, offset=1.0)
 
 
-def make_system(tag: str, driven: bool, n: int = N) -> System:
+def make_system(
+    tag: str, driven: bool, n: int = N, units: PhysicalUnits = PhysicalUnits()
+) -> System:
     pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
-    system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot)
+    system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot, units)
     assert (system.closure.n_dof > DENSE_STEP_MAX_DOF) == (n == N)
     return system
 
@@ -280,3 +291,76 @@ def test_singular_factor_raises(main, corner):
     bands = Bands(np.full(m, main), np.zeros(m - 1), np.zeros(m - 1), corner, corner)
     with pytest.raises(SingularPropagator):
         _ShiftedBandsFactor(bands, 0.5)
+
+
+# the kept stack: a run packs z once and steps the packed stack; it must give
+# the bits of stepping z itself one vector at a time.  np.array_equal is the
+# bit test here: only the sign of an exact zero may differ between the paths
+# (z = x0 + 1j x1 turns -0.0 into 0.0)
+
+# hbar / mc^2 != 1, so the pairing deviation weights the time-derivative half
+UNITS = PhysicalUnits(hbar=0.7, c=1.3, mass=0.9)
+PATHS = pytest.mark.parametrize("driven, n", [(False, N), (True, N), (False, N_DENSE)],
+                                ids=["static", "driven", "dense"])
+
+
+def single_vector_steps(system: System, z: np.ndarray, t0: float, steps: int) -> list:
+    """z after each of `steps` one-vector `advance` calls, z itself first."""
+    prop = CayleyPropagator(system, DT)
+    out = [z]
+    for k in range(steps):
+        out.append(prop.advance(out[-1], t0 + k * DT))
+    return out
+
+
+@PATHS
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_advance_on_a_wave_vector_matches_the_stack(tag, driven, n):
+    system = make_system(tag, driven, n)
+    prop = CayleyPropagator(system, DT)
+    z = packet_wave(system)
+    x = prop.pack(z)
+    rows = 1 if system.closure.is_complex else 2
+    assert x.shape == (rows, len(z)) and np.isrealobj(x) == (rows == 2)
+    for k in range(30):
+        z = prop.advance(z, k * DT)
+        x = prop.advance(x, k * DT)
+        assert z.ndim == 1 and x.shape == (rows, len(z))
+    assert np.array_equal(prop.unpack(x), z)
+
+
+@PATHS
+@pytest.mark.parametrize("majorana", [None, "minus"])
+@pytest.mark.parametrize("tag", BRANCHES)
+def test_evolve_matches_single_vector_steps(tag, driven, n, majorana):
+    system = make_system(tag, driven, n, UNITS)
+    st0 = wave_to_state(packet_wave(system), system, 0.1)
+    traj = evolve(st0, system, EvolutionConfig(dt=DT, steps=40, record_every=7),
+                  majorana=majorana)
+    waves = single_vector_steps(system, state_to_wave(st0, system), st0.t, 40)
+    expect = [waves[k] for k in (0, 7, 14, 21, 28, 35, 40)]
+    assert len(traj.records) == len(expect)
+    for rec, z in zip(traj.records, expect):
+        state = wave_to_state(z, system, rec.t)
+        if majorana is not None:
+            assert rec.majorana_deviation == pairing_deviation(z, majorana, system.units)
+            state = majorana_project(state, majorana)
+        assert np.array_equal(rec.state.psi, state.psi)
+        assert np.array_equal(rec.state.psi_t, state.psi_t)
+        assert rec.summary.as_row() == global_summary(state, system).as_row()
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+@pytest.mark.parametrize("n", [N, N_DENSE], ids=["banded", "dense"])
+@pytest.mark.parametrize("tag, neutral", [(t, True) for t in REAL_BRANCHES]
+                         + [(t, False) for t in BRANCHES])
+def test_majorana_preservation_matches_single_vector_steps(tag, neutral, n, kind):
+    # a complex closure has no neutral states
+    system = make_system(tag, driven=False, n=n, units=UNITS)
+    st0 = (system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.2, kind=kind) if neutral
+           else wave_to_state(packet_wave(system), system, 0.2))
+    waves = single_vector_steps(system, state_to_wave(st0, system), st0.t, 60)
+    expect = max(pairing_deviation(z, kind, system.units) for z in waves)
+    got = check_majorana_preservation(st0, system, DT, 60, kind=kind)
+    assert got == expect
+    assert (got == 0.0) == neutral

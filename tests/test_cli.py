@@ -104,6 +104,56 @@ class TestClassify:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+class TestBadNumbers:
+    """Non-finite lengths and times, and counts that are not integers, fail
+    before the run with exit code 2 instead of mid-run or silently."""
+
+    @staticmethod
+    def write_with(path, section, key, value):
+        """The default config with one entry of `section` replaced."""
+        cfg = write_config(path)
+        part = cfg.setdefault(section, {})
+        entry = part["modes"][0] if section == "initial_state" else part
+        entry[key] = value
+        path.write_text(json.dumps(cfg))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("evolution", "dt", math.inf),
+        ("evolution", "dt", math.nan),
+        ("grid", "a", -math.inf),
+        ("grid", "b", math.inf),
+        ("units", "hbar", math.inf),
+    ])
+    def test_non_finite_is_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, section, key, value)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "n", 64.7),
+        ("evolution", "steps", 2.5),
+        ("evolution", "record_every", 2.5),
+        ("evolution", "steps", True),
+        ("initial_state", "index", 1.5),
+    ])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, section, key, value)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, evolution={"dt": 0.002, "steps": 10.0, "record_every": 5})
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, data = read_csv(tmp_path / "trajectory.csv")
+        assert len(data) == 3
+
+
 class TestSpectrum:
     def test_schema_and_diagnostics(self, tmp_path):
         cfg = tmp_path / "c.json"

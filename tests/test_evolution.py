@@ -23,11 +23,10 @@ from kfglab.evolution import (
     Trajectory,
     check_majorana_preservation,
     evolve,
-    propagator_matrix,
     state_to_wave,
-    step_cayley,
     wave_to_state,
 )
+from oracles import propagator_matrix, step_cayley
 
 GRID = Grid(0.0, math.pi, 64)
 
