@@ -269,19 +269,13 @@ def check_confining_conditions(params: BcParams, tol: float = ALG_TOL) -> bool:
     """For a confining (m1 = m2 = 0) closure: do both endpoint bilinear
     products of the form Im(psi * c p psi) vanish?
 
-    True exactly for the Dirichlet, Neumann and two mixed closures.
+    True exactly for the Dirichlet, Neumann and two mixed closures: the
+    zeros of the confining system on the unit circles.
     """
     if abs(params.m1) > tol or abs(params.m2) > tol:
         raise WrongBranch("confining conditions apply only when m1 = m2 = 0")
-    c, s = params.cos_mu, params.sin_mu
-    checks = [
-        (params.m3 + s) * (params.m0 - c),
-        (params.m3 - s) * (params.m0 + c),
-        (params.m3 + s) * (params.m0 + c),
-        (params.m3 - s) * (params.m0 - c),
-        (params.m3 - s) * (params.m3 + s),
-    ]
-    return all(abs(v) <= tol for v in checks)
+    p = params
+    return confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) <= tol
 
 
 def check_tau1_condition(realization: BcRealization, tol: float = ALG_TOL) -> bool:

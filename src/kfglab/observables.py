@@ -20,6 +20,7 @@ no boundary condition, use plain centered differences with one-sided ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,47 +55,70 @@ class ObservableFields:
         return {name: getattr(self, name) for name in DENSITY_NAMES}
 
 
-def _derived_fields(state: KfgState, system: System):
-    """Shared intermediate fields; starred entries follow the
-    apply-to-the-conjugate convention (E psi* = -(E psi)*, etc.)."""
-    u = system.units
-    psi = state.psi
-    e_psi = 1j * u.hbar * state.psi_t
-    e_psi_star = 1j * u.hbar * np.conj(state.psi_t)
-    d1 = system.dx1(psi)
-    cp_psi = -1j * u.hbar * u.c * d1
-    cp_psi_star = -1j * u.hbar * u.c * np.conj(d1)
-    cp_e_psi = -1j * u.hbar * u.c * system.dx1(e_psi)
-    e2_psi = system.e2_apply(psi, state.t)
-    return psi, d1, e_psi, e_psi_star, cp_psi, cp_psi_star, cp_e_psi, e2_psi
+def _currents(u, psi, d_psi, e_psi, e_psi_star, d_e_psi):
+    """(j, j_E, c T^10), pointwise: on whole fields or on end values."""
+    cp_psi = -1j * u.hbar * u.c * d_psi
+    cp_psi_star = -1j * u.hbar * u.c * np.conj(d_psi)
+    cp_e_psi = -1j * u.hbar * u.c * d_e_psi
+    j = (np.conj(psi) * cp_psi - cp_psi_star * psi) / (2.0 * u.mass * u.c)
+    j_e = (np.conj(psi) * cp_e_psi - cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
+    ct10 = -(e_psi_star * cp_psi + cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
+    return j, j_e, ct10
+
+
+class _Snapshot:
+    """One derivation per snapshot: psi, E psi, E psi* = -(E psi)* (applied to
+    the conjugate), c p psi and the ghost-consistent x-derivatives of psi and
+    E psi; E^2 psi, S and the local fields when first read."""
+
+    def __init__(self, state: KfgState, system: System):
+        u = system.units
+        self.state, self.system = state, system
+        self.psi = state.psi
+        self.e_psi = 1j * u.hbar * state.psi_t
+        self.e_psi_star = 1j * u.hbar * np.conj(state.psi_t)
+        self.d_psi = system.dx1(self.psi)
+        self.d_e_psi = system.dx1(self.e_psi)
+        self.cp_psi = -1j * u.hbar * u.c * self.d_psi
+
+    @cached_property
+    def e2_psi(self) -> np.ndarray:
+        return self.system.e2_apply(self.psi, self.state.t)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return np.asarray(self.system.potential.sample(self.system.grid.x, self.state.t),
+                          dtype=float)
+
+    @cached_property
+    def fields(self) -> ObservableFields:
+        """Every local density and current."""
+        state, u = self.state, self.system.units
+        mc2 = u.mc2
+        psi, d_psi, e_psi, e_psi_star = self.psi, self.d_psi, self.e_psi, self.e_psi_star
+        e2_psi, cp_psi = self.e2_psi, self.cp_psi
+        j, j_e, ct10 = _currents(u, psi, d_psi, e_psi, e_psi_star, self.d_e_psi)
+        cp_psi_star = -1j * u.hbar * u.c * np.conj(d_psi)
+        abs2 = np.conj(psi) * psi
+        rho = (np.conj(psi) * e_psi - e_psi_star * psi) / (2.0 * mc2)
+        rho_e = (np.conj(psi) * e2_psi - e_psi_star * e_psi) / (2.0 * mc2)
+        rho_tilde = (np.conj(psi) * e2_psi + np.conj(e2_psi) * psi) / (2.0 * mc2)
+        mass_pot = (mc2**2 + 2.0 * mc2 * self.s) * abs2
+        t00 = (-e_psi_star * e_psi - cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
+        t11 = (e_psi_star * e_psi + cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
+        t01 = (
+            -(u.hbar**2 / (2.0 * u.mass))
+            * (state.psi_t * np.conj(d_psi) + np.conj(state.psi_t) * d_psi)
+        )
+        return ObservableFields(
+            t=state.t, rho=rho, j=j, rho_E=rho_e, j_E=j_e, rho_tilde_E=rho_tilde,
+            T00=t00, cT10=ct10, T11=t11, T01_check=t01,
+        )
 
 
 def local_fields(state: KfgState, system: System) -> ObservableFields:
     """All local densities/currents from the one-component representation."""
-    u = system.units
-    mc2 = u.mc2
-    psi, d1, e_psi, e_psi_star, cp_psi, cp_psi_star, cp_e_psi, e2_psi = _derived_fields(
-        state, system
-    )
-    s = np.asarray(system.potential.sample(system.grid.x, state.t), dtype=float)
-    abs2 = np.conj(psi) * psi
-    rho = (np.conj(psi) * e_psi - e_psi_star * psi) / (2.0 * mc2)
-    j = (np.conj(psi) * cp_psi - cp_psi_star * psi) / (2.0 * u.mass * u.c)
-    rho_e = (np.conj(psi) * e2_psi - e_psi_star * e_psi) / (2.0 * mc2)
-    j_e = (np.conj(psi) * cp_e_psi - cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
-    rho_tilde = (np.conj(psi) * e2_psi + np.conj(e2_psi) * psi) / (2.0 * mc2)
-    mass_pot = (mc2**2 + 2.0 * mc2 * s) * abs2
-    t00 = (-e_psi_star * e_psi - cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
-    ct10 = -(e_psi_star * cp_psi + cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
-    t11 = (e_psi_star * e_psi + cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
-    t01 = (
-        -(u.hbar**2 / (2.0 * u.mass))
-        * (state.psi_t * np.conj(d1) + np.conj(state.psi_t) * d1)
-    )
-    return ObservableFields(
-        t=state.t, rho=rho, j=j, rho_E=rho_e, j_E=j_e, rho_tilde_E=rho_tilde,
-        T00=t00, cT10=ct10, T11=t11, T01_check=t01,
-    )
+    return _Snapshot(state, system).fields
 
 
 def two_component_fields(
@@ -147,71 +171,35 @@ def two_component_fields(
 def endpoint_data(system: System, field: np.ndarray):
     """(f_a, f_b, f_x(a), f_x(b)) with ghost-consistent endpoint derivatives."""
     field = np.asarray(field, dtype=np.complex128)
-    return _ends(field, system.closure.dx1(field))
-
-
-def _ends(field: np.ndarray, d1: np.ndarray):
+    d1 = system.closure.dx1(field)
     return field[0], field[-1], d1[0], d1[-1]
 
 
-def _state_ends(state: KfgState, system: System):
-    """Endpoint data of psi and of E psi."""
-    e_field = state.e_psi(system.units)
-    return endpoint_data(system, state.psi), endpoint_data(system, e_field)
-
-
-def _direct_j(system: System, psi_e, dpsi_e) -> float:
-    u = system.units
-    cp = -1j * u.hbar * u.c * dpsi_e
-    cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
-    return ((np.conj(psi_e) * cp - cps * psi_e) / (2.0 * u.mass * u.c)).real
-
-
-def _direct_j_e(system: System, psi_e, dpsi_e, epsi_e, depsi_e) -> complex:
-    u = system.units
-    cp_e = -1j * u.hbar * u.c * depsi_e
-    cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
-    return complex(
-        (np.conj(psi_e) * cp_e - cps * epsi_e) / (2.0 * u.mass * u.c)
+def _boundary_currents(snap: _Snapshot) -> tuple:
+    """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b): the pointwise densities
+    on the end values of one snapshot, with the endpoint-coupling closed
+    forms at a where they are regular; see the three public functions below."""
+    u, p = snap.system.units, snap.system.bc
+    psi, e_psi = snap.psi, snap.e_psi
+    (j_a, je_a, jt_a), (j_b, je_b, jt_b) = (
+        _currents(u, psi[i], snap.d_psi[i], e_psi[i], -np.conj(e_psi[i]), snap.d_e_psi[i])
+        for i in (0, -1)
     )
-
-
-def _boundary_currents(system: System, psi_ends, epsi_ends) -> tuple:
-    """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b) from the endpoint data
-    of psi and E psi; see the three public functions below."""
-    u = system.units
-    p = system.bc
-    psi_a, psi_b, dpsi_a, dpsi_b = psi_ends
-    epsi_a, epsi_b, depsi_a, depsi_b = epsi_ends
+    j_a, je_a = j_a.real, complex(je_a)
     denom = p.m0 + p.cos_mu
     if abs(denom) > 1e-10:
         q = (p.m1 + 1j * p.m2) / denom
         j_a = float(
-            -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi_a) * psi_b)
+            -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi[0]) * psi[-1])
         )
-    else:
-        j_a = _direct_j(system, psi_a, dpsi_a)
     if abs(p.m2) <= 1e-10 and abs(denom) > 1e-10:
         q = p.m1 / denom
         je_a = complex(
             (1j * u.hbar / (2.0 * u.mass * p.lam))
             * q
-            * (np.conj(psi_a) * epsi_b - np.conj(psi_b) * epsi_a)
+            * (np.conj(psi[0]) * e_psi[-1] - np.conj(psi[-1]) * e_psi[0])
         )
-    else:
-        je_a = _direct_j_e(system, psi_a, dpsi_a, epsi_a, depsi_a)
-
-    def jt(epsi_e, dpsi_e) -> float:
-        cp = -1j * u.hbar * u.c * dpsi_e
-        cps = -1j * u.hbar * u.c * np.conj(dpsi_e)
-        e_star = -np.conj(epsi_e)  # E psi* = -(E psi)*
-        return ((-(e_star * cp + cps * epsi_e)) / (2.0 * u.mass * u.c)).real
-
-    return (
-        j_a, _direct_j(system, psi_b, dpsi_b),
-        je_a, _direct_j_e(system, psi_b, dpsi_b, epsi_b, depsi_b),
-        jt(epsi_a, dpsi_a), jt(epsi_b, dpsi_b),
-    )
+    return j_a, j_b.real, je_a, complex(je_b), jt_a.real, jt_b.real
 
 
 def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
@@ -222,7 +210,7 @@ def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
     b-end always uses the direct stencil.  Pseudo self-adjointness makes the
     two equal; both vanish for strictly neutral states.
     """
-    return _boundary_currents(system, *_state_ends(state, system))[:2]
+    return _boundary_currents(_Snapshot(state, system))[:2]
 
 
 def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
@@ -231,7 +219,7 @@ def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
     Equal at the two ends for every pseudo self-adjoint closure; zero at both
     ends exactly when the closure is confining (m1 = 0 in the neutral sector).
     """
-    return _boundary_currents(system, *_state_ends(state, system))[2:4]
+    return _boundary_currents(_Snapshot(state, system))[2:4]
 
 
 def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, float]:
@@ -241,7 +229,7 @@ def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, fl
     preserve the tau_1 bilinear form (Dirichlet/Neumann/mixed/periodic/
     antiperiodic), which is the datum this evaluation exists to expose.
     """
-    a_val, b_val = _boundary_currents(system, *_state_ends(state, system))[4:]
+    a_val, b_val = _boundary_currents(_Snapshot(state, system))[4:]
     return a_val, b_val, b_val - a_val
 
 
@@ -327,20 +315,14 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
     grid = system.grid
     mc2 = u.mc2
     dx = grid.dx
-    fields = local_fields(state, system)
-    psi = state.psi
-    e_psi = state.e_psi(u)
-    e_psi_star = 1j * u.hbar * np.conj(state.psi_t)
+    snap = _Snapshot(state, system)
+    fields, psi, e_psi, e_psi_star = snap.fields, snap.psi, snap.e_psi, snap.e_psi_star
 
     norm = grid.integrate(fields.rho).real
     energy_mean = grid.integrate(fields.rho_E)
-    d_e_psi = system.dx1(e_psi)
-    d_psi = system.dx1(psi)
-    psi_ends, epsi_ends = _ends(psi, d_psi), _ends(e_psi, d_e_psi)
-    cp_e_psi = -1j * u.hbar * u.c * d_e_psi
-    cp_psi = -1j * u.hbar * u.c * d_psi
+    cp_e_psi = -1j * u.hbar * u.c * snap.d_e_psi
     momentum_mean = grid.integrate(
-        (np.conj(psi) * cp_e_psi - e_psi_star * cp_psi) / (2.0 * mc2)
+        (np.conj(psi) * cp_e_psi - e_psi_star * snap.cp_psi) / (2.0 * mc2)
     )
 
     # staggered energy currents: midpoint products telescope exactly
@@ -363,22 +345,20 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
     current_split = abs(j_e_total - current_boundary - jt_total)
 
     # mean-energy decomposition; the gradient piece is the staggered sum
-    psi_a, psi_b, dpsi_a, dpsi_b = psi_ends
     surf = (u.hbar / (2.0 * u.mass * u.c)) * (
-        np.imag(np.conj(psi_b) * (-1j * u.hbar * u.c * dpsi_b))
-        - np.imag(np.conj(psi_a) * (-1j * u.hbar * u.c * dpsi_a))
+        np.imag(np.conj(psi[-1]) * (-1j * u.hbar * u.c * snap.d_psi[-1]))
+        - np.imag(np.conj(psi[0]) * (-1j * u.hbar * u.c * snap.d_psi[0]))
     )
     abs2 = (np.conj(psi) * psi).real
-    s = np.asarray(system.potential.sample(grid.x, state.t), dtype=float)
     kinetic = (u.hbar * u.c) ** 2 / (2.0 * mc2) * dx * float(
         np.sum(np.abs(dif_psi) ** 2)
     )
     mass_term = 0.5 * mc2 * grid.integrate(abs2).real
     tderiv = u.hbar**2 / (2.0 * mc2) * grid.integrate(np.abs(state.psi_t) ** 2).real
-    pot_term = grid.integrate(s * abs2).real
+    pot_term = grid.integrate(snap.s * abs2).real
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
-    j_a, j_b, je_a, je_b, jt_a, jt_b = _boundary_currents(system, psi_ends, epsi_ends)
+    j_a, j_b, je_a, je_b, jt_a, jt_b = _boundary_currents(snap)
 
     return GlobalSummary(
         t=state.t,
@@ -504,11 +484,10 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
     u = system.units
     mc2 = u.mc2
     dx = system.grid.dx
-    fields = local_fields(state, system)
-    psi = state.psi
+    snap = _Snapshot(state, system)
+    fields, psi, e_psi = snap.fields, snap.psi, snap.e_psi
     psi_t = state.psi_t
-    e_psi = state.e_psi(u)
-    psi_tt = -system.e2_apply(psi, state.t) / u.hbar**2
+    psi_tt = -snap.e2_psi / u.hbar**2
 
     # E applied to Im(psi* E psi), on shell
     f_dot = np.imag(np.conj(psi_t) * e_psi + np.conj(psi) * (1j * u.hbar * psi_tt))
@@ -523,8 +502,7 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
         -(1j / (2.0 * mc2)) * e_im_psi_epsi + 0.5 * e_rho + fields.rho_tilde_E
     )
 
-    cp_psi = -1j * u.hbar * u.c * system.dx1(psi)
-    g = np.imag(np.conj(psi) * cp_psi)
+    g = np.imag(np.conj(psi) * snap.cp_psi)
     cp_g = -1j * u.hbar * u.c * _density_gradient(g, dx)
     space_split = fields.rho_E - (
         (1j / (2.0 * mc2)) * cp_g + 0.5 * e_rho + fields.T00

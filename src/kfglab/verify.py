@@ -34,6 +34,7 @@ from .bc import (
     enumerate_confining_solutions,
     enumerate_energy_slice_solutions,
 )
+from .config import ConfigError
 from .operators import System, assemble_fv_hamiltonian, assemble_kinetic
 from .observables import (
     boundary_j_E,
@@ -44,15 +45,6 @@ from .observables import (
     two_component_fields,
 )
 from .evolution import EvolutionConfig, check_majorana_preservation, evolve
-
-SUITE_NAMES = (
-    "bc_algebra",
-    "conservation",
-    "boundary_currents",
-    "positivity",
-    "decompositions",
-    "convergence",
-)
 
 
 @dataclass(frozen=True)
@@ -499,13 +491,6 @@ def check_boundary_currents(n: int = 256):
     return checks
 
 
-def _coeffs_of(system: System, seed: int):
-    rng = np.random.default_rng(seed)
-    i, j = _nondegenerate_pair(system)
-    phases = rng.uniform(0.3, 2.8, size=2)
-    return [(i, 1.0, phases[0]), (j, 0.8, phases[1])]
-
-
 # --------------------------------------------------------------------------
 # positivity and the splitting identities
 # --------------------------------------------------------------------------
@@ -568,7 +553,7 @@ def check_positivity(n: int = 128):
     system = System(grid, CATALOG["robin_mit_plus"].params, pot)
     gap = 0.0
     for t_probe in (0.4, 0.9, 1.5):
-        state = system.synthesize(_coeffs_of(system, 21), t=t_probe, kind="plus")
+        state = two_mode_neutral(system, seed=21, t=t_probe)
         summ = global_summary(state, system)
         fl = local_fields(state, system)
         scale = max(grid.length * float(np.max(np.abs(fl.cT10))), 1e-300)
@@ -705,28 +690,24 @@ def check_dual_path(n: int = 96, n_states: int = 100):
 # --------------------------------------------------------------------------
 
 
-def run_suite(name: str) -> VerifySuiteResult:
-    from .config import ConfigError
+SUITES = {
+    "bc_algebra": (check_bc_algebra,),
+    "conservation": (
+        check_pseudo_self_adjointness, check_conservation, check_majorana_triviality,
+    ),
+    "boundary_currents": (check_boundary_currents,),
+    "positivity": (check_positivity,),
+    "decompositions": (check_dual_path,),
+    "convergence": (check_spectra, check_continuity_convergence),
+}
+SUITE_NAMES = tuple(SUITES)
 
-    t0 = time.perf_counter()
-    if name == "bc_algebra":
-        checks = check_bc_algebra()
-    elif name == "conservation":
-        checks = (
-            check_pseudo_self_adjointness()
-            + check_conservation()
-            + check_majorana_triviality()
-        )
-    elif name == "boundary_currents":
-        checks = check_boundary_currents()
-    elif name == "positivity":
-        checks = check_positivity()
-    elif name == "decompositions":
-        checks = check_dual_path()
-    elif name == "convergence":
-        checks = check_spectra() + check_continuity_convergence()
-    else:
+
+def run_suite(name: str) -> VerifySuiteResult:
+    if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    t0 = time.perf_counter()
+    checks = [check for suite_check in SUITES[name] for check in suite_check()]
     return VerifySuiteResult(
         suite=name, checks=checks, elapsed_s=time.perf_counter() - t0
     )

@@ -184,6 +184,20 @@ class TestConditionChecks:
         assert check_confining_conditions(CATALOG["robin_mit_plus"].params) is False
         assert check_confining_conditions(CATALOG["robin_mit_minus"].params) is False
 
+    def test_confining_conditions_are_the_confining_system(self):
+        # one zero set: the check reads the residual of the six equations
+        points = [e.params for e in CATALOG.values() if e.params.m1 == e.params.m2 == 0.0]
+        for m0, m3, mu in CONFINING_SOLUTIONS:
+            theta = math.atan2(m3, m0)
+            for eps in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+                points.append(BcParams(math.cos(theta + eps), 0.0, 0.0,
+                                       math.sin(theta + eps), mu))
+                points.append(BcParams(m0, 0.0, 0.0, m3, abs(mu + eps)))
+        assert len(points) > 48
+        for p in points:
+            expect = confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) <= ALG_TOL
+            assert check_confining_conditions(p) is expect, p
+
     def test_confining_conditions_wrong_branch(self):
         with pytest.raises(WrongBranch):
             check_confining_conditions(CATALOG["periodic"].params)

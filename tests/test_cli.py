@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from kfglab.cli import _write_csv, main
-from kfglab.config import initial_state_from_config, system_from_config
+from kfglab.config import ConfigError, initial_state_from_config, system_from_config
 from kfglab.operators import System
+from kfglab.verify import SUITE_NAMES, run_suite
 
 
 def write_config(path, **overrides):
@@ -287,6 +288,12 @@ class TestEnumerateAndVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+
+    def test_unknown_suite_rejected_by_run_suite(self):
+        assert SUITE_NAMES == ("bc_algebra", "conservation", "boundary_currents",
+                               "positivity", "decompositions", "convergence")
+        with pytest.raises(ConfigError, match="nope"):
+            run_suite("nope")
 
     def test_single_suite_runs(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "positivity", "--out", str(tmp_path)])

@@ -9,14 +9,17 @@ from kfglab.core import (
     FvState,
     Grid,
     KfgState,
+    PhysicalUnits,
     ScalarPotential,
     SpatialProfile,
     TimeFactor,
     kfg_to_fv,
     fv_to_kfg,
 )
-from kfglab.bc import CATALOG
-from kfglab.operators import Bands, KineticMatrix, System, assemble_fv_hamiltonian
+from kfglab.bc import CATALOG, params_from_tag
+from kfglab.operators import (
+    Bands, KineticMatrix, NumericalFailure, System, assemble_fv_hamiltonian,
+)
 from kfglab.evolution import (
     CayleyPropagator,
     EvolutionConfig,
@@ -26,6 +29,7 @@ from kfglab.evolution import (
     state_to_wave,
     wave_to_state,
 )
+from kfglab.verify import two_mode_neutral
 from oracles import propagator_matrix, step_cayley
 
 GRID = Grid(0.0, math.pi, 64)
@@ -212,6 +216,28 @@ class TestMajoranaPreservation:
         st0 = system.synthesize([(0, 1.0, 0.0), (1, 0.5, 0.3)], t=0.0, kind="none")
         dev = check_majorana_preservation(st0, system, dt=2e-3, steps=5)
         assert dev > 0.1
+
+    def test_other_sector_reports_full_deviation(self):
+        # the zero row of the other sector's stack must not read as preserved
+        system = System(GRID, CATALOG["dirichlet"].params)
+        for kind, other in (("plus", "minus"), ("minus", "plus")):
+            st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.4, kind=other)
+            dev = check_majorana_preservation(st0, system, dt=2e-3, steps=5, kind=kind)
+            assert dev > 0.1, kind
+
+    def test_blown_up_run_raises(self):
+        # two quarantined E^2 < 0 modes grow from round-off until the stack is
+        # NaN; the NaN deviations must not read as "preserved"
+        units = PhysicalUnits(mass=0.3, bc_length=0.05)
+        pot = ScalarPotential(
+            profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
+            nonneg=True,
+        )
+        system = System(Grid(0.0, math.pi, 128), params_from_tag("robin_mit_minus", lam=0.05),
+                        pot, units)
+        st0 = two_mode_neutral(system, seed=5)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="not finite"):
+            check_majorana_preservation(st0, system, dt=2e-3, steps=20_000)
 
     def test_propagator_commutes_with_conjugation_swap(self):
         # tau_1 G* tau_1 = G for the two-component Cayley matrix (real closure)

@@ -14,7 +14,7 @@ from kfglab.core import (
     kfg_to_fv,
 )
 from kfglab.bc import CATALOG, params_from_tag
-from kfglab.operators import System
+from kfglab.operators import DiscreteClosure, System
 from kfglab.observables import (
     boundary_Ej,
     boundary_j,
@@ -204,6 +204,24 @@ class TestBoundaryCurrents:
         )
         assert val_a == pytest.approx(complex(val_b), abs=1e-14)
 
+    @pytest.mark.parametrize("tag,make", [
+        *((tag, make) for tag in ("dirichlet", "neumann", "robin_mit_minus", "periodic",
+                                  "rotation:0.7") for make in (neutral_state, charged)),
+        ("quasiperiodic+", charged), ("quasimixed-", charged),
+    ])
+    def test_direct_ends_equal_the_local_fields(self, tag, make):
+        # the b-end (and both tensor ends) are the local densities on the end values
+        system = System(GRID, params_from_tag(tag), BUMP)
+        st0 = make(system, seed=16)
+        fl = local_fields(st0, system)
+        _, j_b = boundary_j(st0, system)
+        _, je_b = boundary_j_E(st0, system)
+        jt_a, jt_b, _ = boundary_jtilde_E(st0, system)
+        for got, field, i in ((j_b, fl.j, -1), (je_b, fl.j_E, -1),
+                              (jt_a, fl.cT10, 0), (jt_b, fl.cT10, -1)):
+            scale = max(float(np.max(np.abs(field))), 1e-300)
+            assert abs(complex(got) - field[i]) <= 1e-15 * scale
+
 
 class TestGlobalSummary:
     def test_energy_bracket_real_for_charged_states(self):
@@ -248,6 +266,28 @@ class TestGlobalSummary:
         got = (summ.j_a, summ.j_b, summ.jE_a, summ.jE_b, summ.jtildeE_a, summ.jtildeE_b)
         assert [complex(v) for v in got] == [complex(v) for v in public]
         assert [type(v) for v in got] == [type(v) for v in public]
+
+    def test_one_derivation_per_snapshot(self, monkeypatch):
+        # psi and E psi are differentiated once each, S sampled once plus the
+        # one sample inside E^2 psi
+        counts = {"dx1": 0, "sample": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(DiscreteClosure, "dx1")
+        counting(ScalarPotential, "sample")
+        system = System(GRID, CATALOG["robin_mit_plus"].params, BUMP)
+        st0 = charged(system, seed=18)
+        counts.update(dx1=0, sample=0)
+        global_summary(st0, system)
+        assert counts == {"dx1": 2, "sample": 2}
 
     def test_norms(self):
         system = System(GRID, CATALOG["dirichlet"].params)
