@@ -71,7 +71,7 @@ from .evolution import (
     CayleyPropagator,
     EvolutionConfig,
     SingularPropagator,
-    Trajectory,
+    TrajectoryRecord,
     check_majorana_preservation,
     evolve,
 )

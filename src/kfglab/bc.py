@@ -37,7 +37,6 @@ ALG_TOL = 1e-10          # tolerance for all algebraic condition checks
 NORM_TOL = 1e-12
 
 TAU1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-ONE_PLUS_TAU3 = np.array([[2.0, 0.0], [0.0, 0.0]])
 SYMPLECTIC_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 

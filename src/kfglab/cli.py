@@ -27,7 +27,7 @@ from .config import (
     majorana_from_config,
     system_from_config,
 )
-from .observables import DENSITY_NAMES, local_fields
+from .observables import DENSITY_NAMES, global_summary, local_fields
 from .operators import eigenmodes
 from .evolution import evolve
 from .verify import SUITE_NAMES, run_all_suites, run_suite
@@ -91,19 +91,22 @@ def cmd_evolve(args) -> int:
     state0 = initial_state_from_config(cfg, system)
     econf = evolution_from_config(cfg)
     kind = majorana_from_config(cfg)
-    traj = evolve(state0, system, econf, majorana=kind)
+    rows, worst, final = [], 0.0, None
+    for rec in evolve(state0, system, econf, majorana=kind):
+        rows.append(global_summary(rec.state, system).as_row())
+        worst = max(worst, rec.majorana_deviation or 0.0)
+        final = rec.state
     out = Path(args.out or ".")
     comments = [
         f"config_hash={config_hash(cfg)}",
-        f"scheme={econf.scheme}",
+        "scheme=cayley",
         f"majorana={kind or 'none'}",
-        f"worst_majorana_deviation={traj.metadata['worst_majorana_deviation']}",
+        f"worst_majorana_deviation={worst if kind else None}",
     ]
     if system.is_static:
         # any mode set lists every quarantined mode: reuse synthesis's
         n_diag = len(system.modes(1).diagnostics)
         comments.append(f"nonpositive_mode_count={n_diag}")
-    rows = traj.summary_rows()
     columns = list(rows[0].keys())
     _write_csv(
         out / "trajectory.csv",
@@ -111,7 +114,6 @@ def cmd_evolve(args) -> int:
         [[r[c] for c in columns] for r in rows],
         comments,
     )
-    final = traj.records[-1].state
     fields = local_fields(final, system)
     field_cols = ["x"]
     field_data = [system.grid.x]

@@ -48,8 +48,19 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _known_keys(d, section: str, keys: str) -> None:
+    """The config section d; a key outside `keys` (a misspelt option such as
+    `record_evry`) is a configuration error rather than silently ignored."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"the {section} section must be an object, got {d!r}")
+    unknown = sorted(set(d) - set(keys.split()))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in the {section} section: {', '.join(unknown)}")
+
+
 def units_from_config(cfg: dict) -> PhysicalUnits:
     d = cfg.get("units", {})
+    _known_keys(d, "units", "hbar c mass lambda bc_length")
     try:
         return PhysicalUnits(
             hbar=float(d.get("hbar", 1.0)),
@@ -65,42 +76,34 @@ def grid_from_config(cfg: dict) -> Grid:
     d = cfg.get("grid")
     if d is None:
         raise ConfigError("config is missing the grid section")
+    _known_keys(d, "grid", "a b n")
     try:
         return Grid(a=float(d["a"]), b=float(d["b"]), n=_count(d["n"], "grid.n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
 
+def _numbers(d: dict) -> dict:
+    """A profile or time-factor dict as keyword arguments: the kind as given,
+    a tabulated profile's values as a tuple of floats, the rest as floats."""
+    return {
+        key: val if key == "kind" else tuple(map(float, val)) if key == "values" else float(val)
+        for key, val in d.items()
+    }
+
+
 def potential_from_config(cfg: dict) -> ScalarPotential:
     d = cfg.get("potential")
     if d is None:
         return ScalarPotential()
+    _known_keys(d, "potential", "profile time_factor nonneg")
     try:
-        pd = d.get("profile", {"kind": "constant", "value": 0.0})
-        profile = SpatialProfile(
-            kind=pd.get("kind", "constant"),
-            value=float(pd.get("value", 0.0)),
-            x0=float(pd.get("x0", 0.0)),
-            left=float(pd.get("left", 0.0)),
-            right=float(pd.get("right", 0.0)),
-            coefficient=float(pd.get("coefficient", 0.0)),
-            offset=float(pd.get("offset", 0.0)),
-            values=tuple(pd.get("values", ())),
-        )
-        td = d.get("time_factor", {"kind": "constant"})
-        factor = TimeFactor(
-            kind=td.get("kind", "constant"),
-            scale=float(td.get("scale", 1.0)),
-            amplitude=float(td.get("amplitude", 1.0)),
-            omega=float(td.get("omega", 1.0)),
-            phase=float(td.get("phase", 0.0)),
-            offset=float(td.get("offset", 0.0)),
-            rate=float(td.get("rate", 0.0)),
-        )
         return ScalarPotential(
-            profile=profile, time_factor=factor, nonneg=bool(d.get("nonneg", False))
+            profile=SpatialProfile(**_numbers(d.get("profile", {}))),
+            time_factor=TimeFactor(**_numbers(d.get("time_factor", {}))),
+            nonneg=bool(d.get("nonneg", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential section: {exc}") from exc
 
 
@@ -194,12 +197,14 @@ def evolution_from_config(cfg: dict) -> EvolutionConfig:
     d = cfg.get("evolution")
     if d is None:
         raise ConfigError("config is missing the evolution section")
+    _known_keys(d, "evolution", "dt steps record_every scheme")
+    if d.get("scheme", "cayley") != "cayley":
+        raise ConfigError(f"evolution.scheme must be 'cayley', got {d['scheme']!r}")
     try:
         return EvolutionConfig(
             dt=float(d["dt"]),
             steps=_count(d["steps"], "evolution.steps"),
             record_every=_count(d.get("record_every", 1), "evolution.record_every"),
-            scheme=d.get("scheme", "cayley"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad evolution section: {exc}") from exc

@@ -231,9 +231,6 @@ class ScalarPotential:
         return self.profile.gradient(x) * self.time_factor.value(t)
 
 
-FREE_POTENTIAL = ScalarPotential()
-
-
 def _as_field(arr, n_expect: int | None = None) -> np.ndarray:
     out = np.asarray(arr, dtype=np.complex128)
     if out.ndim != 1:

@@ -23,13 +23,13 @@ generator at the step midpoint, keeping second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
 
 from .core import KfgLabError, KfgState, PhysicalUnits, majorana_project
-from .observables import GlobalSummary, global_summary
 from .operators import DENSE_STEP_MAX_DOF, Bands, NumericalFailure, System
 
 
@@ -42,7 +42,6 @@ class EvolutionConfig:
     dt: float
     steps: int
     record_every: int = 1
-    scheme: str = "cayley"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -51,35 +50,13 @@ class EvolutionConfig:
             raise ValueError("steps must be at least 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.scheme != "cayley":
-            raise ValueError("only the cayley scheme is implemented")
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
     t: float
     state: KfgState
-    summary: GlobalSummary | None
     majorana_deviation: float | None
-
-
-@dataclass
-class Trajectory:
-    records: list[TrajectoryRecord]
-    config: EvolutionConfig
-    majorana: str | None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    @property
-    def states(self) -> list[KfgState]:
-        return [r.state for r in self.records]
-
-    def summary_rows(self) -> list[dict]:
-        return [r.summary.as_row() for r in self.records if r.summary is not None]
 
 
 # --------------------------------------------------------------------------
@@ -225,27 +202,21 @@ def evolve(
     system: System,
     config: EvolutionConfig,
     majorana: str | None = None,
-    with_summaries: bool = True,
-) -> Trajectory:
-    """Propagate a state and record snapshots every `record_every` steps.
+) -> Iterator[TrajectoryRecord]:
+    """Propagate a state and yield a snapshot every `record_every` steps.
 
-    The final step is always recorded, and a snapshot whose state or summary
-    is not finite raises NumericalFailure.  For a neutral run (majorana set)
-    the recorded states are projected back onto the neutral sector and the
-    raw sector deviation is stored alongside; with a real closure the
-    deviation is structurally zero.  Between snapshots the state stays a
-    packed stack.
+    The final step is always yielded, and a snapshot whose state is not
+    finite raises NumericalFailure.  For a neutral run (majorana set) the
+    yielded states are projected back onto the neutral sector and the raw
+    sector deviation goes alongside; with a real closure the deviation is
+    structurally zero.  Only the current packed stack is kept between
+    snapshots: each caller takes the observables it reads from the records.
     """
     prop = CayleyPropagator(system, config.dt)
     z = state_to_wave(state0, system)
     t0 = state0.t
-    record_at = set(range(0, config.steps + 1, config.record_every))
-    record_at.add(config.steps)
-    records: list[TrajectoryRecord] = []
-    worst_dev = 0.0
 
-    def snapshot(step_index: int, x: np.ndarray, zz: np.ndarray):
-        nonlocal worst_dev
+    def snapshot(step_index: int, x: np.ndarray, zz: np.ndarray) -> TrajectoryRecord:
         t = t0 + step_index * config.dt
         if not np.all(np.isfinite(zz)):
             raise NumericalFailure(f"the state is not finite at t = {t:.6g}")
@@ -253,23 +224,15 @@ def evolve(
         dev = None
         if majorana is not None:
             dev = _pairing_deviation(x, majorana, system.units)
-            worst_dev = max(worst_dev, dev)
             state = majorana_project(state, majorana)
-        summary = global_summary(state, system) if with_summaries else None
-        if summary is not None and not np.all(np.isfinite(list(summary.as_row().values()))):
-            raise NumericalFailure(f"the summary is not finite at t = {t:.6g}")
-        records.append(
-            TrajectoryRecord(t=t, state=state, summary=summary, majorana_deviation=dev)
-        )
+        return TrajectoryRecord(t=t, state=state, majorana_deviation=dev)
 
     x = prop.pack(z)
-    snapshot(0, x, z)
-    for k in range(config.steps):
-        x = prop.advance(x, t0 + k * config.dt)
-        if (k + 1) in record_at:
-            snapshot(k + 1, x, prop.unpack(x))
-    meta = {"worst_majorana_deviation": worst_dev if majorana else None}
-    return Trajectory(records=records, config=config, majorana=majorana, metadata=meta)
+    yield snapshot(0, x, z)
+    for k in range(1, config.steps + 1):
+        x = prop.advance(x, t0 + (k - 1) * config.dt)
+        if k % config.record_every == 0 or k == config.steps:
+            yield snapshot(k, x, prop.unpack(x))
 
 
 def check_majorana_preservation(

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import KfgLabError, KfgState, FvState, kfg_to_fv
-from .operators import System
+from .operators import NumericalFailure, System
 
 
 class InsufficientData(KfgLabError):
@@ -66,10 +66,10 @@ def _currents(u, psi, d_psi, e_psi, e_psi_star, d_e_psi):
     return j, j_e, ct10
 
 
-class _Snapshot:
+class Snapshot:
     """One derivation per snapshot: psi, E psi, E psi* = -(E psi)* (applied to
     the conjugate), c p psi and the ghost-consistent x-derivatives of psi and
-    E psi; E^2 psi, S and the local fields when first read."""
+    E psi; E^2 psi, S, the local fields and the end currents when first read."""
 
     def __init__(self, state: KfgState, system: System):
         u = system.units
@@ -89,6 +89,34 @@ class _Snapshot:
     def s(self) -> np.ndarray:
         return np.asarray(self.system.potential.sample(self.system.grid.x, self.state.t),
                           dtype=float)
+
+    @cached_property
+    def ends(self) -> tuple:
+        """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b): the pointwise
+        densities on the end values, with the endpoint-coupling closed forms
+        at a where they are regular; see `boundary_j`, `boundary_j_E` and
+        `boundary_jtilde_E`."""
+        u, p = self.system.units, self.system.bc
+        psi, e_psi = self.psi, self.e_psi
+        (j_a, je_a, jt_a), (j_b, je_b, jt_b) = (
+            _currents(u, psi[i], self.d_psi[i], e_psi[i], -np.conj(e_psi[i]), self.d_e_psi[i])
+            for i in (0, -1)
+        )
+        j_a, je_a = j_a.real, complex(je_a)
+        denom = p.m0 + p.cos_mu
+        if abs(denom) > 1e-10:
+            q = (p.m1 + 1j * p.m2) / denom
+            j_a = float(
+                -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi[0]) * psi[-1])
+            )
+        if abs(p.m2) <= 1e-10 and abs(denom) > 1e-10:
+            q = p.m1 / denom
+            je_a = complex(
+                (1j * u.hbar / (2.0 * u.mass * p.lam))
+                * q
+                * (np.conj(psi[0]) * e_psi[-1] - np.conj(psi[-1]) * e_psi[0])
+            )
+        return j_a, j_b.real, je_a, complex(je_b), jt_a.real, jt_b.real
 
     @cached_property
     def fields(self) -> ObservableFields:
@@ -118,7 +146,7 @@ class _Snapshot:
 
 def local_fields(state: KfgState, system: System) -> ObservableFields:
     """All local densities/currents from the one-component representation."""
-    return _Snapshot(state, system).fields
+    return Snapshot(state, system).fields
 
 
 def two_component_fields(
@@ -175,33 +203,6 @@ def endpoint_data(system: System, field: np.ndarray):
     return field[0], field[-1], d1[0], d1[-1]
 
 
-def _boundary_currents(snap: _Snapshot) -> tuple:
-    """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b): the pointwise densities
-    on the end values of one snapshot, with the endpoint-coupling closed
-    forms at a where they are regular; see the three public functions below."""
-    u, p = snap.system.units, snap.system.bc
-    psi, e_psi = snap.psi, snap.e_psi
-    (j_a, je_a, jt_a), (j_b, je_b, jt_b) = (
-        _currents(u, psi[i], snap.d_psi[i], e_psi[i], -np.conj(e_psi[i]), snap.d_e_psi[i])
-        for i in (0, -1)
-    )
-    j_a, je_a = j_a.real, complex(je_a)
-    denom = p.m0 + p.cos_mu
-    if abs(denom) > 1e-10:
-        q = (p.m1 + 1j * p.m2) / denom
-        j_a = float(
-            -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi[0]) * psi[-1])
-        )
-    if abs(p.m2) <= 1e-10 and abs(denom) > 1e-10:
-        q = p.m1 / denom
-        je_a = complex(
-            (1j * u.hbar / (2.0 * u.mass * p.lam))
-            * q
-            * (np.conj(psi[0]) * e_psi[-1] - np.conj(psi[-1]) * e_psi[0])
-        )
-    return j_a, j_b.real, je_a, complex(je_b), jt_a.real, jt_b.real
-
-
 def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
     """Charge current at the two endpoints.
 
@@ -210,7 +211,7 @@ def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
     b-end always uses the direct stencil.  Pseudo self-adjointness makes the
     two equal; both vanish for strictly neutral states.
     """
-    return _boundary_currents(_Snapshot(state, system))[:2]
+    return Snapshot(state, system).ends[:2]
 
 
 def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
@@ -219,7 +220,7 @@ def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
     Equal at the two ends for every pseudo self-adjoint closure; zero at both
     ends exactly when the closure is confining (m1 = 0 in the neutral sector).
     """
-    return _boundary_currents(_Snapshot(state, system))[2:4]
+    return Snapshot(state, system).ends[2:4]
 
 
 def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, float]:
@@ -229,7 +230,7 @@ def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, fl
     preserve the tau_1 bilinear form (Dirichlet/Neumann/mixed/periodic/
     antiperiodic), which is the datum this evaluation exists to expose.
     """
-    a_val, b_val = _boundary_currents(_Snapshot(state, system))[4:]
+    a_val, b_val = Snapshot(state, system).ends[4:]
     return a_val, b_val, b_val - a_val
 
 
@@ -310,12 +311,13 @@ def _staggered(f: np.ndarray):
 
 
 def global_summary(state: KfgState, system: System) -> GlobalSummary:
-    """Assemble every global quantity for one snapshot."""
+    """Assemble every global quantity for one snapshot; a summary that is not
+    finite (a state grown past the float range, say) raises NumericalFailure."""
     u = system.units
     grid = system.grid
     mc2 = u.mc2
     dx = grid.dx
-    snap = _Snapshot(state, system)
+    snap = Snapshot(state, system)
     fields, psi, e_psi, e_psi_star = snap.fields, snap.psi, snap.e_psi, snap.e_psi_star
 
     norm = grid.integrate(fields.rho).real
@@ -358,9 +360,9 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
     pot_term = grid.integrate(snap.s * abs2).real
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
-    j_a, j_b, je_a, je_b, jt_a, jt_b = _boundary_currents(snap)
+    j_a, j_b, je_a, je_b, jt_a, jt_b = snap.ends
 
-    return GlobalSummary(
+    summary = GlobalSummary(
         t=state.t,
         norm=norm,
         energy_mean=energy_mean,
@@ -378,6 +380,9 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
         current_split_residual=float(current_split),
         positivity=(float(surf), kinetic, mass_term, tderiv, pot_term),
     )
+    if not np.all(np.isfinite(list(summary.as_row().values()))):
+        raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
+    return summary
 
 
 def indefinite_norm(state: KfgState, system: System) -> float:
@@ -484,7 +489,7 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
     u = system.units
     mc2 = u.mc2
     dx = system.grid.dx
-    snap = _Snapshot(state, system)
+    snap = Snapshot(state, system)
     fields, psi, e_psi = snap.fields, snap.psi, snap.e_psi
     psi_t = state.psi_t
     psi_tt = -snap.e2_psi / u.hbar**2

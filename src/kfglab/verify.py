@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, KfgState, ScalarPotential, SpatialProfile, TimeFactor, kfg_to_fv
+from .core import (Grid, KfgState, ScalarPotential, SpatialProfile, TimeFactor, kfg_to_fv,
+                   majorana_project)
 from .bc import (
     ALG_TOL,
     CATALOG,
@@ -37,8 +38,7 @@ from .bc import (
 from .config import ConfigError
 from .operators import System, assemble_fv_hamiltonian, assemble_kinetic
 from .observables import (
-    boundary_j_E,
-    boundary_jtilde_E,
+    Snapshot,
     continuity_residuals,
     global_summary,
     local_fields,
@@ -281,13 +281,16 @@ def check_conservation(n: int = 64, steps: int = 10_000, dt: float = 2e-3):
     for tag in majorana_tags():
         system = System(grid, CATALOG[tag].params, pot)
         state = charged_state(system, seed=11)
-        traj = evolve(
-            state, system, EvolutionConfig(dt=dt, steps=steps, record_every=steps // 10)
-        )
-        n0 = traj.records[0].summary.norm
-        e0 = traj.records[0].summary.energy_mean.real
-        nd = max(abs(r.summary.norm - n0) for r in traj.records) / abs(n0)
-        ed = max(abs(r.summary.energy_mean.real - e0) for r in traj.records) / abs(e0)
+        summaries = [
+            global_summary(rec.state, system)
+            for rec in evolve(
+                state, system, EvolutionConfig(dt=dt, steps=steps, record_every=steps // 10)
+            )
+        ]
+        n0 = summaries[0].norm
+        e0 = summaries[0].energy_mean.real
+        nd = max(abs(s.norm - n0) for s in summaries) / abs(n0)
+        ed = max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0)
         worst_norm = max(worst_norm, nd)
         worst_energy = max(worst_energy, ed)
     checks.append(
@@ -316,29 +319,25 @@ def check_majorana_triviality(n: int = 64, steps: int = 10_000, dt: float = 2e-3
     pot = _bump_potential(center=math.pi / 2)
     checks = []
     worst_rho = worst_j = worst_im_rho = worst_im_j = 0.0
-    u = None
     for tag in ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0"):
         system = System(grid, CATALOG[tag].params, pot)
         u = system.units
-        for kind, seed in (("plus", 3), ("minus", 4)):
-            i, jdx = _nondegenerate_pair(system)
-            rng = np.random.default_rng(seed)
-            state = system.synthesize(
-                [(i, 1.0, rng.uniform(0, 2)), (jdx, 0.7, rng.uniform(0, 2))],
-                t=0.3,
-                kind=kind,
-            )
-            traj = evolve(
-                state, system,
-                EvolutionConfig(dt=dt, steps=steps, record_every=steps // 5),
-                majorana=kind,
-            )
-            for rec in traj.records:
-                fl = local_fields(rec.state, system)
-                e_psi = rec.state.e_psi(u)
-                cp_psi = -1j * u.hbar * u.c * system.dx1(rec.state.psi)
-                rho_scale = max(float(np.max(np.abs(np.conj(rec.state.psi) * e_psi))) / u.mc2, 1e-300)
-                j_scale = max(float(np.max(np.abs(np.conj(rec.state.psi) * cp_psi))) / (u.mass * u.c), 1e-300)
+        # the step acts on the real and imaginary parts of a real closure's
+        # state apart, so one run of plus + minus carries both sectors' runs
+        i, jdx = _nondegenerate_pair(system)
+        plus, minus = (
+            system.synthesize([(i, 1.0, rng.uniform(0, 2)), (jdx, 0.7, rng.uniform(0, 2))],
+                              t=0.3, kind=kind)
+            for kind, rng in (("plus", np.random.default_rng(3)), ("minus", np.random.default_rng(4)))
+        )
+        state = KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.3)
+        config = EvolutionConfig(dt=dt, steps=steps, record_every=steps // 5)
+        for rec in evolve(state, system, config):
+            for kind in ("plus", "minus"):
+                snap = Snapshot(majorana_project(rec.state, kind), system)
+                fl = snap.fields
+                rho_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.e_psi))) / u.mc2, 1e-300)
+                j_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.cp_psi))) / (u.mass * u.c), 1e-300)
                 re_scale = max(float(np.max(np.abs(fl.rho_E))), 1e-300)
                 je_scale = max(float(np.max(np.abs(fl.j_E))), 1e-300)
                 worst_rho = max(worst_rho, float(np.max(np.abs(fl.rho))) / rho_scale)
@@ -438,9 +437,10 @@ def check_boundary_currents(n: int = 256):
                 probe = system.synthesize(
                     [(i, 1.0, phases[0]), (j, 0.8, phases[1])], t=t_probe, kind="plus"
                 )
-                fl = local_fields(probe, system)
-                je_a, je_b = boundary_j_E(probe, system)
-                _, _, diff = boundary_jtilde_E(probe, system)
+                snap = Snapshot(probe, system)
+                fl = snap.fields
+                _, _, je_a, je_b, jt_a, jt_b = snap.ends
+                diff = jt_b - jt_a
                 s = max(float(np.max(np.abs(fl.j_E))), 1e-300)
                 st = max(float(np.max(np.abs(fl.cT10))), 1e-300)
                 worst_eq = max(worst_eq, abs(je_a - je_b) / s)
@@ -576,8 +576,8 @@ def check_positivity(n: int = 128):
 
 def _window_residuals(system: System, state0: KfgState, dt: float, kind: str | None):
     cfg = EvolutionConfig(dt=dt, steps=4, record_every=1)
-    traj = evolve(state0, system, cfg, majorana=kind, with_summaries=False)
-    return continuity_residuals(traj.states, system)
+    states = [rec.state for rec in evolve(state0, system, cfg, majorana=kind)]
+    return continuity_residuals(states, system)
 
 
 def check_continuity_convergence(n_coarse: int = 128):

@@ -192,11 +192,12 @@ def test_banded_step_matches_dense_oracle(tag, driven, n):
 def test_charged_brackets_conserved_over_ten_thousand_steps(tag):
     system = make_system(tag, driven=False)
     st0 = system.synthesize([(0, 1.0, 0.1), (1, 0.7, 0.8), (2, 0.4, 1.7)], kind="none")
-    traj = evolve(st0, system, EvolutionConfig(dt=DT, steps=10_000, record_every=2_500))
-    n0 = traj.records[0].summary.norm
-    e0 = traj.records[0].summary.energy_mean.real
-    assert max(abs(r.summary.norm - n0) for r in traj.records) <= 1e-10 * abs(n0)
-    assert max(abs(r.summary.energy_mean.real - e0) for r in traj.records) <= 1e-10 * abs(e0)
+    summaries = [global_summary(r.state, system) for r in
+                 evolve(st0, system, EvolutionConfig(dt=DT, steps=10_000, record_every=2_500))]
+    n0 = summaries[0].norm
+    e0 = summaries[0].energy_mean.real
+    assert max(abs(s.norm - n0) for s in summaries) <= 1e-10 * abs(n0)
+    assert max(abs(s.energy_mean.real - e0) for s in summaries) <= 1e-10 * abs(e0)
 
 
 @pytest.mark.parametrize("kind, n", [("plus", N), ("minus", N), ("plus", N_DENSE),
@@ -253,7 +254,8 @@ def test_static_run_from_modes_builds_bands_once(monkeypatch):
     for n in (N, N_DENSE):
         system = make_system("periodic", driven=False, n=n)
         st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], kind="plus")
-        evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2), majorana="plus")
+        list(evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2),
+                    majorana="plus"))
     assert len(calls) == 2
 
 
@@ -261,12 +263,12 @@ def test_driven_run_builds_bands_once_per_system(monkeypatch):
     calls = counting_closure_bands(monkeypatch)
     system = make_system("robin_mit_plus", driven=True)
     st0 = wave_to_state(packet_wave(system), system, 0.0)
-    evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2))
+    list(evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2)))
     assert len(calls) == 1
     # from modes, the system frozen at t0 is a second System with its own bands
     system = make_system("robin_mit_plus", driven=True)
     st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.5)], kind="none")
-    evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2))
+    list(evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2)))
     assert len(calls) == 3
 
 
@@ -279,7 +281,7 @@ def test_driven_identifying_closure_checks_every_midpoint():
     system = System(Grid(0.0, math.pi, N), CATALOG["periodic"].params, lopsided)
     st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.0)], kind="plus")
     with pytest.raises(SingularClosure):
-        evolve(st0, system, EvolutionConfig(dt=DT, steps=3), majorana="plus")
+        list(evolve(st0, system, EvolutionConfig(dt=DT, steps=3), majorana="plus"))
 
 
 @pytest.mark.parametrize("main, corner", [(-2.0, 0.0), (0.0, 2.0)],
@@ -335,19 +337,20 @@ def test_advance_on_a_wave_vector_matches_the_stack(tag, driven, n):
 def test_evolve_matches_single_vector_steps(tag, driven, n, majorana):
     system = make_system(tag, driven, n, UNITS)
     st0 = wave_to_state(packet_wave(system), system, 0.1)
-    traj = evolve(st0, system, EvolutionConfig(dt=DT, steps=40, record_every=7),
-                  majorana=majorana)
+    records = list(evolve(st0, system, EvolutionConfig(dt=DT, steps=40, record_every=7),
+                          majorana=majorana))
     waves = single_vector_steps(system, state_to_wave(st0, system), st0.t, 40)
     expect = [waves[k] for k in (0, 7, 14, 21, 28, 35, 40)]
-    assert len(traj.records) == len(expect)
-    for rec, z in zip(traj.records, expect):
+    assert len(records) == len(expect)
+    for rec, z in zip(records, expect):
         state = wave_to_state(z, system, rec.t)
         if majorana is not None:
             assert rec.majorana_deviation == pairing_deviation(z, majorana, system.units)
             state = majorana_project(state, majorana)
         assert np.array_equal(rec.state.psi, state.psi)
         assert np.array_equal(rec.state.psi_t, state.psi_t)
-        assert rec.summary.as_row() == global_summary(state, system).as_row()
+        assert (global_summary(rec.state, system).as_row()
+                == global_summary(state, system).as_row())
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus"])

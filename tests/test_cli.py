@@ -155,6 +155,36 @@ class TestBadNumbers:
         assert len(data) == 3
 
 
+class TestStrictSections:
+    """A key the units, grid, potential or evolution section does not know is
+    a misspelt option: the run fails with exit code 2 instead of ignoring it."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("potential", "profile", {"kind": "quadratic", "x0": 1.5, "coeficient": 0.3}),
+        ("potential", "time_factor", {"kind": "linear", "rat": 0.2}),
+        ("potential", "nonnegative", True),
+        ("evolution", "record_evry", 5),
+        ("evolution", "scheme", "leapfrog"),
+        ("grid", "size", 64),
+        ("units", "m", 1.0),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "c.json"
+        TestBadNumbers.write_with(cfg, section, key, value)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_the_cayley_scheme_and_top_level_keys_are_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, evolution={"dt": 0.002, "steps": 10, "scheme": "cayley"},
+                     note="top-level keys stay free")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            assert "# scheme=cayley\n" in fh.read()
+
+
 class TestSpectrum:
     def test_schema_and_diagnostics(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -73,11 +73,12 @@ def test_conservation_and_sector_preservation():
     stc = system.synthesize(
         [(0, 1.0, 0.2), (1, 0.6, 0.9), (2, 0.4, 1.6)], t=0.1, kind="none"
     )
-    traj = evolve(stc, system, EvolutionConfig(dt=1e-3, steps=2000, record_every=500))
-    n0 = traj.records[0].summary.norm
-    e0 = traj.records[0].summary.energy_mean.real
-    assert max(abs(r.summary.norm - n0) for r in traj.records) <= 1e-11 * abs(n0)
-    assert max(abs(r.summary.energy_mean.real - e0) for r in traj.records) <= 1e-11 * abs(e0)
+    summaries = [global_summary(r.state, system) for r in
+                 evolve(stc, system, EvolutionConfig(dt=1e-3, steps=2000, record_every=500))]
+    n0 = summaries[0].norm
+    e0 = summaries[0].energy_mean.real
+    assert max(abs(s.norm - n0) for s in summaries) <= 1e-11 * abs(n0)
+    assert max(abs(s.energy_mean.real - e0) for s in summaries) <= 1e-11 * abs(e0)
     stm = system.synthesize([(0, 1.0, 0.2), (1, 0.6, 0.9)], t=0.1, kind="plus")
     assert check_majorana_preservation(stm, system, 1e-3, 500) <= 1e-13
 
@@ -89,10 +90,9 @@ def test_continuity_laws_second_order():
         system = System(grid, params_from_tag("dirichlet", lam=UNITS.bc_length),
                         BUMP, UNITS)
         st = system.synthesize([(0, 1.0, 0.4), (1, 0.7, 1.3)], t=0.0, kind="none")
-        traj = evolve(st, system,
-                      EvolutionConfig(dt=grid.dx / (4 * UNITS.c), steps=4, record_every=1),
-                      with_summaries=False)
-        res[n] = continuity_residuals(traj.states, system)
+        records = evolve(st, system,
+                         EvolutionConfig(dt=grid.dx / (4 * UNITS.c), steps=4, record_every=1))
+        res[n] = continuity_residuals([r.state for r in records], system)
     for law in ("charge", "energy", "emt_time", "emt_space"):
         ratio = getattr(res[96], law) / getattr(res[191], law)
         assert 3.6 < ratio < 4.4, law

@@ -1,5 +1,6 @@
 """Cayley stepping: conservation, sector preservation, accuracy."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from kfglab.core import (
     TimeFactor,
     kfg_to_fv,
     fv_to_kfg,
+    majorana_project,
 )
 from kfglab.bc import CATALOG, params_from_tag
 from kfglab.operators import (
@@ -23,12 +25,12 @@ from kfglab.operators import (
 from kfglab.evolution import (
     CayleyPropagator,
     EvolutionConfig,
-    Trajectory,
     check_majorana_preservation,
     evolve,
     state_to_wave,
     wave_to_state,
 )
+from kfglab.observables import global_summary
 from kfglab.verify import two_mode_neutral
 from oracles import propagator_matrix, step_cayley
 
@@ -49,20 +51,67 @@ class TestConfig:
             EvolutionConfig(dt=0.1, steps=0)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, steps=5, record_every=0)
-        with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.1, steps=5, scheme="leapfrog")
 
     def test_trajectory_lengths(self):
         system = System(GRID, CATALOG["dirichlet"].params)
         st0 = system.synthesize([(0, 1.0, 0.0)], t=0.0, kind="plus")
-        traj = evolve(st0, system, EvolutionConfig(dt=1e-3, steps=1, record_every=1),
-                      with_summaries=False)
-        assert len(traj.records) == 2
-        traj = evolve(st0, system, EvolutionConfig(dt=1e-3, steps=10, record_every=4),
-                      with_summaries=False)
-        assert len(traj.records) == math.ceil(10 / 4) + 1
-        dts = np.diff(traj.times)
+        records = list(evolve(st0, system, EvolutionConfig(dt=1e-3, steps=1, record_every=1)))
+        assert len(records) == 2
+        records = list(evolve(st0, system, EvolutionConfig(dt=1e-3, steps=10, record_every=4)))
+        assert len(records) == math.ceil(10 / 4) + 1
+        dts = np.diff([r.t for r in records])
         assert np.all(dts > 0)
+
+
+class TestSnapshotGenerator:
+    def test_records_are_taken_lazily(self, monkeypatch):
+        # a record costs only the steps up to it: the first none, the k-th
+        # (k - 1) * record_every
+        calls = []
+        advance = CayleyPropagator.advance
+
+        def counted(self, z, t):
+            calls.append(t)
+            return advance(self, z, t)
+
+        monkeypatch.setattr(CayleyPropagator, "advance", counted)
+        system = System(GRID, CATALOG["dirichlet"].params)
+        st0 = system.synthesize([(0, 1.0, 0.0)], t=0.0, kind="plus")
+        config = EvolutionConfig(dt=1e-3, steps=20, record_every=3)
+        for k in range(1, 6):
+            calls.clear()
+            records = list(itertools.islice(evolve(st0, system, config), k))
+            assert len(records) == k
+            assert len(calls) == (k - 1) * config.record_every
+
+    @pytest.mark.parametrize("tag, driven, n", [
+        *[(tag, False, n) for tag in ("dirichlet", "periodic", "rotation:0.0") for n in (64, 256)],
+        ("robin_mit_plus", True, 64),
+    ])
+    def test_sector_sum_carries_both_sector_runs(self, tag, driven, n):
+        # a real closure's step acts on the real and imaginary parts apart, so
+        # one run of plus + minus projects onto each sector's own run to the
+        # bit (n = 64 takes the dense step, n = 256 and the driven run the
+        # banded one); np.array_equal leaves only the sign of a zero free
+        pot = ScalarPotential(
+            profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
+            time_factor=(TimeFactor(kind="sinusoidal", amplitude=0.5, omega=2.0, offset=1.0)
+                         if driven else TimeFactor()),
+        )
+        system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot)
+        synth = system.frozen(0.0)
+        plus = synth.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.0, kind="plus")
+        minus = synth.synthesize([(0, 0.7, 1.4), (2, 0.8, 0.2)], t=0.0, kind="minus")
+        both = KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.0)
+        config = EvolutionConfig(dt=2e-3, steps=40, record_every=7)
+        runs = (evolve(both, system, config), evolve(plus, system, config, majorana="plus"),
+                evolve(minus, system, config, majorana="minus"))
+        for rec, rec_plus, rec_minus in zip(*runs, strict=True):
+            for kind, own in (("plus", rec_plus), ("minus", rec_minus)):
+                part = majorana_project(rec.state, kind)
+                assert part.t == own.t
+                assert np.array_equal(part.psi, own.state.psi), (kind, rec.t)
+                assert np.array_equal(part.psi_t, own.state.psi_t), (kind, rec.t)
 
 
 class TestStepExamples:
@@ -92,12 +141,11 @@ class TestStepExamples:
         e0 = system.modes().energies[0]
         period = 2 * math.pi / e0
         st0 = system.synthesize([(0, 1.0, 0.0)], t=0.0, kind="plus")
-        traj = evolve(
+        records = list(evolve(
             st0, system,
             EvolutionConfig(dt=period / 1000, steps=1000, record_every=1000),
-            with_summaries=False,
-        )
-        end = traj.records[-1].state
+        ))
+        end = records[-1].state
         err = max(
             np.max(np.abs(end.psi - st0.psi)), np.max(np.abs(end.psi_t - st0.psi_t))
         ) / st0.scale()
@@ -112,12 +160,11 @@ class TestStepExamples:
         st0 = system.synthesize([(0, 1.0, 0.0)], t=0.0, kind="plus")
         errs = []
         for n_steps in (400, 800):
-            traj = evolve(
+            records = list(evolve(
                 st0, system,
                 EvolutionConfig(dt=period / n_steps, steps=n_steps, record_every=n_steps),
-                with_summaries=False,
-            )
-            end = traj.records[-1].state
+            ))
+            end = records[-1].state
             errs.append(np.max(np.abs(end.psi_t - st0.psi_t)))
         assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -139,9 +186,10 @@ class TestConservation:
         st0 = system.synthesize(
             [(0, 1.0, 0.1), (1, 0.7, 0.8), (2, 0.4, 1.7)], t=0.2, kind="none"
         )
-        traj = evolve(st0, system, EvolutionConfig(dt=2e-3, steps=10_000, record_every=2000))
-        n0 = traj.records[0].summary.norm
-        drift = max(abs(r.summary.norm - n0) for r in traj.records) / abs(n0)
+        summaries = [global_summary(r.state, system) for r in
+                     evolve(st0, system, EvolutionConfig(dt=2e-3, steps=10_000, record_every=2000))]
+        n0 = summaries[0].norm
+        drift = max(abs(s.norm - n0) for s in summaries) / abs(n0)
         assert drift <= 1e-12
 
     def test_energy_mean_constant_static(self):
@@ -151,10 +199,11 @@ class TestConservation:
         )
         system = System(GRID, CATALOG["mixed_a0"].params, pot)
         st0 = system.synthesize([(0, 1.0, 0.4), (1, 0.6, 1.2)], t=0.0, kind="plus")
-        traj = evolve(st0, system, EvolutionConfig(dt=2e-3, steps=2000, record_every=400),
-                      majorana="plus")
-        e0 = traj.records[0].summary.energy_mean.real
-        drift = max(abs(r.summary.energy_mean.real - e0) for r in traj.records) / abs(e0)
+        summaries = [global_summary(r.state, system) for r in
+                     evolve(st0, system, EvolutionConfig(dt=2e-3, steps=2000, record_every=400),
+                            majorana="plus")]
+        e0 = summaries[0].energy_mean.real
+        drift = max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0)
         assert drift <= 1e-12
 
     def test_bilinear_bracket_constant(self):
@@ -185,10 +234,10 @@ class TestConservation:
             system = System(grid, CATALOG["dirichlet"].params, pot)
             frozen = System(grid, CATALOG["dirichlet"].params, ScalarPotential())
             st0 = frozen.synthesize([(0, 1.0, 0.2), (1, 0.6, 0.9)], t=0.0, kind="plus")
-            traj = evolve(st0, system, EvolutionConfig(dt=dt, steps=2, record_every=1),
-                          majorana="plus")
-            e = [r.summary.energy_mean.real for r in traj.records]
-            mid = traj.records[1]
+            records = list(evolve(st0, system, EvolutionConfig(dt=dt, steps=2, record_every=1),
+                                  majorana="plus"))
+            e = [global_summary(r.state, system).energy_mean.real for r in records]
+            mid = records[1]
             rate = (e[2] - e[0]) / (2 * dt)
             abs2 = (np.conj(mid.state.psi) * mid.state.psi).real
             source = grid.integrate(
@@ -253,13 +302,13 @@ class TestMajoranaPreservation:
     def test_recorded_snapshots_projected_and_deviation_logged(self):
         system = System(GRID, CATALOG["neumann"].params)
         st0 = system.synthesize([(0, 1.0, 0.3)], t=0.0, kind="plus")
-        traj = evolve(st0, system, EvolutionConfig(dt=1e-3, steps=50, record_every=10),
-                      majorana="plus", with_summaries=False)
-        for rec in traj.records:
+        records = list(evolve(st0, system, EvolutionConfig(dt=1e-3, steps=50, record_every=10),
+                              majorana="plus"))
+        for rec in records:
             assert rec.majorana_deviation is not None
             assert rec.majorana_deviation <= 1e-14
             assert rec.state.majorana_deviation("plus") == 0.0
-        assert traj.metadata["worst_majorana_deviation"] <= 1e-14
+        assert max(r.majorana_deviation for r in records) <= 1e-14
 
 
 class TestComplexClosureConservation:
@@ -267,11 +316,12 @@ class TestComplexClosureConservation:
         # the complex (non-neutral) catalog closures conserve the brackets too
         system = System(GRID, CATALOG["quasiperiodic+"].params)
         st0 = system.synthesize([(0, 1.0, 0.2), (1, 0.6, 1.0)], t=0.0, kind="none")
-        traj = evolve(st0, system, EvolutionConfig(dt=2e-3, steps=2000, record_every=500))
-        n0 = traj.records[0].summary.norm
-        e0 = traj.records[0].summary.energy_mean.real
-        assert max(abs(r.summary.norm - n0) for r in traj.records) <= 1e-11 * abs(n0)
-        assert max(abs(r.summary.energy_mean.real - e0) for r in traj.records) <= 1e-11 * abs(e0)
+        summaries = [global_summary(r.state, system) for r in
+                     evolve(st0, system, EvolutionConfig(dt=2e-3, steps=2000, record_every=500))]
+        n0 = summaries[0].norm
+        e0 = summaries[0].energy_mean.real
+        assert max(abs(s.norm - n0) for s in summaries) <= 1e-11 * abs(n0)
+        assert max(abs(s.energy_mean.real - e0) for s in summaries) <= 1e-11 * abs(e0)
 
 
 class TestTimeDependentDriver:
@@ -284,9 +334,9 @@ class TestTimeDependentDriver:
         frozen = System(GRID, CATALOG["robin_mit_plus"].params,
                         ScalarPotential(profile=pot.profile))
         st0 = frozen.synthesize([(0, 1.0, 0.0)], t=0.0, kind="plus")
-        traj = evolve(st0, system, EvolutionConfig(dt=1e-3, steps=20, record_every=5),
-                      majorana="plus")
-        assert len(traj.records) == 5
+        records = list(evolve(st0, system, EvolutionConfig(dt=1e-3, steps=20, record_every=5),
+                              majorana="plus"))
+        assert len(records) == 5
         # the energy bracket must move (the drive pumps energy)
-        e = [r.summary.energy_mean.real for r in traj.records]
+        e = [global_summary(r.state, system).energy_mean.real for r in records]
         assert abs(e[-1] - e[0]) > 1e-6

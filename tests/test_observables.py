@@ -14,7 +14,7 @@ from kfglab.core import (
     kfg_to_fv,
 )
 from kfglab.bc import CATALOG, params_from_tag
-from kfglab.operators import DiscreteClosure, System
+from kfglab.operators import DiscreteClosure, NumericalFailure, System
 from kfglab.observables import (
     boundary_Ej,
     boundary_j,
@@ -289,6 +289,14 @@ class TestGlobalSummary:
         global_summary(st0, system)
         assert counts == {"dx1": 2, "sample": 2}
 
+    def test_overflowing_summary_raises(self):
+        # a finite state whose bilinears overflow must not give an inf row
+        system = System(GRID, CATALOG["dirichlet"].params)
+        st0 = charged(system, seed=18)
+        huge = KfgState(1e200 * st0.psi, 1e200 * st0.psi_t, st0.t)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="not finite"):
+            global_summary(huge, system)
+
     def test_norms(self):
         system = System(GRID, CATALOG["dirichlet"].params)
         stn = neutral_state(system)
@@ -311,9 +319,9 @@ class TestContinuityAndDecompositions:
     def test_static_neutral_energy_law(self):
         system = System(GRID, CATALOG["dirichlet"].params, BUMP)
         st0 = neutral_state(system, seed=15, t=0.0)
-        traj = evolve(st0, system, EvolutionConfig(dt=GRID.dx / 4, steps=4, record_every=1),
-                      majorana="plus", with_summaries=False)
-        res = continuity_residuals(traj.states, system)
+        records = evolve(st0, system, EvolutionConfig(dt=GRID.dx / 4, steps=4, record_every=1),
+                         majorana="plus")
+        res = continuity_residuals([r.state for r in records], system)
         assert res.charge <= 1e-14          # trivially zero densities
         assert res.energy < 5e-3            # second-order small
         assert res.emt_time < 5e-3
@@ -331,11 +339,11 @@ class TestContinuityAndDecompositions:
                                         time_factor=TimeFactor(kind="constant",
                                                                scale=pot.time_factor.value(0.0))))
         st0 = frozen.synthesize([(0, 1.0, 0.4), (1, 0.7, 1.3)], t=0.0, kind="plus")
-        traj = evolve(st0, system, EvolutionConfig(dt=GRID.dx / 4, steps=4, record_every=1),
-                      majorana="plus", with_summaries=False)
-        res = continuity_residuals(traj.states, system)
+        records = evolve(st0, system, EvolutionConfig(dt=GRID.dx / 4, steps=4, record_every=1),
+                         majorana="plus")
+        states = [r.state for r in records]
+        res = continuity_residuals(states, system)
         # recompute the energy law without its source term: O(1) violation
-        states = traj.states
         dt = states[1].t - states[0].t
         f = [local_fields(s, system) for s in states]
         k = 2
