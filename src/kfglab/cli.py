@@ -9,6 +9,7 @@ numerical errors, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,15 +34,24 @@ from .evolution import evolve
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 
+# Rows formatted per string operation: bounds the text held in memory.
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, columns: list[str], table, comments: list[str]):
     """Write a float table; %.17g prints integers and 0/1 flags without a
-    decimal point."""
+    decimal point.  The bytes are those of np.savetxt(fmt="%.17g",
+    delimiter=","), formatted with one % per block of rows."""
+    data = np.asarray(table, dtype=float)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, np.asarray(table, dtype=float), fmt="%.17g", delimiter=",")
+        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict):
@@ -163,7 +173,21 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+# Handler of each subcommand, looked up by name when it runs, so that a
+# handler rebound on the module (wrapped by a tracer, say) is the one called
+# even though the parser is built once.
+HANDLERS = {
+    "classify": "cmd_classify",
+    "spectrum": "cmd_spectrum",
+    "evolve": "cmd_evolve",
+    "enumerate-confining": "cmd_enumerate",
+    "verify": "cmd_verify",
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kfglab",
         description="Numerical laboratory for charged and strictly neutral "
@@ -174,17 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a boundary condition")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("spectrum", help="stationary spectrum to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="propagate a state and export CSVs")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("enumerate-confining",
                        help="search the confining slice for balanced closures")
@@ -192,21 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run machine-verification suites")
     p.add_argument("--suite", choices=SUITE_NAMES, default=None,
                    help="run one suite (default: all)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[HANDLERS[args.command]](args)
     except (ConfigError, InvalidParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,7 @@ def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
     try:
         if isinstance(d, str):
             return params_from_tag(d, lam=units.bc_length)
+        _known_keys(d, "bc", "m0 m1 m2 m3 mu lambda")
         return BcParams(
             m0=float(d["m0"]),
             m1=float(d["m1"]),
@@ -164,6 +165,8 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
     t0 = float(cfg.get("t0", 0.0))
     if "modes" in d:
         try:
+            for m in d["modes"]:
+                _known_keys(m, "initial_state mode", "index amplitude phase")
             coeffs = [
                 (
                     _count(m["index"], "mode index"),
@@ -177,6 +180,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
         return system.frozen(t0).synthesize(coeffs, t=t0, kind=kind)
     if "tabulated" in d:
         td = d["tabulated"]
+        _known_keys(td, "initial_state tabulated", "psi_re psi_im psi_t_re psi_t_im")
         try:
             n = system.grid.n
             psi = np.asarray(td["psi_re"], dtype=float) + 1j * np.asarray(

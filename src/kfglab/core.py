@@ -93,23 +93,19 @@ class Grid:
         x.flags.writeable = False
         return x
 
-    @property
+    @functools.cached_property
     def trapezoid_weights(self) -> np.ndarray:
-        """Quadrature weights under which the discrete operators are self-adjoint."""
+        """Quadrature weights under which the discrete operators are
+        self-adjoint, built once and read-only."""
         w = np.full(self.n, self.dx)
         w[0] *= 0.5
         w[-1] *= 0.5
+        w.flags.writeable = False
         return w
 
     def integrate(self, f: np.ndarray) -> complex:
         """Trapezoid-rule integral of a grid field."""
         return complex(np.sum(self.trapezoid_weights * np.asarray(f)))
-
-    def integrate_staggered(self, f_mid: np.ndarray) -> complex:
-        """Midpoint-rule integral of a field sampled on the n-1 cell midpoints."""
-        if len(f_mid) != self.n - 1:
-            raise ValueError("staggered field must have n-1 entries")
-        return complex(self.dx * np.sum(np.asarray(f_mid)))
 
 
 @dataclass(frozen=True)

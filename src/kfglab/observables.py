@@ -19,13 +19,14 @@ no boundary condition, use plain centered differences with one-sided ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import KfgLabError, KfgState, FvState, kfg_to_fv
-from .operators import NumericalFailure, System
+from .operators import NumericalFailure, System, e2_field, sampled_diag
 
 
 class InsufficientData(KfgLabError):
@@ -68,8 +69,9 @@ def _currents(u, psi, d_psi, e_psi, e_psi_star, d_e_psi):
 
 class Snapshot:
     """One derivation per snapshot: psi, E psi, E psi* = -(E psi)* (applied to
-    the conjugate), c p psi and the ghost-consistent x-derivatives of psi and
-    E psi; E^2 psi, S, the local fields and the end currents when first read."""
+    the conjugate) and the ghost-consistent x-derivatives of psi and E psi;
+    c p psi, E^2 psi, S, rho, rho_E, the local fields, the global summary and
+    the end currents when first read."""
 
     def __init__(self, state: KfgState, system: System):
         u = system.units
@@ -79,11 +81,30 @@ class Snapshot:
         self.e_psi_star = 1j * u.hbar * np.conj(state.psi_t)
         self.d_psi = system.dx1(self.psi)
         self.d_e_psi = system.dx1(self.e_psi)
-        self.cp_psi = -1j * u.hbar * u.c * self.d_psi
+
+    @cached_property
+    def cp_psi(self) -> np.ndarray:
+        u = self.system.units
+        return -1j * u.hbar * u.c * self.d_psi
 
     @cached_property
     def e2_psi(self) -> np.ndarray:
-        return self.system.e2_apply(self.psi, self.state.t)
+        """E^2 psi on the snapshot's own samples of S (`System.e2_apply`'s bits)."""
+        system = self.system
+        diag = sampled_diag(system.closure, system.units, self.s)
+        return e2_field(system.closure, system.units, diag, self.psi)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Charge density; the field and the summary's norm read these bits."""
+        mc2 = self.system.units.mc2
+        return (np.conj(self.psi) * self.e_psi - self.e_psi_star * self.psi) / (2.0 * mc2)
+
+    @cached_property
+    def rho_E(self) -> np.ndarray:
+        """Proper energy density; the field and the summary's bracket read these bits."""
+        mc2 = self.system.units.mc2
+        return (np.conj(self.psi) * self.e2_psi - self.e_psi_star * self.e_psi) / (2.0 * mc2)
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -119,6 +140,11 @@ class Snapshot:
         return j_a, j_b.real, je_a, complex(je_b), jt_a.real, jt_b.real
 
     @cached_property
+    def summary(self) -> "GlobalSummary":
+        """The global integrals and endpoint values; see `global_summary`."""
+        return _summarize(self)
+
+    @cached_property
     def fields(self) -> ObservableFields:
         """Every local density and current."""
         state, u = self.state, self.system.units
@@ -128,8 +154,6 @@ class Snapshot:
         j, j_e, ct10 = _currents(u, psi, d_psi, e_psi, e_psi_star, self.d_e_psi)
         cp_psi_star = -1j * u.hbar * u.c * np.conj(d_psi)
         abs2 = np.conj(psi) * psi
-        rho = (np.conj(psi) * e_psi - e_psi_star * psi) / (2.0 * mc2)
-        rho_e = (np.conj(psi) * e2_psi - e_psi_star * e_psi) / (2.0 * mc2)
         rho_tilde = (np.conj(psi) * e2_psi + np.conj(e2_psi) * psi) / (2.0 * mc2)
         mass_pot = (mc2**2 + 2.0 * mc2 * self.s) * abs2
         t00 = (-e_psi_star * e_psi - cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
@@ -139,7 +163,7 @@ class Snapshot:
             * (state.psi_t * np.conj(d_psi) + np.conj(state.psi_t) * d_psi)
         )
         return ObservableFields(
-            t=state.t, rho=rho, j=j, rho_E=rho_e, j_E=j_e, rho_tilde_E=rho_tilde,
+            t=state.t, rho=self.rho, j=j, rho_E=self.rho_E, j_E=j_e, rho_tilde_E=rho_tilde,
             T00=t00, cT10=ct10, T11=t11, T01_check=t01,
         )
 
@@ -305,59 +329,56 @@ class GlobalSummary:
         }
 
 
-def _staggered(f: np.ndarray):
-    mid = 0.5 * (f[:-1] + f[1:])
-    return mid
+def _trapezoid_vdot(a: np.ndarray, b: np.ndarray, dx: float) -> complex:
+    """Trapezoid integral of conj(a) b: one dot product and the two end halves."""
+    ends = np.conj(a[0]) * b[0] + np.conj(a[-1]) * b[-1]
+    return complex(dx * (np.vdot(a, b) - 0.5 * ends))
 
 
-def global_summary(state: KfgState, system: System) -> GlobalSummary:
-    """Assemble every global quantity for one snapshot; a summary that is not
-    finite (a state grown past the float range, say) raises NumericalFailure."""
-    u = system.units
-    grid = system.grid
-    mc2 = u.mc2
-    dx = grid.dx
-    snap = Snapshot(state, system)
-    fields, psi, e_psi, e_psi_star = snap.fields, snap.psi, snap.e_psi, snap.e_psi_star
+def _summarize(snap: Snapshot) -> GlobalSummary:
+    """The global integrals of one snapshot as quadratic forms in psi, E psi
+    and their differences; the local fields are never built.
 
-    norm = grid.integrate(fields.rho).real
-    energy_mean = grid.integrate(fields.rho_E)
-    cp_e_psi = -1j * u.hbar * u.c * snap.d_e_psi
-    momentum_mean = grid.integrate(
-        (np.conj(psi) * cp_e_psi - e_psi_star * snap.cp_psi) / (2.0 * mc2)
+    norm and energy_mean integrate the snapshot's own rho and rho_E, the
+    bits of the local fields.  The staggered currents share the cell
+    differences dif f = (f[i+1] - f[i]) / dx and midpoints mid f of psi and
+    E psi: with mid(E psi*) = -conj(mid(E psi)) exactly,
+        J_E  = -(i hbar dx / 2m) (<mid psi, dif E psi> - <dif psi, mid E psi>),
+        J~_E = -(hbar dx / m) Im <dif psi, mid E psi>,
+    and the momentum and the mean-energy pieces are weighted dot products."""
+    state, system = snap.state, snap.system
+    u, grid = system.units, system.grid
+    mc2, dx = u.mc2, grid.dx
+    psi, e_psi, d_psi = snap.psi, snap.e_psi, snap.d_psi
+
+    norm = grid.integrate(snap.rho).real
+    energy_mean = grid.integrate(snap.rho_E)
+    # E psi* c p psi = conj(E psi) c p psi, with c p = -i hbar c d/dx
+    momentum_mean = (-1j * u.hbar * u.c / (2.0 * mc2)) * (
+        _trapezoid_vdot(psi, snap.d_e_psi, dx) + _trapezoid_vdot(e_psi, d_psi, dx)
     )
 
-    # staggered energy currents: midpoint products telescope exactly
-    dif_psi = (psi[1:] - psi[:-1]) / dx
-    dif_e = (e_psi[1:] - e_psi[:-1]) / dx
-    mid_psi = _staggered(psi)
-    mid_e = _staggered(e_psi)
-    mid_e_star = _staggered(e_psi_star)
-    cp_dif = -1j * u.hbar * u.c * dif_psi
-    cp_dif_star = -1j * u.hbar * u.c * np.conj(dif_psi)
-    je_mid = (
-        np.conj(mid_psi) * (-1j * u.hbar * u.c * dif_e) - cp_dif_star * mid_e
-    ) / (2.0 * u.mass * u.c)
-    jt_mid = -(mid_e_star * cp_dif + cp_dif_star * mid_e) / (2.0 * u.mass * u.c)
-    j_e_total = grid.integrate_staggered(je_mid)
-    jt_total = grid.integrate_staggered(jt_mid).real
+    # staggered energy currents: midpoint products telescope exactly.  The
+    # cell sums and differences below are dx dif and 2 mid of each field.
+    d_cell, s_cell = psi[1:] - psi[:-1], psi[:-1] + psi[1:]
+    d_cell_e, s_cell_e = e_psi[1:] - e_psi[:-1], e_psi[:-1] + e_psi[1:]
+    cross = np.vdot(d_cell, s_cell_e)  # 2 dx <dif psi, mid E psi>
+    j_e_total = complex((-0.25j * u.hbar / u.mass) * (np.vdot(s_cell, d_cell_e) - cross))
+    jt_total = float(-(0.5 * u.hbar / u.mass) * cross.imag)
 
-    im_psi_epsi = np.imag(psi * e_psi)  # unconjugated product
-    current_boundary = (u.hbar / (2.0 * u.mass)) * (im_psi_epsi[-1] - im_psi_epsi[0])
+    im_psi_epsi = np.imag(psi[[0, -1]] * e_psi[[0, -1]])  # unconjugated product
+    current_boundary = (u.hbar / (2.0 * u.mass)) * (im_psi_epsi[1] - im_psi_epsi[0])
     current_split = abs(j_e_total - current_boundary - jt_total)
 
     # mean-energy decomposition; the gradient piece is the staggered sum
     surf = (u.hbar / (2.0 * u.mass * u.c)) * (
-        np.imag(np.conj(psi[-1]) * (-1j * u.hbar * u.c * snap.d_psi[-1]))
-        - np.imag(np.conj(psi[0]) * (-1j * u.hbar * u.c * snap.d_psi[0]))
+        np.imag(np.conj(psi[-1]) * (-1j * u.hbar * u.c * d_psi[-1]))
+        - np.imag(np.conj(psi[0]) * (-1j * u.hbar * u.c * d_psi[0]))
     )
-    abs2 = (np.conj(psi) * psi).real
-    kinetic = (u.hbar * u.c) ** 2 / (2.0 * mc2) * dx * float(
-        np.sum(np.abs(dif_psi) ** 2)
-    )
-    mass_term = 0.5 * mc2 * grid.integrate(abs2).real
-    tderiv = u.hbar**2 / (2.0 * mc2) * grid.integrate(np.abs(state.psi_t) ** 2).real
-    pot_term = grid.integrate(snap.s * abs2).real
+    kinetic = (u.hbar * u.c) ** 2 / (2.0 * mc2 * dx) * float(np.vdot(d_cell, d_cell).real)
+    mass_term = 0.5 * mc2 * _trapezoid_vdot(psi, psi, dx).real
+    tderiv = u.hbar**2 / (2.0 * mc2) * _trapezoid_vdot(state.psi_t, state.psi_t, dx).real
+    pot_term = _trapezoid_vdot(psi, snap.s * psi, dx).real
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
     j_a, j_b, je_a, je_b, jt_a, jt_b = snap.ends
@@ -380,21 +401,26 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
         current_split_residual=float(current_split),
         positivity=(float(surf), kinetic, mass_term, tderiv, pot_term),
     )
-    if not np.all(np.isfinite(list(summary.as_row().values()))):
+    if not all(map(math.isfinite, summary.as_row().values())):
         raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
     return summary
 
 
+def global_summary(state: KfgState, system: System) -> GlobalSummary:
+    """Every global quantity for one snapshot (`Snapshot.summary`); a summary
+    that is not finite (a state grown past the float range, say) raises
+    NumericalFailure."""
+    return Snapshot(state, system).summary
+
+
 def indefinite_norm(state: KfgState, system: System) -> float:
     """<<Psi, Psi>>: trapezoid integral of the charge density."""
-    fields = local_fields(state, system)
-    return system.grid.integrate(fields.rho).real
+    return system.grid.integrate(Snapshot(state, system).rho).real
 
 
 def energy_bracket(state: KfgState, system: System) -> complex:
     """<<Psi, E Psi>>: trapezoid integral of the proper energy density."""
-    fields = local_fields(state, system)
-    return system.grid.integrate(fields.rho_E)
+    return system.grid.integrate(Snapshot(state, system).rho_E)
 
 
 def dirac_norm(state: KfgState, system: System) -> float:

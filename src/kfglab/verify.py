@@ -553,9 +553,8 @@ def check_positivity(n: int = 128):
     system = System(grid, CATALOG["robin_mit_plus"].params, pot)
     gap = 0.0
     for t_probe in (0.4, 0.9, 1.5):
-        state = two_mode_neutral(system, seed=21, t=t_probe)
-        summ = global_summary(state, system)
-        fl = local_fields(state, system)
+        snap = Snapshot(two_mode_neutral(system, seed=21, t=t_probe), system)
+        summ, fl = snap.summary, snap.fields
         scale = max(grid.length * float(np.max(np.abs(fl.cT10))), 1e-300)
         gap = max(gap, abs(summ.J_E.real - summ.J_tilde_E) / scale)
     checks.append(

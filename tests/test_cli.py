@@ -1,11 +1,16 @@
 """Command-line harness: configs, outputs, determinism, exit codes."""
 
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import kfglab.cli
 from kfglab.cli import _write_csv, main
 from kfglab.config import ConfigError, initial_state_from_config, system_from_config
 from kfglab.operators import System
@@ -167,6 +172,8 @@ class TestStrictSections:
         ("evolution", "scheme", "leapfrog"),
         ("grid", "size", 64),
         ("units", "m", 1.0),
+        ("initial_state", "amplitdue", 0.2),
+        ("initial_state", "phse", 1.0),
     ])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "c.json"
@@ -174,6 +181,23 @@ class TestStrictSections:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_unknown_raw_bc_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, bc={"m0": 0.0, "m1": 1.0, "m2": 0.0, "m3": 0.0,
+                              "mu": math.pi / 2, "lamda": 3.0})
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "lamda" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_unknown_tabulated_key_is_config_error(self, tmp_path, capsys):
+        psi = np.sin(np.linspace(0.0, math.pi, 64))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, initial_state={"tabulated": {
+            "psi_re": psi.tolist(), "psi_t_img": (-psi).tolist()}})
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "psi_t_img" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_the_cayley_scheme_and_top_level_keys_are_accepted(self, tmp_path):
@@ -288,6 +312,80 @@ class TestEvolve:
         state = initial_state_from_config(data, system)
         assert np.array_equal(state.psi, expect.psi)
         assert np.array_equal(state.psi_t, expect.psi_t)
+
+
+CSV_VALUES = st.one_of(
+    st.floats(),  # with nan, +-inf and -0.0
+    st.sampled_from([5e-324, -5e-324, 1e-300, 1.0, 0.0, 2.0**53, 0.1]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+def savetxt_bytes(comments, columns, table) -> bytes:
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    buf.write(",".join(columns) + "\n")
+    np.savetxt(buf, np.asarray(table, dtype=float), fmt="%.17g", delimiter=",")
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), shape=st.sampled_from(["1x1", "1xk", "kx1", "kxk"]),
+       block=st.integers(1, 4))
+def test_csv_bytes_equal_savetxt(tmp_path, data, shape, block):
+    # small blocks make most tables span several of them
+    k = data.draw(st.integers(2, 9))
+    dims = {"1x1": (1, 1), "1xk": (1, k), "kx1": (k, 1), "kxk": (k, k)}[shape]
+    table = np.array(data.draw(st.lists(CSV_VALUES, min_size=math.prod(dims),
+                                        max_size=math.prod(dims)))).reshape(dims)
+    columns = [f"c{i}" for i in range(dims[1])]
+    path = tmp_path / "t.csv"
+    with mock.patch.object(kfglab.cli, "CSV_BLOCK_ROWS", block):
+        _write_csv(path, columns, table, ["config_hash=0"])
+    assert path.read_bytes() == savetxt_bytes(["config_hash=0"], columns, table)
+
+
+def test_csv_bytes_equal_savetxt_over_several_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = 2 * kfglab.cli.CSV_BLOCK_ROWS + 3
+    table = np.column_stack([np.arange(rows), rng.standard_normal(rows),
+                             rng.standard_normal(rows) * 1e-300, rows * [0.0]])
+    table[::7, 1] = np.nan
+    _write_csv(tmp_path / "t.csv", list("abcd"), table, [])
+    assert (tmp_path / "t.csv").read_bytes() == savetxt_bytes([], list("abcd"), table)
+
+
+def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
+    # the parser is built once per process; a later call with other
+    # arguments must behave as if it were the first
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    write_config(cfg_a, evolution={"dt": 0.002, "steps": 20, "record_every": 5})
+    write_config(cfg_b, bc="periodic", majorana="none",
+                 evolution={"dt": 0.001, "steps": 12, "record_every": 4})
+    calls = [
+        ["evolve", "--config", str(cfg_a), "--out", "{out}/evolve_a"],
+        ["classify", "--config", str(cfg_b), "--out", "{out}/classify_b"],
+        ["evolve", "--config", str(cfg_b), "--out", "{out}/evolve_b"],
+        ["classify", "--config", str(tmp_path / "missing.json")],
+    ]
+
+    def run(out, fresh):
+        codes = []
+        for argv in calls:
+            if fresh:
+                kfglab.cli.build_parser.cache_clear()
+            codes.append(main([a.format(out=out) for a in argv]))
+        capsys.readouterr()
+        return codes, {p.relative_to(out): p.read_bytes()
+                       for p in sorted(out.rglob("*")) if p.is_file()}
+
+    first = run(tmp_path / "first", fresh=True)
+    repeated = run(tmp_path / "repeated", fresh=False)
+    assert first == repeated
+    assert first[0] == [0, 0, 0, 2] and len(first[1]) == 5
+    assert kfglab.cli.build_parser() is kfglab.cli.build_parser()
 
 
 def test_csv_row_bytes(tmp_path):

@@ -16,6 +16,7 @@ from kfglab.core import (
 from kfglab.bc import CATALOG, params_from_tag
 from kfglab.operators import DiscreteClosure, NumericalFailure, System
 from kfglab.observables import (
+    Snapshot,
     boundary_Ej,
     boundary_j,
     boundary_j_E,
@@ -31,6 +32,7 @@ from kfglab.observables import (
     two_component_fields,
 )
 from kfglab.evolution import EvolutionConfig, evolve
+from oracles import field_integral_summary
 
 GRID = Grid(0.0, math.pi, 96)
 BUMP = ScalarPotential(
@@ -268,8 +270,8 @@ class TestGlobalSummary:
         assert [type(v) for v in got] == [type(v) for v in public]
 
     def test_one_derivation_per_snapshot(self, monkeypatch):
-        # psi and E psi are differentiated once each, S sampled once plus the
-        # one sample inside E^2 psi
+        # psi and E psi are differentiated once each, and S is sampled once
+        # for both the potential piece and E^2 psi
         counts = {"dx1": 0, "sample": 0}
 
         def counting(cls, name):
@@ -287,7 +289,42 @@ class TestGlobalSummary:
         st0 = charged(system, seed=18)
         counts.update(dx1=0, sample=0)
         global_summary(st0, system)
-        assert counts == {"dx1": 2, "sample": 2}
+        assert counts == {"dx1": 2, "sample": 1}
+
+    def test_summary_never_builds_the_fields(self, monkeypatch):
+        def no_fields(snap):
+            raise AssertionError("global_summary read Snapshot.fields")
+
+        monkeypatch.setattr(Snapshot, "fields", property(no_fields))
+        for tag in ("dirichlet", "robin_mit_plus", "periodic", "quasimixed+"):
+            system = System(GRID, CATALOG[tag].params, BUMP)
+            global_summary(charged(system, seed=19), system)
+
+    @pytest.mark.parametrize("tag,kind", [
+        (tag, kind) for tag, entry in CATALOG.items()
+        for kind in ("none", "plus", "minus")
+        if kind == "none" or entry.params.m2 == 0.0  # neutral needs a real closure
+    ])
+    def test_matches_the_field_integral_oracle(self, tag, kind):
+        # norm, energy_mean and the endpoint currents keep their bits; the
+        # quadratic forms differ from the summed fields by round-off only
+        system = System(GRID, CATALOG[tag].params, BUMP)
+        rng = np.random.default_rng(20)
+        state = system.synthesize(
+            [(k, float(rng.uniform(0.4, 1.0)), float(rng.uniform(0, 2 * math.pi)))
+             for k in range(3)], t=0.7, kind=kind)
+        got, want = global_summary(state, system), field_integral_summary(state, system)
+        for name in ("t", "norm", "energy_mean", "j_a", "j_b", "jE_a", "jE_b",
+                     "jtildeE_a", "jtildeE_b", "surface_term"):
+            assert getattr(got, name) == getattr(want, name), name
+        row, oracle = got.as_row(), want.as_row()
+        scale = max(abs(v) for v in oracle.values())
+        for name, value in oracle.items():
+            assert abs(row[name] - value) <= 1e-14 * scale, name
+        assert abs(got.momentum_mean - want.momentum_mean) <= 1e-14 * scale
+        assert abs(got.J_E - want.J_E) <= 1e-14 * scale
+        for a, b in zip(got.positivity, want.positivity):
+            assert abs(a - b) <= 1e-14 * scale
 
     def test_overflowing_summary_raises(self):
         # a finite state whose bilinears overflow must not give an inf row
