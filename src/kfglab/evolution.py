@@ -99,24 +99,37 @@ class _ShiftedBandsFactor:
         if info != 0:
             raise SingularPropagator(f"banded Cayley factor is singular (info {info})")
         self._lu = lu
-        self._corners = c * np.array([bands.top_right, bands.bottom_left])
         self._woodbury = None
-        if np.any(self._corners != 0.0):
+        if bands.corners is not None:
             m = len(bands.main)
+            corners = c * bands.corners
             unit = np.zeros((m, 2), dtype=lu[1].dtype, order="F")
             unit[0, 0] = unit[-1, 1] = 1.0
             z = self._gttrs(*lu, unit)[0]
-            capacitance = np.eye(2) + self._corners[:, None] * z[[-1, 0], :]
+            capacitance = np.eye(2) + corners[:, None] * z[[-1, 0], :]
             try:
-                self._woodbury = np.linalg.inv(capacitance).T @ z.T
+                inverse = np.linalg.inv(capacitance)
             except np.linalg.LinAlgError as exc:
                 raise SingularPropagator(str(exc)) from exc
+            # row i of the correction is y[i, -1] p + y[i, 0] q
+            self._woodbury = (corners[:, None] * inverse.T) @ z.T
+            # p and q decay away from the ends into subnormal numbers (4474 of
+            # 8191 entries on periodic at n = 8192), which make each step's
+            # correction ten times slower; their terms are below 2.2e-308 |y|
+            parts = self._woodbury.view(np.float64)
+            np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 applied along the last axis of an (r, m) array."""
-        y = self._gttrs(*self._lu, rhs.T)[0].T
+        """M^-1 applied along the last axis of a C-ordered (r, m) array, in
+        place where the dtypes allow.  Each row is solved apart, with the
+        same bits whatever r is: the correction is elementwise, not a matrix
+        product, whose BLAS kernel (and last bits) would depend on r."""
+        y = self._gttrs(*self._lu, rhs.T, overwrite_b=True)[0].T
         if self._woodbury is not None:
-            y = y - (y[:, [-1, 0]] * self._corners) @ self._woodbury
+            p, q = self._woodbury
+            correction = y[:, -1:] * p
+            correction += y[:, :1] * q
+            y -= correction
         return y
 
 
@@ -132,10 +145,14 @@ class CayleyPropagator:
     at most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix
     instead, whose row i is the banded step of unit vector i.
 
-    The step acts on a packed stack (`pack`): on a real closure the real
-    (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the bit, and
-    on a complex closure z as one (1, 2m) row.  A run packs once and steps
-    the stack; `unpack` gives z back.
+    The step acts on a packed stack (`pack`) row by row: on a real closure
+    the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
+    bit, and on a complex closure z as one (1, 2m) row.  A neutral z on the
+    banded step of a real closure packs as one real row, its nonzero part:
+    the banded step gives each row the same bits alone as in a stack.  The
+    dense step does not (BLAS picks its kernel by the row count), so there
+    a neutral z keeps both rows.  A run packs once and steps the stack;
+    `unpack` gives z back.
     """
 
     def __init__(self, system: System, dt: float):
@@ -160,16 +177,46 @@ class CayleyPropagator:
         """The step applied to each row of an (r, 2m) stack."""
         m = len(bands.main)
         v, w = x[:, :m], x[:, m:]
-        u = factor.solve(v + self._k * w)
-        return np.concatenate([2.0 * u - v, w - self._w_scale * bands.matvec(u)], axis=1)
+        rhs = self._k * w
+        rhs += v
+        u = factor.solve(rhs)
+        out = np.empty(x.shape, dtype=u.dtype)
+        v_new, w_new = out[:, :m], out[:, m:]
+        np.multiply(u, 2.0, out=v_new)
+        v_new -= v
+        bands.matvec(u, out=w_new)
+        w_new *= self._w_scale
+        np.subtract(w, w_new, out=w_new)
+        return out
 
-    def pack(self, z: np.ndarray) -> np.ndarray:
-        """The stack the step acts on, for a 1-D wave vector z."""
-        return np.array([z.real, z.imag]) if self._real else z[None, :]
+    def pack(self, z: np.ndarray, kind: str | None = None) -> np.ndarray:
+        """The stack the step acts on, for a 1-D wave vector z.
 
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        """The wave vector z held in a packed stack."""
-        return x[0] + 1j * x[1] if self._real else x[0]
+        With `kind` ("plus" or "minus") on the banded step of a real closure,
+        a z whose other part is exactly zero packs as the one real row Re z
+        (plus) or Im z (minus); otherwise a real closure gives [Re z, Im z].
+        """
+        if not self._real:
+            return z[None, :]
+        if kind is not None and self._dense is None:
+            own, other = (z.real, z.imag) if kind == "plus" else (z.imag, z.real)
+            if not np.any(other):
+                return np.array([own])
+        return np.array([z.real, z.imag])
+
+    def unpack(self, x: np.ndarray, kind: str | None = None) -> np.ndarray:
+        """The wave vector z held in a packed stack; a one-row real stack
+        holds the part of z that `pack` kept for `kind`."""
+        if not self._real:
+            return x[0]
+        if len(x) == 2:
+            return x[0] + 1j * x[1]
+        z = np.zeros(x.shape[1], dtype=np.complex128)
+        if kind == "plus":
+            z.real = x[0]
+        else:
+            z.imag = x[0]
+        return z
 
     def advance(self, z: np.ndarray, t: float) -> np.ndarray:
         """One step from time t of a packed stack, or of a 1-D wave vector
@@ -183,9 +230,10 @@ class CayleyPropagator:
 def _pairing_deviation(x: np.ndarray, kind: str, units: PhysicalUnits) -> float:
     """Max-norm violation of the neutral-sector condition in a packed stack,
     relative to its own scale.  The time-derivative half is weighted by
-    hbar/mc^2 so both halves carry the dimensions of psi."""
-    if len(x) == 2 and not np.any(x[1 if kind == "plus" else 0]):
-        return 0.0  # a real stack whose checked row is exactly zero
+    hbar/mc^2 so both halves carry the dimensions of psi.  A real stack of
+    one row holds only the part of z that `pack` kept for `kind`."""
+    if np.isrealobj(x) and (len(x) == 1 or not np.any(x[1 if kind == "plus" else 0])):
+        return 0.0  # a real stack with no row of the other sector, or a zero one
     weighted = np.empty(x.shape[-1], dtype=np.complex128)
     if len(x) == 2:
         weighted.real, weighted.imag = x
@@ -210,7 +258,15 @@ def evolve(
     yielded states are projected back onto the neutral sector and the raw
     sector deviation goes alongside; with a real closure the deviation is
     structurally zero.  Only the current packed stack is kept between
-    snapshots: each caller takes the observables it reads from the records.
+    snapshots, and z is rebuilt from it only at a snapshot: each caller takes
+    the observables it reads from the records.
+
+    A neutral run whose state starts exactly in its sector steps one real
+    row (see `CayleyPropagator.pack`) when the step is banded: a real
+    closure with more than DENSE_STEP_MAX_DOF unknowns, or any driven real
+    run.  Its deviation is 0.0, as the exactly zero row it drops gave.  Any
+    other run steps the full stack, so a start off its sector still reports
+    its deviation.
     """
     prop = CayleyPropagator(system, config.dt)
     z = state_to_wave(state0, system)
@@ -227,12 +283,12 @@ def evolve(
             state = majorana_project(state, majorana)
         return TrajectoryRecord(t=t, state=state, majorana_deviation=dev)
 
-    x = prop.pack(z)
+    x = prop.pack(z, majorana)
     yield snapshot(0, x, z)
     for k in range(1, config.steps + 1):
         x = prop.advance(x, t0 + (k - 1) * config.dt)
         if k % config.record_every == 0 or k == config.steps:
-            yield snapshot(k, x, prop.unpack(x))
+            yield snapshot(k, x, prop.unpack(x, majorana))
 
 
 def check_majorana_preservation(
@@ -240,6 +296,8 @@ def check_majorana_preservation(
 ) -> float:
     """Maximum raw neutral-sector deviation over an un-projected evolution.
 
+    It steps the full stack, the other sector's row included, whatever the
+    start: it is the check that a one-row neutral run in `evolve` relies on.
     Raises NumericalFailure when the final state is not finite (NaN and inf
     persist through the linear step, so one check at the end suffices).
     """

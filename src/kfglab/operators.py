@@ -73,7 +73,11 @@ PIN_CUTOFF = 1e-10
 # one BLAS thread, 2 shared vCPUs, quadratic potential): periodic 3.52/2.30,
 # 7.33/3.74, 9.62/2.44; rotation:0.0 2.19/2.83, 3.85/2.55, 5.80/2.83;
 # quasimixed+ 3.89/3.21, 6.02/3.54, 9.01/3.64.  On separated closures the
-# partial solve was the faster one at every n measured, from 96 up.
+# partial solve was the faster one at every n measured, from 96 up.  A
+# neutral run's one-row banded step (see `CayleyPropagator.pack`) meets the
+# dense two-row product sooner: at n = 128 on dirichlet (23-24 us each, the
+# dense matrix holding subnormal entries there) and between n = 192 and 256
+# on periodic (best of 7, same host); the eigensolve keeps the crossover at 160.
 DENSE_STEP_MAX_DOF = 160
 
 
@@ -311,7 +315,7 @@ class Bands:
     @property
     def tridiagonal(self) -> bool:
         """Real with no corner entries."""
-        return self.top_right == 0.0 and self.bottom_left == 0.0 and np.isrealobj(self.main)
+        return self.corners is None and np.isrealobj(self.main)
 
     def dense(self) -> np.ndarray:
         m = len(self.main)
@@ -324,13 +328,22 @@ class Bands:
         out[-1, 0] = self.bottom_left
         return out
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The matrix applied along the last axis of x."""
-        out = self.main * x
+    @cached_property
+    def corners(self) -> np.ndarray | None:
+        """[top_right, bottom_left], or None when both are zero."""
+        if self.top_right == 0.0 and self.bottom_left == 0.0:
+            return None
+        return np.array([self.top_right, self.bottom_left])
+
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix applied along the last axis of x, into `out` if given."""
+        out = np.multiply(self.main, x, out=out)
         out[..., :-1] += self.upper * x[..., 1:]
         out[..., 1:] += self.lower * x[..., :-1]
-        out[..., 0] += self.top_right * x[..., -1]
-        out[..., -1] += self.bottom_left * x[..., 0]
+        if self.corners is not None:
+            # (0, m-1) and (m-1, 0) in one product: ends [0, m-1] += corners * x[m-1, 0]
+            step = len(self.main) - 1
+            out[..., ::step] += self.corners * x[..., ::-step]
         return out
 
     def similarity(self, s: np.ndarray) -> "Bands":

@@ -266,9 +266,10 @@ class TestMajoranaPreservation:
         dev = check_majorana_preservation(st0, system, dt=2e-3, steps=5)
         assert dev > 0.1
 
-    def test_other_sector_reports_full_deviation(self):
+    @pytest.mark.parametrize("n", [64, 256], ids=["dense", "banded"])
+    def test_other_sector_reports_full_deviation(self, n):
         # the zero row of the other sector's stack must not read as preserved
-        system = System(GRID, CATALOG["dirichlet"].params)
+        system = System(Grid(0.0, math.pi, n), CATALOG["dirichlet"].params)
         for kind, other in (("plus", "minus"), ("minus", "plus")):
             st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.4, kind=other)
             dev = check_majorana_preservation(st0, system, dt=2e-3, steps=5, kind=kind)
