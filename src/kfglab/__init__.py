@@ -51,6 +51,7 @@ from .operators import (
     assemble_fv_hamiltonian,
     assemble_kinetic,
     eigenmodes,
+    spectrum,
     synthesize_state,
 )
 from .observables import (

@@ -29,7 +29,7 @@ from .config import (
     system_from_config,
 )
 from .observables import DENSITY_NAMES, global_summary, local_fields
-from .operators import eigenmodes
+from .operators import spectrum
 from .evolution import evolve
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
@@ -76,12 +76,12 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     system = system_from_config(cfg)
-    modes = eigenmodes(system.kinetic())
+    energies, diagnostics = spectrum(system.kinetic())
     rows = []
-    for idx, e2 in modes.diagnostics:
+    for idx, e2 in diagnostics:
         rows.append([idx, float("nan"), e2, 1])
-    offset = len(modes.diagnostics)
-    for k, e in enumerate(modes.energies):
+    offset = len(diagnostics)
+    for k, e in enumerate(energies):
         rows.append([offset + k, float(e), float(e) ** 2, 0])
     out = Path(args.out or ".")
     _write_csv(
@@ -91,7 +91,7 @@ def cmd_spectrum(args) -> int:
         [f"config_hash={config_hash(cfg)}", f"n_dof={system.closure.n_dof}"],
     )
     print(f"wrote {out / 'spectrum.csv'} ({len(rows)} rows, "
-          f"{len(modes.diagnostics)} diagnostic)")
+          f"{len(diagnostics)} diagnostic)")
     return 0
 
 

@@ -84,6 +84,15 @@ def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     )
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Set the subnormal entries (real and imaginary parts apart) of a
+    C-contiguous float array to zero, in place.  Each product with one is
+    slow, and its term lies below 2.2e-308 times the other factor."""
+    parts = a.view(np.float64)
+    np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+    return a
+
+
 class _ShiftedBandsFactor:
     """Factor of M = I + c B for tridiagonal-plus-corner bands B.
 
@@ -114,10 +123,9 @@ class _ShiftedBandsFactor:
             # row i of the correction is y[i, -1] p + y[i, 0] q
             self._woodbury = (corners[:, None] * inverse.T) @ z.T
             # p and q decay away from the ends into subnormal numbers (4474 of
-            # 8191 entries on periodic at n = 8192), which make each step's
-            # correction ten times slower; their terms are below 2.2e-308 |y|
-            parts = self._woodbury.view(np.float64)
-            np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+            # 8191 entries on periodic at n = 8192), which made each step's
+            # correction ten times slower
+            _flush_subnormals(self._woodbury)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 applied along the last axis of a C-ordered (r, m) array, in
@@ -167,7 +175,11 @@ class CayleyPropagator:
         self._static_factor = self._factor_at(0.0) if system.is_static else None
         self._dense: np.ndarray | None = None
         if system.is_static and system.closure.n_dof <= DENSE_STEP_MAX_DOF:
-            self._dense = self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
+            # on dirichlet from n = 128 the matrix holds subnormal entries
+            # (558 at n = 128), which made a step two to three times slower
+            self._dense = _flush_subnormals(
+                self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
+            )
 
     def _factor_at(self, t: float) -> tuple[Bands, _ShiftedBandsFactor]:
         bands = self.system.kinetic(t).bands
@@ -232,7 +244,9 @@ def _pairing_deviation(x: np.ndarray, kind: str, units: PhysicalUnits) -> float:
     relative to its own scale.  The time-derivative half is weighted by
     hbar/mc^2 so both halves carry the dimensions of psi.  A real stack of
     one row holds only the part of z that `pack` kept for `kind`."""
-    if np.isrealobj(x) and (len(x) == 1 or not np.any(x[1 if kind == "plus" else 0])):
+    # cheap tests (about 1 us at n = 48): the neutral-sector check asks at
+    # every step
+    if x.dtype.kind == "f" and (len(x) == 1 or not np.count_nonzero(x[1 if kind == "plus" else 0])):
         return 0.0  # a real stack with no row of the other sector, or a zero one
     weighted = np.empty(x.shape[-1], dtype=np.complex128)
     if len(x) == 2:

@@ -67,17 +67,17 @@ PIN_CUTOFF = 1e-10
 # steps with the dense 2m x 2m step matrix (one BLAS product beats the ~20
 # small numpy calls of the banded step below about 160-200 unknowns, and the
 # many short static runs of the verify suites sit at n <= 64), and
-# `eigenmodes` always takes the dense `eigh`.  Above it `eigenmodes(count=k)`
-# solves only for the lowest modes.  Dense `eigh` against 3 modes plus the
-# extreme eigenvalue, ms, at n = 128 / 160 / 192 grid points (best of 7,
-# one BLAS thread, 2 shared vCPUs, quadratic potential): periodic 3.52/2.30,
-# 7.33/3.74, 9.62/2.44; rotation:0.0 2.19/2.83, 3.85/2.55, 5.80/2.83;
-# quasimixed+ 3.89/3.21, 6.02/3.54, 9.01/3.64.  On separated closures the
-# partial solve was the faster one at every n measured, from 96 up.  A
-# neutral run's one-row banded step (see `CayleyPropagator.pack`) meets the
-# dense two-row product sooner: at n = 128 on dirichlet (23-24 us each, the
-# dense matrix holding subnormal entries there) and between n = 192 and 256
-# on periodic (best of 7, same host); the eigensolve keeps the crossover at 160.
+# `eigenmodes` solves for every mode, from the bands.  Above it
+# `eigenmodes(count=k)` solves only for the lowest modes.  Every mode against
+# 3 modes plus the extreme eigenvalue, ms, at n = 128 / 160 / 192 grid points
+# (best of 7, one BLAS thread, 2 shared vCPUs, quadratic potential):
+# periodic 1.65/3.84, 2.77/2.75, 3.88/4.13; rotation:0.0 1.77/3.89,
+# 2.81/4.15, 4.02/4.13; quasimixed+ 3.71/3.34, 6.87/3.33, 18.5/4.55;
+# dirichlet 1.14/0.36, 2.16/0.41, 3.08/0.49.  A neutral run's one-row
+# banded step (see `CayleyPropagator.pack`) meets the dense two-row product,
+# with the dense matrix's subnormal entries set to zero, between n = 128 and
+# 162 on dirichlet, neumann and robin_mit_plus and between n = 162 and 192 on
+# periodic (best of 7, same host); the crossover stays at 160.
 DENSE_STEP_MAX_DOF = 160
 
 
@@ -107,8 +107,15 @@ class GhostMap:
     indices: tuple[int, ...]
     coefs: np.ndarray
 
+    @cached_property
+    def _index(self) -> np.ndarray:
+        return np.array(self.indices)
+
     def __call__(self, field: np.ndarray) -> np.ndarray:
-        return field[..., list(self.indices)] @ self.coefs
+        # in Fortran order, as fancy indexing lays out the gathered columns of
+        # a stack: the product's BLAS kernel, and so its last bits, follows
+        # the layout, and this one gives each row of a stack its own bits
+        return np.asfortranarray(field.take(self._index, axis=-1)) @ self.coefs
 
 
 @dataclass(frozen=True)
@@ -426,9 +433,10 @@ class KineticMatrix:
 
     `kinetic_bands` is K_0, the potential-free operator in the Hermitian
     frame; `bands` is K = K_0 + diag on the unknowns, which the step, the
-    modes and the oracles read, and `at` moves it to time t in O(n).  The
-    dense `sym` (K) and `l_dof` (W^(-1/2) K W^(1/2), whose eigenvectors are
-    the grid modes) are built on first read.
+    modes, the spectrum and the oracles read, and `at` moves it to time t in
+    O(n).  The dense `sym` (K, for the dense Hamiltonian and the test
+    oracles) and `l_dof` (W^(-1/2) K W^(1/2), whose eigenvectors are the
+    grid modes) are built on first read; no solver reads them.
     """
 
     closure: DiscreteClosure
@@ -554,7 +562,7 @@ class ModeSet:
 
 def _hermitian_csc(bands: Bands) -> scipy.sparse.csc_array:
     """The bands as a sparse Hermitian matrix, read from the lower triangle
-    and the bottom-left corner as the dense `eigh` reads `sym`."""
+    and the bottom-left corner as a dense Hermitian solver reads `sym`."""
     m = len(bands.main)
     i = np.arange(m)
     rows = np.concatenate([i, i[1:], i[:-1], [m - 1, 0]])
@@ -656,6 +664,129 @@ def _spectral_radius(bands: Bands, lowest: float) -> float:
     return max(abs(lowest), abs(top))
 
 
+def _ring_band(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
+    """Lower band storage (3, m) of the bands in the ring order 0, m-1, 1,
+    m-2, ..., and the position of each unknown in that order.
+
+    The order takes the neighbours of the cyclic tridiagonal K at most two
+    places apart (the bandwidth-minimizing order of a ring; Cuthill & McKee,
+    1969), so with the corners K is a Hermitian band of half-width 2.  Its
+    entries are those of the lower triangle and the bottom-left corner, as a
+    dense Hermitian solver reads `sym`, conjugated where the ring order puts
+    an entry above the diagonal.
+    """
+    m = len(bands.main)
+    order = np.empty(m, dtype=np.intp)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    dtype = np.result_type(bands.lower, bands.bottom_left)
+    ab = np.zeros((3, m), dtype=dtype)
+    ab[0, pos] = bands.main.real
+    # entry (i + 1, i) of K is lower[i], at (pos[i + 1], pos[i]) in the ring order
+    row, col = pos[1:], pos[:-1]
+    below = row > col
+    ab[np.abs(row - col), np.minimum(row, col)] = np.where(below, bands.lower, bands.lower.conj())
+    ab[1, 0] = bands.bottom_left  # (m-1, 0) sits at (1, 0)
+    return ab, pos
+
+
+def _all_eigenpairs(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of Hermitian bands, ascending: divide and conquer on a
+    real tridiagonal K (LAPACK ?stevd), else on the ring-ordered band
+    (?sbevd, ?hbevd), whose vectors go back to the unknowns' order."""
+    try:
+        if bands.tridiagonal:
+            return scipy.linalg.eigh_tridiagonal(bands.main, bands.lower)
+        ab, pos = _ring_band(bands)
+        vals, vecs = scipy.linalg.eig_banded(ab, lower=True)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    return vals, vecs[pos]
+
+
+def _all_eigenvalues(bands: Bands) -> np.ndarray:
+    """Every eigenvalue of Hermitian bands, ascending, in O(m) memory."""
+    try:
+        if bands.tridiagonal:
+            return scipy.linalg.eigvalsh_tridiagonal(bands.main, bands.lower)
+        return scipy.linalg.eig_banded(_ring_band(bands)[0], lower=True, eigvals_only=True)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+
+
+# Eigenvalues within DEGENERACY_TOL * max|E^2| of each other form a
+# degenerate pair.  The computed members of the free periodic and
+# antiperiodic pairs lie up to 12 eps max|E^2| apart (n = 64 ... 1024, dense
+# and banded drivers), and the next gaps there are above 1e10 eps max|E^2|.
+DEGENERACY_TOL = 64 * np.finfo(float).eps
+
+
+def _splits_a_pair(bands: Bands, vals: np.ndarray, vecs: np.ndarray, tol: float) -> bool:
+    """Whether the eigenvalue after the k lowest (vals, vecs) lies within tol
+    of the last one, so that a set of these k splits a degenerate pair.
+
+    One step of inverse iteration at the last eigenvalue from a vector
+    orthogonal to the k modes: its Rayleigh quotient is at least the next
+    eigenvalue (Courant-Fischer) and, when that one is degenerate with the
+    last, lands within round-off of it.  Tridiagonal bands have simple
+    eigenvalues, and two members of a pair already in the set leave none
+    to split: an eigenvector is fixed by its first two entries.
+    """
+    if bands.tridiagonal or (len(vals) > 1 and vals[-1] - vals[-2] <= tol):
+        return False
+    ab, pos = _ring_band(bands)
+    m = len(pos)
+    # K - sigma I in the ring order, in the general band storage of ?gbsv
+    shifted = np.zeros((5, m), dtype=ab.dtype)
+    shifted[2:] = ab
+    shifted[2] -= vals[-1] + 0.5 * tol
+    shifted[1, 1:] = ab[1, :-1].conj()
+    shifted[0, 2:] = ab[2, :-2].conj()
+    x = np.random.default_rng(1).standard_normal(m).astype(ab.dtype)
+    x -= vecs @ (vecs.conj().T @ x)
+    ring = np.empty_like(x)
+    ring[pos] = x
+    x = scipy.linalg.solve_banded((2, 2), shifted, ring)[pos]
+    x -= vecs @ (vecs.conj().T @ x)
+    return np.vdot(x, bands.matvec(x)).real / np.vdot(x, x).real - vals[-1] <= tol
+
+
+def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndarray:
+    """Rotate each degenerate pair of mode rows to a basis fixed by the pair.
+
+    Pairs are neighbours in the ascending vals within tol.  At the first
+    unknown where |u_1|^2 + |u_2|^2 comes within GAUGE_TIE of its largest
+    value (the same for every basis of the pair), the first row becomes the
+    pair's projection of that unknown and the second row vanishes; the
+    rotation is unitary, so the rows stay orthonormal.  Other rows are
+    untouched.  Eigenvalues of these operators are at most double (an
+    eigenvector is fixed by its first two entries), so a row that round-off
+    puts in two pairs stays in the first.
+    """
+    i = np.flatnonzero(np.diff(vals) <= tol)
+    i = i[np.diff(i, prepend=-2) > 1]
+    if not len(i):
+        return fields
+    first, second = fields[i], fields[i + 1]
+    weight = np.abs(first) ** 2 + np.abs(second) ** 2
+    j = np.argmax(weight >= (1.0 - GAUGE_TIE) * weight.max(axis=1, keepdims=True), axis=1)
+    pair = np.arange(len(i))
+    a, b = first[pair, j, None], second[pair, j, None]
+    r = np.sqrt(weight[pair, j, None])
+    out = fields.copy()
+    out[i] = (np.conj(a) * first + np.conj(b) * second) / r
+    out[i + 1] = (a * second - b * first) / r
+    return out
+
+
+def _quarantine(vals: np.ndarray, radius: float, positivity_tol: float):
+    """Mask of the positive E^2 and the (index, E^2) of the others."""
+    keep = vals > positivity_tol * max(1.0, radius)
+    return keep, tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
+
+
 # Modes are gauged at the first entry within this relative distance of the
 # largest |entry|, so that entries equal up to the solver's error (the two
 # peaks of an odd mode on a symmetric problem) give the same choice on both
@@ -673,43 +804,61 @@ def gauge(fields: np.ndarray) -> np.ndarray:
     return fields * (mag[rows, pivot] / fields[rows, pivot])[:, None]
 
 
+def spectrum(
+    kinetic: KineticMatrix, positivity_tol: float = 1e-12
+) -> tuple[np.ndarray, tuple]:
+    """Every eigenvalue of the closed kinetic operator, without vectors: the
+    positive energies E = +sqrt(E^2), ascending, and the quarantined (index,
+    E^2) pairs, by the rule of `eigenmodes`."""
+    vals = _all_eigenvalues(kinetic.bands)
+    keep, diagnostics = _quarantine(vals, max(abs(vals[0]), abs(vals[-1])), positivity_tol)
+    return np.sqrt(vals[keep]), diagnostics
+
+
 def eigenmodes(
     kinetic: KineticMatrix, positivity_tol: float = 1e-12, count: int | None = None
 ) -> ModeSet:
-    """Stationary modes of the closed kinetic operator.
+    """Stationary modes of the closed kinetic operator, solved from its bands.
 
     Eigenvalues are E^2; modes store E = +sqrt(E^2) with fields extended to
-    the full grid, orthonormal under the trapezoid weights and gauged (see
-    `gauge`).  E^2 <= positivity_tol * max(1, max |E^2|) is quarantined in
-    `diagnostics`.  count=None gives every mode from a dense `eigh`.  With a
+    the full grid, orthonormal under the trapezoid weights, with each
+    degenerate pair in its canonical basis (`canonical_pairs`) and gauged
+    (see `gauge`).  E^2 <= positivity_tol * max(1, max |E^2|) is
+    quarantined in `diagnostics`.  count=None gives every mode.  With a
     count and more than DENSE_STEP_MAX_DOF unknowns only the lowest modes
-    are computed, from the bands, until `count` of them are positive, so
-    every quarantined mode is among them; a count that would need half of
-    the unknowns or more takes the dense path.
+    are computed, until `count` of them are positive, so every quarantined
+    mode is among them; a set that would end on the first member of a
+    degenerate pair grows by one, and a count that would need half of the
+    unknowns or more gives every mode.
     """
     if count is not None and count < 1:
         raise ValueError("count must be at least 1")
+    bands = kinetic.bands
     m = kinetic.n_dof
     k = count if count is not None and m > DENSE_STEP_MAX_DOF else m
     radius = None
     while 2 * k < m:
-        vals, vecs = _lowest_eigenpairs(kinetic.bands, k)
+        vals, vecs = _lowest_eigenpairs(bands, k)
         if radius is None:
-            radius = _spectral_radius(kinetic.bands, vals[0])
-        keep = vals > positivity_tol * max(1.0, radius)
-        if np.count_nonzero(keep) >= count:
+            radius = _spectral_radius(bands, vals[0])
+        keep, diagnostics = _quarantine(vals, radius, positivity_tol)
+        if np.count_nonzero(keep) < count:
+            k = count + np.count_nonzero(~keep)
+        elif _splits_a_pair(bands, vals, vecs, DEGENERACY_TOL * radius):
+            k += 1
+        else:
             break
-        k = count + np.count_nonzero(~keep)
     else:  # every mode
-        try:
-            vals, vecs = scipy.linalg.eigh(kinetic.sym)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-        keep = vals > positivity_tol * max(1.0, float(np.max(np.abs(vals))))
+        vals, vecs = _all_eigenpairs(bands)
+        radius = max(abs(vals[0]), abs(vals[-1]))
+        keep, diagnostics = _quarantine(vals, radius, positivity_tol)
     closure = kinetic.closure
-    diagnostics = tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
-    fields = closure.extend(gauge(vecs[:, keep].T / np.sqrt(closure.dof_weights)))
-    return ModeSet(energies=np.sqrt(vals[keep]), fields=fields, diagnostics=diagnostics)
+    fields = canonical_pairs(
+        vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius
+    )
+    return ModeSet(
+        energies=np.sqrt(vals[keep]), fields=closure.extend(gauge(fields)), diagnostics=diagnostics
+    )
 
 
 def synthesize_state(

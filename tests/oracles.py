@@ -4,8 +4,10 @@ The literal two-component Cayley step maps the full-grid state (psi1, psi2)
 by (1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar) with the dense 2n x 2n
 generator h of `assemble_fv_hamiltonian`: O(n^3) per step, so only for
 small grids.  The package steps the algebraically identical wave form
-(`kfglab.evolution.CayleyPropagator`).  The field-integral summary sums the
-local densities that `global_summary` reads as quadratic forms.
+(`kfglab.evolution.CayleyPropagator`).  The dense modes solve the dense
+Hermitian K (`KineticMatrix.sym`) with `scipy.linalg.eigh`, O(n^3); the
+package solves every mode set from the bands.  The field-integral summary
+sums the local densities that `global_summary` reads as quadratic forms.
 """
 
 from __future__ import annotations
@@ -16,7 +18,32 @@ import scipy.linalg
 from kfglab.core import FvState, KfgState, PhysicalUnits
 from kfglab.evolution import SingularPropagator
 from kfglab.observables import GlobalSummary, Snapshot
-from kfglab.operators import DiscreteHamiltonian, System
+from kfglab.operators import (
+    DEGENERACY_TOL,
+    DiscreteHamiltonian,
+    KineticMatrix,
+    ModeSet,
+    System,
+    canonical_pairs,
+    gauge,
+)
+
+
+def dense_modes(kinetic: KineticMatrix, positivity_tol: float = 1e-12) -> ModeSet:
+    """Every mode from the dense `eigh` of K, with the quarantine, canonical
+    pairs and gauge of `kfglab.operators.eigenmodes`."""
+    vals, vecs = scipy.linalg.eigh(kinetic.sym)
+    radius = float(np.max(np.abs(vals)))
+    keep = vals > positivity_tol * max(1.0, radius)
+    closure = kinetic.closure
+    fields = canonical_pairs(
+        vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius
+    )
+    return ModeSet(
+        energies=np.sqrt(vals[keep]),
+        fields=closure.extend(gauge(fields)),
+        diagnostics=tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep)),
+    )
 
 
 def _cayley_matrices(h: np.ndarray, dt: float, hbar: float):

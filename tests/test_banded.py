@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kfglab import operators
+from kfglab import evolution, operators
 from kfglab.bc import CATALOG, bc_realization
 from kfglab.core import (
     Grid,
@@ -172,6 +172,34 @@ def test_closure_maps_act_on_stacks_row_by_row(tag):
     }
     for name, out in stacked.items():
         assert out.tobytes() == np.array(rows[name]).tobytes(), name
+    # each ghost map gives the stack the bits of the fancy-index gather
+    for ghost in (closure.ghost_a, closure.ghost_b):
+        fancy = full[..., list(ghost.indices)] @ ghost.coefs
+        assert ghost(full).tobytes() == fancy.tobytes()
+
+
+def test_dense_step_without_subnormals_keeps_the_records(monkeypatch):
+    # dirichlet at the crossover: the dense step matrix holds subnormal
+    # entries, which the propagator sets to zero
+    system = System(Grid(0.0, math.pi, DENSE_STEP_MAX_DOF + 2), CATALOG["dirichlet"].params,
+                    ScalarPotential(profile=QUADRATIC))
+    assert system.closure.n_dof == DENSE_STEP_MAX_DOF
+    st0 = system.synthesize([(0, 1.0, 0.1), (1, 0.7, 0.8), (2, 0.4, 1.7)], kind="none")
+    config = EvolutionConfig(dt=DT, steps=2000, record_every=100)
+
+    def records():
+        return [(r.state.psi.tobytes(), r.state.psi_t.tobytes())
+                for r in evolve(st0, system, config)]
+
+    def subnormals():
+        dense = CayleyPropagator(system, DT)._dense
+        return np.count_nonzero((dense != 0.0) & (np.abs(dense) < np.finfo(np.float64).tiny))
+
+    flushed = records()
+    assert subnormals() == 0
+    monkeypatch.setattr(evolution, "_flush_subnormals", lambda a: a)
+    assert subnormals() > 0
+    assert records() == flushed
 
 
 @pytest.mark.parametrize("driven, n", [(False, N), (True, N), (False, N_DENSE)],

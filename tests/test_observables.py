@@ -180,7 +180,15 @@ class TestBoundaryCurrents:
         a, b, diff = boundary_jtilde_E(neutral_state(sysv, seed=6), sysv)
         assert abs(a) > 1e-6 and abs(b) > 1e-6 and abs(diff) > 1e-6
         sysp = System(GRID, CATALOG["periodic"].params)
-        a, b, diff = boundary_jtilde_E(neutral_state(sysp, seed=6), sysp)
+        # modes 1 and 2 are the free ring's degenerate pair: the probe mixes
+        # both members with their own phases, so that no basis of the pair
+        # (one member even about the ends, say) makes the end data vanish
+        rng = np.random.default_rng(6)
+        probe = sysp.synthesize(
+            [(k, amp, rng.uniform(0, 2)) for k, amp in ((0, 1.0), (1, 0.8), (2, 0.6))],
+            t=0.83, kind="plus",
+        )
+        a, b, diff = boundary_jtilde_E(probe, sysp)
         assert abs(a) > 1e-6
         assert diff == pytest.approx(0.0, abs=1e-14)
 

@@ -1,6 +1,6 @@
 """The partial eigensolve (only the lowest modes, from the bands) against the
-dense `eigh` of every mode: eigenvalues, quarantine, gauged fields, the
-certified shift, the mode-set cache and the errors of mode synthesis."""
+dense `eigh` oracle of every mode: eigenvalues, quarantine, gauged fields,
+the certified shift, the mode-set cache and the errors of mode synthesis."""
 
 import dataclasses
 import math
@@ -21,6 +21,7 @@ from kfglab.operators import (
     eigenmodes,
     gauge,
 )
+from oracles import dense_modes
 
 # above the crossover, so a count takes the partial path
 N = DENSE_STEP_MAX_DOF + 8
@@ -35,7 +36,7 @@ def both_paths(params: BcParams, count: int = COUNT):
     fresh = dataclasses.replace(kin)
     partial = eigenmodes(fresh, count=count)
     assert "sym" not in vars(fresh)  # the partial path never forms the dense matrix
-    return eigenmodes(kin), partial
+    return dense_modes(kin), partial
 
 
 def assert_agree(dense, partial, field_tol):
@@ -144,13 +145,27 @@ def test_index_beyond_the_positive_modes_raises(monkeypatch):
     assert seen and all(2 * k < m for k in seen)
 
 
+@pytest.mark.parametrize("tag", ["periodic", "antiperiodic"])
+def test_a_count_that_splits_a_pair_grows_by_one(tag):
+    # the free ring: periodic has the constant mode and then pairs,
+    # antiperiodic only pairs
+    kin = System(Grid(0.0, math.pi, N), CATALOG[tag].params).kinetic()
+    dense = dense_modes(kin)
+    first = 1 if tag == "periodic" else 0
+    for count in range(1, 6):
+        partial = eigenmodes(dataclasses.replace(kin), count=count)
+        assert partial.count == count + (count - first) % 2
+        err = np.max(np.abs(partial.fields - dense.fields[:partial.count]), axis=1)
+        assert np.all(err <= 1e-10 * np.max(np.abs(dense.fields[:partial.count]), axis=1))
+
+
 def test_every_quarantined_mode_is_listed():
     # the count grows past the two negative E^2 of robin_mit_minus at a
     # small mass and length scale
     units = PhysicalUnits(mass=0.3, bc_length=0.05)
     params = CATALOG["robin_mit_minus"].params.with_lam(0.05)
     kin = System(Grid(0.0, math.pi, N), params, QUADRATIC, units).kinetic()
-    dense = eigenmodes(kin)
+    dense = dense_modes(kin)
     assert len(dense.diagnostics) == 2
     for count in (1, 2, 3):
         partial = eigenmodes(dataclasses.replace(kin), count=count)
