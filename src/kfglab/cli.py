@@ -28,7 +28,7 @@ from .config import (
     majorana_from_config,
     system_from_config,
 )
-from .observables import DENSITY_NAMES, global_summary, local_fields
+from .observables import DENSITY_NAMES, Snapshot
 from .operators import spectrum
 from .evolution import evolve
 from .verify import SUITE_NAMES, run_all_suites, run_suite
@@ -101,11 +101,12 @@ def cmd_evolve(args) -> int:
     state0 = initial_state_from_config(cfg, system)
     econf = evolution_from_config(cfg)
     kind = majorana_from_config(cfg)
-    rows, worst, final = [], 0.0, None
+    rows, worst, last = [], 0.0, None
     for rec in evolve(state0, system, econf, majorana=kind):
-        rows.append(global_summary(rec.state, system).as_row())
+        # one derivation per record; the last one also gives the final fields
+        last = Snapshot(rec.state, system)
+        rows.append(last.summary.as_row())
         worst = max(worst, rec.majorana_deviation or 0.0)
-        final = rec.state
     out = Path(args.out or ".")
     comments = [
         f"config_hash={config_hash(cfg)}",
@@ -124,7 +125,7 @@ def cmd_evolve(args) -> int:
         [[r[c] for c in columns] for r in rows],
         comments,
     )
-    fields = local_fields(final, system)
+    fields = last.fields
     field_cols = ["x"]
     field_data = [system.grid.x]
     for name in DENSITY_NAMES:
@@ -132,7 +133,7 @@ def cmd_evolve(args) -> int:
         field_cols += [f"{name}_re", f"{name}_im"]
         field_data += [arr.real, arr.imag]
     _write_csv(out / "fields_final.csv", field_cols, np.column_stack(field_data),
-               comments[:1] + [f"t={final.t:.17g}"])
+               comments[:1] + [f"t={last.state.t:.17g}"])
     print(f"wrote {out / 'trajectory.csv'} ({len(rows)} snapshots) and "
           f"{out / 'fields_final.csv'}")
     return 0

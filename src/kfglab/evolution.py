@@ -22,11 +22,13 @@ generator at the step midpoint, keeping second order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .core import KfgLabError, KfgState, PhysicalUnits, majorana_project
@@ -94,34 +96,50 @@ def _flush_subnormals(a: np.ndarray) -> np.ndarray:
 
 
 class _ShiftedBandsFactor:
-    """Factor of M = I + c B for tridiagonal-plus-corner bands B.
+    """Factor of M = I + c B for Hermitian tridiagonal-plus-corner bands B.
 
-    LAPACK ?gttrf factors the tridiagonal part in O(m); the corners enter as
-    a rank-2 Woodbury correction M = T + U C with U = [e_0, e_(m-1)].
+    LAPACK ?pttrf factors the tridiagonal part T as L D L^H in O(m), with
+    1 + c Re(main) as its diagonal and c lower as its subdiagonal.  Its
+    pivots carry the signs of T's eigenvalues (Sylvester's law of inertia),
+    so it fails only when T is not positive definite: for the step's
+    M = I + (k/hbar)^2 K without corners, when some E^2 < -(hbar/k)^2.  Then
+    LU ?gttrf factors T instead.  The corners enter as a rank-2 Woodbury
+    correction M = T + U C with U = [e_0, e_(m-1)], built from two unit
+    solves with whichever factor was built.
     """
 
     def __init__(self, bands: Bands, c: float):
-        gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
-            ("gttrf", "gttrs"), (bands.main, bands.upper, bands.lower)
-        )
-        *lu, info = gttrf(c * bands.lower, 1.0 + c * bands.main, c * bands.upper)
-        if info != 0:
-            raise SingularPropagator(f"banded Cayley factor is singular (info {info})")
-        self._lu = lu
+        arrays = (bands.main, bands.upper, bands.lower)
+        pttrf, pttrs = scipy.linalg.lapack.get_lapack_funcs(("pttrf", "pttrs"), arrays)
+        lower = c * bands.lower
+        d, e, info = pttrf(1.0 + c * bands.main.real, lower)
+        if info == 0:
+            # e is the subdiagonal of L in M = L D L^H
+            kw = {"lower": 1} if np.iscomplexobj(e) else {}
+            self._tri_solve = functools.partial(pttrs, d, e, **kw)
+        else:
+            gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), arrays)
+            *lu, info = gttrf(lower, 1.0 + c * bands.main, c * bands.upper)
+            if info != 0:
+                raise SingularPropagator(f"banded Cayley factor is singular (info {info})")
+            self._tri_solve = functools.partial(gttrs, *lu)
         self._woodbury = None
         if bands.corners is not None:
             m = len(bands.main)
-            corners = c * bands.corners
-            unit = np.zeros((m, 2), dtype=lu[1].dtype, order="F")
+            unit = np.zeros((m, 2), dtype=np.result_type(*arrays), order="F")
             unit[0, 0] = unit[-1, 1] = 1.0
-            z = self._gttrs(*lu, unit)[0]
-            capacitance = np.eye(2) + corners[:, None] * z[[-1, 0], :]
-            try:
-                inverse = np.linalg.inv(capacitance)
-            except np.linalg.LinAlgError as exc:
-                raise SingularPropagator(str(exc)) from exc
-            # row i of the correction is y[i, -1] p + y[i, 0] q
-            self._woodbury = (corners[:, None] * inverse.T) @ z.T
+            z = self._tri_solve(unit, overwrite_b=True)[0]
+            top, bottom = c * bands.corners
+            # the capacitance I + C U^T T^-1 U from the four end entries
+            a, b = 1.0 + top * z[-1, 0], top * z[-1, 1]
+            g, h = bottom * z[0, 0], 1.0 + bottom * z[0, 1]
+            det = a * h - b * g
+            if det == 0.0:
+                raise SingularPropagator("banded Cayley corner correction is singular")
+            # row i of the correction is y[i, -1] p + y[i, 0] q, with
+            # [p; q] = C (capacitance^-1)^T z^T
+            coef = np.array([[top * h, -top * g], [-bottom * b, bottom * a]]) / det
+            self._woodbury = coef @ z.T
             # p and q decay away from the ends into subnormal numbers (4474 of
             # 8191 entries on periodic at n = 8192), which made each step's
             # correction ten times slower
@@ -130,15 +148,45 @@ class _ShiftedBandsFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 applied along the last axis of a C-ordered (r, m) array, in
         place where the dtypes allow.  Each row is solved apart, with the
-        same bits whatever r is: the correction is elementwise, not a matrix
-        product, whose BLAS kernel (and last bits) would depend on r."""
-        y = self._gttrs(*self._lu, rhs.T, overwrite_b=True)[0].T
+        same bits whatever r is: ?pttrs and ?gttrs solve each column on its
+        own, and the correction is elementwise, not a matrix product, whose
+        BLAS kernel (and last bits) would depend on r."""
+        y = self._tri_solve(rhs.T, overwrite_b=True)[0].T
         if self._woodbury is not None:
             p, q = self._woodbury
             correction = y[:, -1:] * p
             correction += y[:, :1] * q
             y -= correction
         return y
+
+
+class _BandedProduct:
+    """w + alpha B u along the last axis, for tridiagonal-plus-corner bands
+    B: one BLAS ?gbmv per row on B's (3, m) band storage, kept in Fortran
+    order so that no call copies it, and the two corner terms as one
+    elementwise update.  Row by row, each row has the bits it has alone."""
+
+    def __init__(self, bands: Bands, alpha: float):
+        m = len(bands.main)
+        self.band = np.zeros((3, m), dtype=np.result_type(bands.main, bands.upper,
+                                                          bands.lower), order="F")
+        self.band[0, 1:] = bands.upper
+        self.band[1] = bands.main
+        self.band[2, :-1] = bands.lower
+        self._gbmv = scipy.linalg.blas.get_blas_funcs("gbmv", (self.band,))
+        self._alpha = alpha
+        self._corners = None if bands.corners is None else alpha * bands.corners
+
+    def accumulate(self, u: np.ndarray, out: np.ndarray) -> None:
+        """out += alpha B u, in place, for (r, m) stacks with contiguous rows."""
+        m = u.shape[-1]
+        for u_row, out_row in zip(u, out):
+            # after x: incx, offx, beta = 1, y, incy, offy, trans, overwrite_y;
+            # passed by keyword they cost 0.6 us more a call
+            self._gbmv(m, m, 1, 1, self._alpha, self.band, u_row, 1, 0, 1.0, out_row, 1, 0, 0, 1)
+        if self._corners is not None:
+            # ends [0, m-1] += alpha [top_right, bottom_left] u[m-1, 0]
+            out[:, ::m - 1] += self._corners * u[:, ::1 - m]
 
 
 class CayleyPropagator:
@@ -148,10 +196,13 @@ class CayleyPropagator:
 
     With k = dt/2 and M = I + k^2 K/hbar^2 the map (I - kA)^-1 (I + kA) is
     u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u: one solve with
-    the banded M, O(m) per step.  A static run factors M once; a driven run
-    refactors with the midpoint potential at each step.  A static run with
-    at most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix
-    instead, whose row i is the banded step of unit vector i.
+    the banded M (`_ShiftedBandsFactor`, LDL^H where M is positive definite)
+    and one banded product (`_BandedProduct`, written over a copy of w),
+    O(m) per step.  A static run factors M and builds the product's band
+    once; a driven run refactors with the midpoint potential at each step
+    and rewrites only the band's diagonal, as K(t) = K_0 + diag(t).  A
+    static run with at most DENSE_STEP_MAX_DOF unknowns applies the dense
+    step matrix instead, whose row i is the banded step of unit vector i.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
@@ -172,22 +223,29 @@ class CayleyPropagator:
         self._w_scale = 2.0 * self._k / hbar**2
         # a real closure has real bands at every time
         self._real = not system.closure.is_complex
+        self._product: _BandedProduct | None = None
         self._static_factor = self._factor_at(0.0) if system.is_static else None
         self._dense: np.ndarray | None = None
         if system.is_static and system.closure.n_dof <= DENSE_STEP_MAX_DOF:
             # on dirichlet from n = 128 the matrix holds subnormal entries
             # (558 at n = 128), which made a step two to three times slower
             self._dense = _flush_subnormals(
-                self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
+                self._step(np.eye(2 * system.closure.n_dof), self._static_factor)
             )
 
-    def _factor_at(self, t: float) -> tuple[Bands, _ShiftedBandsFactor]:
+    def _factor_at(self, t: float) -> _ShiftedBandsFactor:
+        """The factor of M at time t, with K(t) in the product's band."""
         bands = self.system.kinetic(t).bands
-        return bands, _ShiftedBandsFactor(bands, self._m_scale)
+        if self._product is None:
+            self._product = _BandedProduct(bands, -self._w_scale)
+        else:
+            # K(t) = K_0 + diag(t): only the diagonal moves with t
+            self._product.band[1] = bands.main
+        return _ShiftedBandsFactor(bands, self._m_scale)
 
-    def _step(self, x: np.ndarray, bands: Bands, factor: _ShiftedBandsFactor) -> np.ndarray:
+    def _step(self, x: np.ndarray, factor: _ShiftedBandsFactor) -> np.ndarray:
         """The step applied to each row of an (r, 2m) stack."""
-        m = len(bands.main)
+        m = x.shape[1] // 2
         v, w = x[:, :m], x[:, m:]
         rhs = self._k * w
         rhs += v
@@ -196,9 +254,8 @@ class CayleyPropagator:
         v_new, w_new = out[:, :m], out[:, m:]
         np.multiply(u, 2.0, out=v_new)
         v_new -= v
-        bands.matvec(u, out=w_new)
-        w_new *= self._w_scale
-        np.subtract(w, w_new, out=w_new)
+        w_new[...] = w
+        self._product.accumulate(u, w_new)
         return out
 
     def pack(self, z: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -234,8 +291,8 @@ class CayleyPropagator:
         """One step from time t of a packed stack, or of a 1-D wave vector
         (packed before the step and unpacked after it)."""
         x = self.pack(z) if z.ndim == 1 else z
-        bands, factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
-        out = x @ self._dense if self._dense is not None else self._step(x, bands, factor)
+        factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
+        out = x @ self._dense if self._dense is not None else self._step(x, factor)
         return self.unpack(out) if z.ndim == 1 else out
 
 

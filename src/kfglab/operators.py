@@ -64,9 +64,9 @@ SLAVED_CUTOFF = 1e-10
 PIN_CUTOFF = 1e-10
 
 # The dense/banded crossover, in unknowns.  At or below it a static run
-# steps with the dense 2m x 2m step matrix (one BLAS product beats the ~20
-# small numpy calls of the banded step below about 160-200 unknowns, and the
-# many short static runs of the verify suites sit at n <= 64), and
+# steps with the dense 2m x 2m step matrix (one BLAS product beats the banded
+# step's ?pttrs, ?gbmv and few numpy calls below about 112-192 unknowns, and
+# the many short static runs of the verify suites sit at n <= 64), and
 # `eigenmodes` solves for every mode, from the bands.  Above it
 # `eigenmodes(count=k)` solves only for the lowest modes.  Every mode against
 # 3 modes plus the extreme eigenvalue, ms, at n = 128 / 160 / 192 grid points
@@ -74,10 +74,12 @@ PIN_CUTOFF = 1e-10
 # periodic 1.65/3.84, 2.77/2.75, 3.88/4.13; rotation:0.0 1.77/3.89,
 # 2.81/4.15, 4.02/4.13; quasimixed+ 3.71/3.34, 6.87/3.33, 18.5/4.55;
 # dirichlet 1.14/0.36, 2.16/0.41, 3.08/0.49.  A neutral run's one-row
-# banded step (see `CayleyPropagator.pack`) meets the dense two-row product,
-# with the dense matrix's subnormal entries set to zero, between n = 128 and
-# 162 on dirichlet, neumann and robin_mit_plus and between n = 162 and 192 on
-# periodic (best of 7, same host); the crossover stays at 160.
+# banded step (see `CayleyPropagator.pack`) on the LDL^H factor with ?gbmv
+# meets the dense two-row product, with the dense matrix's subnormal entries
+# set to zero, between n = 112 and 128 on dirichlet and neumann, between 128
+# and 162 on robin_mit_plus and between 162 and 192 on periodic (best of
+# 7 x 2000 steps, same host; at n = 162 dense/banded 25.2/11.5 us on
+# dirichlet, 16.7/17.1 us on periodic); the crossover stays at 160.
 DENSE_STEP_MAX_DOF = 160
 
 

@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from kfglab import evolution, operators
-from kfglab.bc import CATALOG, bc_realization
+from kfglab.bc import CATALOG, BcParams, bc_realization
 from kfglab.core import (
     Grid,
     PhysicalUnits,
@@ -214,6 +215,98 @@ def test_banded_step_matches_dense_oracle(tag, driven, n):
         z = prop.advance(z, k * DT)
         zd = oracle(zd, (k + 0.5) * DT)
     assert np.linalg.norm(z - zd) <= 1e-9 * np.linalg.norm(zd)
+
+
+def lapack_routines(monkeypatch, failing: str | None = None) -> list:
+    """Names, without the type letter, of the LAPACK routines called from
+    now on through `get_lapack_funcs`; the one named `failing` raises."""
+    called = []
+    get = scipy.linalg.lapack.get_lapack_funcs
+
+    def watch(name, func):
+        def call(*args, **kwargs):
+            called.append(name)
+            if name == failing:
+                raise AssertionError(f"?{name} was called")
+            return func(*args, **kwargs)
+
+        return call
+
+    def watched(names, *args, **kwargs):
+        funcs = get(names, *args, **kwargs)
+        if isinstance(names, str):
+            return watch(names, funcs)
+        return [watch(name, f) for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", watched)
+    return called
+
+
+# a Robin end with ghost coefficient ~ 2/eps has one quarantined E^2: about
+# -2.1e8 at eps = 1e-6, below -(hbar/k)^2 = -1e6, so M is indefinite and
+# ?gttrf factors it, and about -2.1e5 at eps = 1e-3, where M stays positive
+# definite.  That mode grows from round-off by 1.15x (eps = 1e-6) or 2.7x
+# (eps = 1e-3) per step, in the oracle too, which sets the number of steps
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("eps, routine, steps", [(1e-6, "gttrf", 120), (1e-3, "pttrf", 10)],
+                         ids=["lu", "ldl"])
+def test_stiff_closure_step_matches_dense_oracle(eps, routine, steps, driven, monkeypatch):
+    pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
+    bc = BcParams(-math.cos(eps), 0.0, 0.0, math.sin(eps), 0.0)
+    system = System(Grid(0.0, math.pi, N), bc, pot)
+    assert system.closure.n_dof > DENSE_STEP_MAX_DOF
+    called = lapack_routines(monkeypatch)
+    prop = CayleyPropagator(system, DT)
+    oracle = dense_oracle(system)
+    z = zd = packet_wave(system)
+    for k in range(steps):
+        z = prop.advance(z, k * DT)
+        zd = oracle(zd, (k + 0.5) * DT)
+    assert np.linalg.norm(z - zd) <= 1e-9 * np.linalg.norm(zd)
+    assert "pttrf" in called
+    assert ("gttrf" in called) == (routine == "gttrf")
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_catalog_closures_step_on_the_ldl_factor(tag, driven, monkeypatch):
+    called = lapack_routines(monkeypatch, failing="gttrf")
+    system = make_system(tag, driven)
+    prop = CayleyPropagator(system, DT)
+    x = prop.pack(packet_wave(system))
+    for k in range(3):
+        x = prop.advance(x, k * DT)
+    assert called.count("pttrf") == (1 if not driven else 3)
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("c, routine", [(0.2, "pttrf"), (3.0, "gttrf")], ids=["ldl", "lu"])
+@pytest.mark.parametrize("corners", [False, True], ids=["tridiagonal", "corners"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_shifted_factor_solves_the_dense_system(dtype, corners, c, routine, monkeypatch):
+    # entries of magnitude at most 1 keep I + 0.2 B positive definite
+    # (Gershgorin); I + 3 B has a negative diagonal entry, so it is not
+    rng = np.random.default_rng(11)
+    m = 40
+
+    def entries(size):
+        x = rng.uniform(-1.0, 1.0, size)
+        return x if dtype is np.float64 else x * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size))
+
+    main = rng.uniform(-1.0, 1.0, m).astype(dtype)
+    main[5] = -0.9
+    lower = entries(m - 1)
+    corner = entries(1)[0] if corners else 0.0
+    bands = Bands(main, lower.conj(), lower, corner, np.conj(corner))
+    assert bands.hermiticity_defect() == 0.0
+    assert (bands.corners is None) == (not corners)
+    dense = np.eye(m) + c * bands.dense()
+    rhs = np.stack([entries(m) for _ in range(3)]).astype(dtype)
+    want = np.linalg.solve(dense, rhs.T).T
+    called = lapack_routines(monkeypatch)
+    got = _ShiftedBandsFactor(bands, c).solve(rhs.copy())
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.cond(dense) * np.max(np.abs(want))
+    assert ("gttrf" in called) == (routine == "gttrf")
 
 
 @pytest.mark.parametrize("tag", BRANCHES)

@@ -11,8 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kfglab.cli
+import kfglab.observables
 from kfglab.cli import _write_csv, main
-from kfglab.config import ConfigError, initial_state_from_config, system_from_config
+from kfglab.config import (
+    ConfigError,
+    evolution_from_config,
+    initial_state_from_config,
+    system_from_config,
+)
+from kfglab.evolution import evolve
+from kfglab.observables import DENSITY_NAMES, local_fields
 from kfglab.operators import System
 from kfglab.verify import SUITE_NAMES, run_suite
 
@@ -261,6 +269,34 @@ class TestEvolve:
         main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
         header, data = read_csv(tmp_path / "trajectory.csv")
         assert np.max(np.abs(data[:, 1:])) == 0.0
+
+    def test_one_snapshot_per_record(self, tmp_path, monkeypatch):
+        # each record is derived once: its summary row and, for the last
+        # one, the final fields come from the same Snapshot
+        built = []
+        init = kfglab.observables.Snapshot.__init__
+
+        def counted(self, state, system):
+            built.append(state.t)
+            init(self, state, system)
+
+        monkeypatch.setattr(kfglab.observables.Snapshot, "__init__", counted)
+        cfg = tmp_path / "c.json"
+        config = write_config(cfg)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, data = read_csv(tmp_path / "trajectory.csv")
+        assert len(data) == 5
+        assert built == data[:, header.index("t")].tolist()
+
+        system = system_from_config(config)
+        state0 = initial_state_from_config(config, system)
+        econf = evolution_from_config(config)
+        final = list(evolve(state0, system, econf, majorana="plus"))[-1].state
+        want = local_fields(final, system)
+        header, fields = read_csv(tmp_path / "fields_final.csv")
+        for name in DENSITY_NAMES:
+            got = fields[:, header.index(f"{name}_re")] + 1j * fields[:, header.index(f"{name}_im")]
+            assert np.array_equal(got, getattr(want, name)), name
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.json"
