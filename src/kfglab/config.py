@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
     Grid,
+    InvalidPotential,
     KfgLabError,
     KfgState,
     PhysicalUnits,
@@ -19,7 +21,7 @@ from .core import (
 )
 from .bc import BcParams, InvalidParams, params_from_tag
 from .evolution import EvolutionConfig
-from .operators import SingularClosure, System, check_end_values
+from .operators import InvalidMode, SingularClosure, System, check_end_values
 
 
 class ConfigError(KfgLabError):
@@ -29,9 +31,12 @@ class ConfigError(KfgLabError):
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -46,6 +51,17 @@ def _count(value, name: str) -> int:
     ):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite(value, name: str) -> float:
+    """A finite JSON number as a float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {x}")
+    return x
 
 
 def _known_keys(d, section: str, keys: str) -> None:
@@ -83,13 +99,19 @@ def grid_from_config(cfg: dict) -> Grid:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
 
-def _numbers(d: dict) -> dict:
+def _numbers(d: dict, section: str) -> dict:
     """A profile or time-factor dict as keyword arguments: the kind as given,
-    a tabulated profile's values as a tuple of floats, the rest as floats."""
-    return {
-        key: val if key == "kind" else tuple(map(float, val)) if key == "values" else float(val)
-        for key, val in d.items()
-    }
+    a tabulated profile's values as a tuple of floats, the rest as floats,
+    each finite."""
+    out = {}
+    for key, val in d.items():
+        name = f"potential {section}.{key}"
+        if key == "values":
+            val = tuple(_finite(v, name) for v in val)
+        elif key != "kind":
+            val = _finite(val, name)
+        out[key] = val
+    return out
 
 
 def potential_from_config(cfg: dict) -> ScalarPotential:
@@ -99,8 +121,8 @@ def potential_from_config(cfg: dict) -> ScalarPotential:
     _known_keys(d, "potential", "profile time_factor nonneg")
     try:
         return ScalarPotential(
-            profile=SpatialProfile(**_numbers(d.get("profile", {}))),
-            time_factor=TimeFactor(**_numbers(d.get("time_factor", {}))),
+            profile=SpatialProfile(**_numbers(d.get("profile", {}), "profile")),
+            time_factor=TimeFactor(**_numbers(d.get("time_factor", {}), "time_factor")),
             nonneg=bool(d.get("nonneg", False)),
         )
     except (AttributeError, TypeError, ValueError) as exc:
@@ -130,7 +152,8 @@ def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
 def system_from_config(cfg: dict) -> System:
     """The configured system.  A closure that identifies the end values
     (periodic, say) needs a profile with S(a) = S(b), at every time, so a
-    profile with different end values is a configuration error."""
+    profile with different end values is a configuration error, as is a
+    tabulated profile whose length is not the grid's."""
     units = units_from_config(cfg)
     grid = grid_from_config(cfg)
     potential = potential_from_config(cfg)
@@ -138,6 +161,8 @@ def system_from_config(cfg: dict) -> System:
     system = System(grid=grid, bc=bc, potential=potential, units=units)
     try:
         check_end_values(system.closure, potential.profile.sample(grid.x))
+    except InvalidPotential as exc:
+        raise ConfigError(f"bad potential profile: {exc}") from exc
     except SingularClosure as exc:
         raise ConfigError(f"bc {cfg['bc']!r} with this potential profile: {exc}") from exc
     return system
@@ -162,7 +187,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             "a strictly neutral run is incompatible with a complex (m2 != 0) "
             "boundary condition"
         )
-    t0 = float(cfg.get("t0", 0.0))
+    t0 = _finite(cfg.get("t0", 0.0), "t0")
     if "modes" in d:
         try:
             for m in d["modes"]:
@@ -170,14 +195,17 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             coeffs = [
                 (
                     _count(m["index"], "mode index"),
-                    float(m.get("amplitude", 1.0)),
-                    float(m.get("phase", 0.0)),
+                    _finite(m.get("amplitude", 1.0), "mode amplitude"),
+                    _finite(m.get("phase", 0.0), "mode phase"),
                 )
                 for m in d["modes"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mode list: {exc}") from exc
-        return system.frozen(t0).synthesize(coeffs, t=t0, kind=kind)
+        try:
+            return system.frozen(t0).synthesize(coeffs, t=t0, kind=kind)
+        except InvalidMode as exc:
+            raise ConfigError(f"bad mode list: {exc}") from exc
     if "tabulated" in d:
         td = d["tabulated"]
         _known_keys(td, "initial_state tabulated", "psi_re psi_im psi_t_re psi_t_im")
@@ -193,6 +221,8 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             raise ConfigError(f"bad tabulated state: {exc}") from exc
         if len(psi) != n or len(psi_t) != n:
             raise ConfigError("tabulated state length must match the grid")
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
+            raise ConfigError("tabulated state values must be finite")
         return KfgState(psi=psi, psi_t=psi_t, t=t0)
     raise ConfigError("initial_state must contain 'modes' or 'tabulated'")
 

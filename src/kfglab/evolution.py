@@ -22,21 +22,26 @@ generator at the step midpoint, keeping second order.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.blas
-import scipy.linalg.lapack
 
-from .core import KfgLabError, KfgState, PhysicalUnits, majorana_project
-from .operators import DENSE_STEP_MAX_DOF, Bands, NumericalFailure, System
+from .core import KfgState, PhysicalUnits, majorana_project
+from .operators import (
+    DENSE_STEP_MAX_DOF,
+    Bands,
+    NumericalFailure,
+    SingularFactor,
+    System,
+    _flush_subnormals,
+    _ShiftedBandsFactor,
+)
 
-
-class SingularPropagator(KfgLabError):
-    """The implicit half of the Cayley step is not invertible."""
+# the implicit half of the Cayley step is not invertible
+SingularPropagator = SingularFactor
 
 
 @dataclass(frozen=True)
@@ -86,85 +91,11 @@ def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     )
 
 
-def _flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """Set the subnormal entries (real and imaginary parts apart) of a
-    C-contiguous float array to zero, in place.  Each product with one is
-    slow, and its term lies below 2.2e-308 times the other factor."""
-    parts = a.view(np.float64)
-    np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
-    return a
-
-
-class _ShiftedBandsFactor:
-    """Factor of M = I + c B for Hermitian tridiagonal-plus-corner bands B.
-
-    LAPACK ?pttrf factors the tridiagonal part T as L D L^H in O(m), with
-    1 + c Re(main) as its diagonal and c lower as its subdiagonal.  Its
-    pivots carry the signs of T's eigenvalues (Sylvester's law of inertia),
-    so it fails only when T is not positive definite: for the step's
-    M = I + (k/hbar)^2 K without corners, when some E^2 < -(hbar/k)^2.  Then
-    LU ?gttrf factors T instead.  The corners enter as a rank-2 Woodbury
-    correction M = T + U C with U = [e_0, e_(m-1)], built from two unit
-    solves with whichever factor was built.
-    """
-
-    def __init__(self, bands: Bands, c: float):
-        arrays = (bands.main, bands.upper, bands.lower)
-        pttrf, pttrs = scipy.linalg.lapack.get_lapack_funcs(("pttrf", "pttrs"), arrays)
-        lower = c * bands.lower
-        d, e, info = pttrf(1.0 + c * bands.main.real, lower)
-        if info == 0:
-            # e is the subdiagonal of L in M = L D L^H
-            kw = {"lower": 1} if np.iscomplexobj(e) else {}
-            self._tri_solve = functools.partial(pttrs, d, e, **kw)
-        else:
-            gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), arrays)
-            *lu, info = gttrf(lower, 1.0 + c * bands.main, c * bands.upper)
-            if info != 0:
-                raise SingularPropagator(f"banded Cayley factor is singular (info {info})")
-            self._tri_solve = functools.partial(gttrs, *lu)
-        self._woodbury = None
-        if bands.corners is not None:
-            m = len(bands.main)
-            unit = np.zeros((m, 2), dtype=np.result_type(*arrays), order="F")
-            unit[0, 0] = unit[-1, 1] = 1.0
-            z = self._tri_solve(unit, overwrite_b=True)[0]
-            top, bottom = c * bands.corners
-            # the capacitance I + C U^T T^-1 U from the four end entries
-            a, b = 1.0 + top * z[-1, 0], top * z[-1, 1]
-            g, h = bottom * z[0, 0], 1.0 + bottom * z[0, 1]
-            det = a * h - b * g
-            if det == 0.0:
-                raise SingularPropagator("banded Cayley corner correction is singular")
-            # row i of the correction is y[i, -1] p + y[i, 0] q, with
-            # [p; q] = C (capacitance^-1)^T z^T
-            coef = np.array([[top * h, -top * g], [-bottom * b, bottom * a]]) / det
-            self._woodbury = coef @ z.T
-            # p and q decay away from the ends into subnormal numbers (4474 of
-            # 8191 entries on periodic at n = 8192), which made each step's
-            # correction ten times slower
-            _flush_subnormals(self._woodbury)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 applied along the last axis of a C-ordered (r, m) array, in
-        place where the dtypes allow.  Each row is solved apart, with the
-        same bits whatever r is: ?pttrs and ?gttrs solve each column on its
-        own, and the correction is elementwise, not a matrix product, whose
-        BLAS kernel (and last bits) would depend on r."""
-        y = self._tri_solve(rhs.T, overwrite_b=True)[0].T
-        if self._woodbury is not None:
-            p, q = self._woodbury
-            correction = y[:, -1:] * p
-            correction += y[:, :1] * q
-            y -= correction
-        return y
-
-
 class _BandedProduct:
-    """w + alpha B u along the last axis, for tridiagonal-plus-corner bands
-    B: one BLAS ?gbmv per row on B's (3, m) band storage, kept in Fortran
-    order so that no call copies it, and the two corner terms as one
-    elementwise update.  Row by row, each row has the bits it has alone."""
+    """w + alpha T u along the last axis, for the tridiagonal part T of
+    bands: one BLAS ?gbmv per row on T's (3, m) band storage, kept in
+    Fortran order so that no call copies it.  Row by row, each row has the
+    bits it has alone."""
 
     def __init__(self, bands: Bands, alpha: float):
         m = len(bands.main)
@@ -175,18 +106,14 @@ class _BandedProduct:
         self.band[2, :-1] = bands.lower
         self._gbmv = scipy.linalg.blas.get_blas_funcs("gbmv", (self.band,))
         self._alpha = alpha
-        self._corners = None if bands.corners is None else alpha * bands.corners
 
     def accumulate(self, u: np.ndarray, out: np.ndarray) -> None:
-        """out += alpha B u, in place, for (r, m) stacks with contiguous rows."""
+        """out += alpha T u, in place, for (r, m) stacks with contiguous rows."""
         m = u.shape[-1]
         for u_row, out_row in zip(u, out):
             # after x: incx, offx, beta = 1, y, incy, offy, trans, overwrite_y;
             # passed by keyword they cost 0.6 us more a call
             self._gbmv(m, m, 1, 1, self._alpha, self.band, u_row, 1, 0, 1.0, out_row, 1, 0, 0, 1)
-        if self._corners is not None:
-            # ends [0, m-1] += alpha [top_right, bottom_left] u[m-1, 0]
-            out[:, ::m - 1] += self._corners * u[:, ::1 - m]
 
 
 class CayleyPropagator:
@@ -195,14 +122,23 @@ class CayleyPropagator:
     at the step midpoint.
 
     With k = dt/2 and M = I + k^2 K/hbar^2 the map (I - kA)^-1 (I + kA) is
-    u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u: one solve with
-    the banded M (`_ShiftedBandsFactor`, LDL^H where M is positive definite)
-    and one banded product (`_BandedProduct`, written over a copy of w),
-    O(m) per step.  A static run factors M and builds the product's band
-    once; a driven run refactors with the midpoint potential at each step
-    and rewrites only the band's diagonal, as K(t) = K_0 + diag(t).  A
-    static run with at most DENSE_STEP_MAX_DOF unknowns applies the dense
-    step matrix instead, whose row i is the banded step of unit vector i.
+    u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u, in O(m) per
+    step.  K = T + corners, with T tridiagonal, and the factor of M
+    (`_ShiftedBandsFactor`, LDL^H where M is positive definite) writes
+    M^-1 r = y - y[m-1] p - y[0] q with y = T'^-1 r, T' the tridiagonal
+    part of M.  Both corner terms are linear in y[m-1] and y[0], so they
+    fold into two end responses G = [2p, a(K p - top_right e_0)] and
+    H = [2q, a(K q - bottom_left e_(m-1))], a = -2k/hbar^2, built with the
+    factor, and a step is the tridiagonal solve for y, the tridiagonal
+    product (`_BandedProduct`, written over a copy of w) for
+    (v', w') = (2y - v, w + a T y), and the rank-2 update
+    (v', w') -= y[m-1] G + y[0] H, one BLAS ?gemv per row.  A static run
+    factors M and builds the product's band and G, H once; a driven run
+    refactors with the midpoint potential at each step, rebuilds G and H
+    with that factor, and rewrites only the band's diagonal, as
+    K(t) = K_0 + diag(t).  A static run with at most DENSE_STEP_MAX_DOF
+    unknowns applies the dense step matrix instead, whose row i is the
+    banded step of unit vector i.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
@@ -221,8 +157,13 @@ class CayleyPropagator:
         self._k = 0.5 * dt
         self._m_scale = (self._k / hbar) ** 2
         self._w_scale = 2.0 * self._k / hbar**2
+        # the v and w halves of the end responses G and H (`_factor_at`)
+        self._fold_scales = np.array([[2.0], [2.0 / self._k]])
         # a real closure has real bands at every time
         self._real = not system.closure.is_complex
+        self._gemv = scipy.linalg.blas.get_blas_funcs(
+            "gemv", dtype=np.float64 if self._real else np.complex128
+        )
         self._product: _BandedProduct | None = None
         self._static_factor = self._factor_at(0.0) if system.is_static else None
         self._dense: np.ndarray | None = None
@@ -230,32 +171,63 @@ class CayleyPropagator:
             # on dirichlet from n = 128 the matrix holds subnormal entries
             # (558 at n = 128), which made a step two to three times slower
             self._dense = _flush_subnormals(
-                self._step(np.eye(2 * system.closure.n_dof), self._static_factor)
+                self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
             )
 
-    def _factor_at(self, t: float) -> _ShiftedBandsFactor:
-        """The factor of M at time t, with K(t) in the product's band."""
+    def _factor_at(self, t: float) -> tuple[_ShiftedBandsFactor, np.ndarray | None]:
+        """The factor of M at time t and the end responses as the columns
+        [H G] of a (2m, 2) array (None without corners), with T(t) in the
+        product's band."""
         bands = self.system.kinetic(t).bands
         if self._product is None:
             self._product = _BandedProduct(bands, -self._w_scale)
         else:
             # K(t) = K_0 + diag(t): only the diagonal moves with t
             self._product.band[1] = bands.main
-        return _ShiftedBandsFactor(bands, self._m_scale)
+        factor = _ShiftedBandsFactor(bands, self._m_scale)
+        if factor.corner_rows is None:
+            return factor, None
+        # rows [H; G] = [2q, a (K q - bottom_left e_(m-1)); 2p, a (K p -
+        # top_right e_0)], which ?gemv reads as the columns of a (2m, 2)
+        # matrix.  q and p combine the unit solves z of the tridiagonal part
+        # I + c T of M, whose rows vanish away from the ends: there
+        # z + c T z = 0, so a K [q; p] = -(a/c) [q; p] = (2/k) [q; p], and
+        # only the four end entries take band products.  p and q hold no
+        # subnormal part (the factor flushes them), so G and H hold none.
+        q_p = factor.corner_rows[::-1]
+        ends = np.multiply(q_p[:, None, :], self._fold_scales)
+        (q0, q1, q2, q3), (p0, p1, p2, p3) = q_p[:, [0, 1, -2, -1]].tolist()
+        d0, d1 = bands.main[[0, -1]].tolist()
+        u, l = bands.upper[0].item(), bands.lower[-1].item()
+        top, bottom = bands.corners.tolist()
+        w, a = ends[:, 1], -self._w_scale
+        w[0, 0] = a * (d0 * q0 + u * q1 + top * q3)
+        w[0, -1] = a * (l * q2 + d1 * q3 + bottom * (q0 - 1.0))
+        w[1, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))
+        w[1, -1] = a * (l * p2 + d1 * p3 + bottom * p0)
+        return factor, ends.reshape(2, -1).T
 
-    def _step(self, x: np.ndarray, factor: _ShiftedBandsFactor) -> np.ndarray:
+    def _step(
+        self, x: np.ndarray, factor: _ShiftedBandsFactor, ends: np.ndarray | None
+    ) -> np.ndarray:
         """The step applied to each row of an (r, 2m) stack."""
         m = x.shape[1] // 2
         v, w = x[:, :m], x[:, m:]
         rhs = self._k * w
         rhs += v
-        u = factor.solve(rhs)
-        out = np.empty(x.shape, dtype=u.dtype)
+        y = factor.solve_tridiagonal(rhs)
+        out = np.empty(x.shape, dtype=y.dtype)
         v_new, w_new = out[:, :m], out[:, m:]
-        np.multiply(u, 2.0, out=v_new)
+        np.multiply(y, 2.0, out=v_new)
         v_new -= v
         w_new[...] = w
-        self._product.accumulate(u, w_new)
+        self._product.accumulate(y, w_new)
+        if ends is not None:
+            for y_row, out_row in zip(y, out):
+                # out_row -= [H G] [y_row[0], y_row[m-1]], reading the two ends
+                # of y_row with stride m - 1; after x: beta = 1, y, offx,
+                # incx, offy, incy, trans, overwrite_y
+                self._gemv(-1.0, ends, y_row, 1.0, out_row, 0, m - 1, 0, 1, 0, 1)
         return out
 
     def pack(self, z: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -291,8 +263,10 @@ class CayleyPropagator:
         """One step from time t of a packed stack, or of a 1-D wave vector
         (packed before the step and unpacked after it)."""
         x = self.pack(z) if z.ndim == 1 else z
-        factor = self._static_factor or self._factor_at(t + 0.5 * self.dt)
-        out = x @ self._dense if self._dense is not None else self._step(x, factor)
+        if self._dense is not None:
+            out = x @ self._dense
+        else:
+            out = self._step(x, *(self._static_factor or self._factor_at(t + 0.5 * self.dt)))
         return self.unpack(out) if z.ndim == 1 else out
 
 

@@ -34,13 +34,14 @@ relations identically and endpoint-balance statements hold to round-off.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import (
@@ -65,21 +66,22 @@ PIN_CUTOFF = 1e-10
 
 # The dense/banded crossover, in unknowns.  At or below it a static run
 # steps with the dense 2m x 2m step matrix (one BLAS product beats the banded
-# step's ?pttrs, ?gbmv and few numpy calls below about 112-192 unknowns, and
+# step's ?pttrs, ?gbmv and few numpy calls below about 112-162 unknowns, and
 # the many short static runs of the verify suites sit at n <= 64), and
 # `eigenmodes` solves for every mode, from the bands.  Above it
 # `eigenmodes(count=k)` solves only for the lowest modes.  Every mode against
-# 3 modes plus the extreme eigenvalue, ms, at n = 128 / 160 / 192 grid points
-# (best of 7, one BLAS thread, 2 shared vCPUs, quadratic potential):
-# periodic 1.65/3.84, 2.77/2.75, 3.88/4.13; rotation:0.0 1.77/3.89,
-# 2.81/4.15, 4.02/4.13; quasimixed+ 3.71/3.34, 6.87/3.33, 18.5/4.55;
-# dirichlet 1.14/0.36, 2.16/0.41, 3.08/0.49.  A neutral run's one-row
+# 3 modes, ms, at n = 64 / 128 / 160 grid points (best of 10, one BLAS
+# thread, 2 shared vCPUs, quadratic potential): dirichlet 0.54/0.41,
+# 1.08/0.40, 1.99/0.47; periodic 0.64/1.53, 1.57/1.61, 2.83/1.66;
+# quasimixed+ 0.89/2.20, 5.35/2.27, 8.31/2.59, so for the modes alone the
+# crossover would sit near n = 64 (separated) and 96-128 (corners); the
+# step sets it.  A neutral run's one-row
 # banded step (see `CayleyPropagator.pack`) on the LDL^H factor with ?gbmv
 # meets the dense two-row product, with the dense matrix's subnormal entries
-# set to zero, between n = 112 and 128 on dirichlet and neumann, between 128
-# and 162 on robin_mit_plus and between 162 and 192 on periodic (best of
-# 7 x 2000 steps, same host; at n = 162 dense/banded 25.2/11.5 us on
-# dirichlet, 16.7/17.1 us on periodic); the crossover stays at 160.
+# set to zero, between n = 112 and 128 on dirichlet and neumann, and
+# between 128 and 162 on robin_mit_plus and periodic (best of 7 x 2000
+# steps, same host; at n = 162 dense/banded 22.7/9.5 us on dirichlet,
+# 17.1/11.2 us on periodic); the crossover stays at 160.
 DENSE_STEP_MAX_DOF = 160
 
 
@@ -97,6 +99,10 @@ class NumericalFailure(KfgLabError):
 
 class InvalidMode(KfgLabError):
     """Mode synthesis referenced a nonexistent or quarantined mode."""
+
+
+class SingularFactor(KfgLabError):
+    """A shifted band matrix d I + c K is exactly singular."""
 
 
 @dataclass(frozen=True)
@@ -378,6 +384,96 @@ class Bands:
         return float(np.linalg.norm(entries - adjoint) / max(np.linalg.norm(entries), 1e-300))
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Set the subnormal entries (real and imaginary parts apart) of a
+    C-contiguous float array to zero, in place.  Each product with one is
+    slow, and its term lies below 2.2e-308 times the other factor."""
+    parts = a.view(np.float64)
+    np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+    return a
+
+
+class _ShiftedBandsFactor:
+    """Factor of M = d I + c B for Hermitian tridiagonal-plus-corner bands B:
+    the Cayley step's I + (k/hbar)^2 K and the eigensolver's K - sigma I.
+
+    LAPACK ?pttrf factors the tridiagonal part T as L D L^H in O(m), with
+    d + c Re(main) as its diagonal and c lower as its subdiagonal.  Its
+    pivots carry the signs of T's eigenvalues (Sylvester's law of inertia),
+    so it fails only when T is not positive definite; then LU ?gttrf
+    factors T instead.  The corners enter as a rank-2 Woodbury correction
+    M = T + U C U^T, with U = [e_0, e_(m-1)] and C = c [[0, top_right],
+    [bottom_left, 0]], built from two unit solves with whichever factor was
+    built.
+
+    `positive_definite` says whether M is: ?pttrf succeeded and, with
+    corners, the capacitance I + C U^T T^-1 U has a positive determinant.
+    Inertia is additive over the Schur complements of [[T, U], [U^H, -C^-1]]
+    (Haynsworth, 1968), and det C < 0 gives C one eigenvalue of each sign,
+    so a positive definite T leaves M positive definite exactly then.
+
+    Raises SingularFactor when T or the capacitance is exactly singular.
+    """
+
+    def __init__(self, bands: Bands, c: float, d: float = 1.0):
+        arrays = (bands.main, bands.upper, bands.lower)
+        pttrf, pttrs = scipy.linalg.lapack.get_lapack_funcs(("pttrf", "pttrs"), arrays)
+        lower = c * bands.lower
+        diag, e, info = pttrf(d + c * bands.main.real, lower)
+        self.positive_definite = info == 0
+        if info == 0:
+            # e is the subdiagonal of L in T = L D L^H
+            kw = {"lower": 1} if np.iscomplexobj(e) else {}
+            self._tri_solve = functools.partial(pttrs, diag, e, **kw)
+        else:
+            gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), arrays)
+            *lu, info = gttrf(lower, d + c * bands.main, c * bands.upper)
+            if info != 0:
+                raise SingularFactor(f"banded factor is singular (info {info})")
+            self._tri_solve = functools.partial(gttrs, *lu)
+        self.corner_rows = None
+        if bands.corners is not None:
+            m = len(bands.main)
+            unit = np.zeros((m, 2), dtype=np.result_type(*arrays), order="F")
+            unit[0, 0] = unit[-1, 1] = 1.0
+            z = self._tri_solve(unit, overwrite_b=True)[0]
+            top, bottom = c * bands.corners
+            # the capacitance I + C U^T T^-1 U from the four end entries
+            a, b = 1.0 + top * z[-1, 0], top * z[-1, 1]
+            g, h = bottom * z[0, 0], 1.0 + bottom * z[0, 1]
+            det = a * h - b * g
+            if det == 0.0:
+                raise SingularFactor("banded factor's corner correction is singular")
+            self.positive_definite = self.positive_definite and det.real > 0.0
+            # row i of the correction is y[i, -1] p + y[i, 0] q, with
+            # [p; q] = C (capacitance^-1)^T z^T
+            coef = np.array([[top * h, -top * g], [-bottom * b, bottom * a]]) / det
+            self.corner_rows = coef @ z.T
+            # p and q decay away from the ends into subnormal numbers (4474 of
+            # 8191 entries on periodic at n = 8192), which made each step's
+            # correction ten times slower
+            _flush_subnormals(self.corner_rows)
+
+    def solve_tridiagonal(self, rhs: np.ndarray) -> np.ndarray:
+        """T^-1 applied along the last axis of a C-ordered (r, m) array, in
+        place where the dtypes allow; ?pttrs and ?gttrs solve each row on
+        its own, so its bits do not depend on r."""
+        return self._tri_solve(rhs.T, overwrite_b=True)[0].T
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 applied as `solve_tridiagonal` does, each row with the bits
+        it has alone: the corner correction y -= y[:, -1] p + y[:, 0] q, with
+        [p; q] = `corner_rows`, is elementwise, not a matrix product, whose
+        BLAS kernel (and last bits) would depend on r."""
+        y = self.solve_tridiagonal(rhs)
+        if self.corner_rows is not None:
+            p, q = self.corner_rows
+            correction = y[:, -1:] * p
+            correction += y[:, :1] * q
+            y -= correction
+        return y
+
+
 def closure_bands(
     closure: DiscreteClosure, units: PhysicalUnits, diag: np.ndarray
 ) -> Bands:
@@ -562,34 +658,14 @@ class ModeSet:
         return len(self.energies)
 
 
-def _hermitian_csc(bands: Bands) -> scipy.sparse.csc_array:
-    """The bands as a sparse Hermitian matrix, read from the lower triangle
-    and the bottom-left corner as a dense Hermitian solver reads `sym`."""
-    m = len(bands.main)
-    i = np.arange(m)
-    rows = np.concatenate([i, i[1:], i[:-1], [m - 1, 0]])
-    cols = np.concatenate([i, i[:-1], i[1:], [0, m - 1]])
-    corner = bands.bottom_left
-    data = np.concatenate(
-        [bands.main.real, bands.lower, bands.lower.conj(), [corner, np.conj(corner)]]
-    )
-    return scipy.sparse.csc_array((data, (rows, cols)), shape=(m, m))
-
-
-def _positive_definite_factor(a: scipy.sparse.csc_array, sigma: float):
-    """LU of a - sigma I without pivoting if every pivot is positive, else
-    None.  Unpivoted LU of a Hermitian matrix is its LDL^H, so by
-    Sylvester's law of inertia positive pivots mean sigma lies below the
-    spectrum of a."""
-    shifted = a - sigma * scipy.sparse.eye_array(a.shape[0], format="csc")
+def _below_spectrum(bands: Bands, sigma: float) -> _ShiftedBandsFactor | None:
+    """The factor of bands - sigma I if it is positive definite, that is if
+    sigma lies below the spectrum, else None."""
     try:
-        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    except RuntimeError:  # exactly singular
+        factor = _ShiftedBandsFactor(bands, 1.0, -sigma)
+    except SingularFactor:
         return None
-    natural = np.arange(a.shape[0])
-    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
-        return None
-    return lu if np.all(lu.U.diagonal().real > 0.0) else None
+    return factor if factor.positive_definite else None
 
 
 def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -598,12 +674,14 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
     Tridiagonal bands go to bisection and inverse iteration (LAPACK ?stebz,
     ?stein): 11 ms for three modes at m = 8190, where MRRR (?stemr) took
     291 ms.  With corners, shift-invert Lanczos (ARPACK) runs below a shift
-    sigma certified to lie under the spectrum.  The corners are a rank-2
-    term with one negative eigenvalue, so by interlacing at most one
-    eigenvalue of K lies below the lowest one of its tridiagonal part T, and
-    none below lambda_0(T) - |corner|.  The first shift is lambda_0(T) -
-    (lambda_1(T) - lambda_0(T)); while a pivot of K - sigma I is not
-    positive the drop below lambda_0(T) doubles.
+    sigma certified to lie under the spectrum, with the O(m) factor of
+    K - sigma I (`_ShiftedBandsFactor`) as its inverse and its
+    `positive_definite` as the certificate.  The corners are a rank-2 term
+    with one negative eigenvalue, so by interlacing at most one eigenvalue
+    of K lies below the lowest one of its tridiagonal part T, and none below
+    lambda_0(T) - |corner|.  The first shift is lambda_0(T) - (lambda_1(T) -
+    lambda_0(T)); while K - sigma I is not positive definite the drop below
+    lambda_0(T) doubles.
     """
     if bands.tridiagonal:
         try:
@@ -613,7 +691,6 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
             )
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    a = _hermitian_csc(bands)
     t0, t1 = scipy.linalg.eigvalsh_tridiagonal(
         bands.main.real, np.abs(bands.lower), select="i", select_range=(0, 1)
     )
@@ -621,20 +698,25 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
     drop = max(t1 - t0, 1e-12 * max(1.0, abs(t0)))
     while True:
         sigma = max(t0 - drop, floor)
-        lu = _positive_definite_factor(a, sigma)
-        if lu is not None:
+        factor = _below_spectrum(bands, sigma)
+        if factor is not None:
             break
         if sigma == floor:
             raise NumericalFailure("no shift below the spectrum could be certified")
         drop *= 2.0
-    m = a.shape[0]
-    inverse = scipy.sparse.linalg.LinearOperator((m, m), matvec=lu.solve, dtype=a.dtype)
+    m = len(bands.main)
+    dtype = np.result_type(bands.lower, bands.bottom_left)
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (m, m), matvec=lambda x: factor.solve(np.array([x], dtype=dtype))[0], dtype=dtype
+    )
+    # ARPACK reads only the shape and dtype of K in shift-invert mode
+    k_op = scipy.sparse.linalg.LinearOperator((m, m), matvec=bands.matvec, dtype=dtype)
     # a fixed generic start vector: ones would be orthogonal to every mode
     # that is odd under a symmetry of the problem
-    v0 = np.random.default_rng(0).standard_normal(m).astype(a.dtype)
+    v0 = np.random.default_rng(0).standard_normal(m).astype(dtype)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            a, k=k, sigma=sigma, OPinv=inverse, v0=v0, tol=0.0
+            k_op, k=k, sigma=sigma, OPinv=inverse, v0=v0, tol=0.0
         )
     except scipy.sparse.linalg.ArpackError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
@@ -647,7 +729,7 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
     # K itself separates them again.
     theta = 1.0 / (vals - sigma)
     if k > 1 and np.finfo(float).eps * theta[0] > 1e-9 * np.min(-np.diff(theta)):
-        vals, rot = scipy.linalg.eigh(vecs.conj().T @ (a @ vecs))
+        vals, rot = scipy.linalg.eigh(vecs.conj().T @ bands.matvec(vecs.T).T)
         vecs = vecs @ rot
     return vals, vecs
 
@@ -664,6 +746,40 @@ def _spectral_radius(bands: Bands, lowest: float) -> float:
                         -bands.top_right, -bands.bottom_left)
         top = -_lowest_eigenpairs(negated, 1)[0][0]
     return max(abs(lowest), abs(top))
+
+
+@dataclass(frozen=True)
+class _Radius:
+    """low <= max |E^2| <= high, and max |E^2| itself on demand."""
+
+    low: float
+    high: float
+    exact: Callable[[], float] | None = None
+
+    def settle(self, rule: Callable[[float], object]) -> float:
+        """A radius at which `rule`, monotone in the radius, decides as it
+        does at max |E^2|: the lower bound when the rule decides alike at
+        both bounds, else max |E^2| itself."""
+        if np.array_equal(rule(self.low), rule(self.high)):
+            return self.low
+        return self.exact()
+
+
+def _radius_bounds(bands: Bands, lowest: float) -> _Radius:
+    """Bounds on max |E^2| of Hermitian bands from their lowest eigenvalue,
+    in O(m): below, max(|lowest|, max K_ii), since each diagonal entry is a
+    Rayleigh quotient; above, the largest Gershgorin row sum of the matrix
+    the solvers read (the diagonal, the lower band and the bottom-left
+    corner).  `_spectral_radius` runs only when a decision needs it."""
+    main = bands.main.real
+    rows = np.abs(main)
+    off = np.abs(bands.lower)
+    rows[:-1] += off
+    rows[1:] += off
+    rows[[0, -1]] += abs(bands.bottom_left)
+    low = max(abs(lowest), float(np.max(main)))
+    return _Radius(low, max(low, float(np.max(rows))),
+                   functools.cache(functools.partial(_spectral_radius, bands, lowest)))
 
 
 def _ring_band(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
@@ -725,34 +841,38 @@ def _all_eigenvalues(bands: Bands) -> np.ndarray:
 DEGENERACY_TOL = 64 * np.finfo(float).eps
 
 
-def _splits_a_pair(bands: Bands, vals: np.ndarray, vecs: np.ndarray, tol: float) -> bool:
-    """Whether the eigenvalue after the k lowest (vals, vecs) lies within tol
-    of the last one, so that a set of these k splits a degenerate pair.
+def _splits_a_pair(bands: Bands, vals: np.ndarray, vecs: np.ndarray, radius: _Radius) -> bool:
+    """Whether the eigenvalue after the k lowest (vals, vecs) lies within
+    DEGENERACY_TOL max |E^2| of the last one, so that a set of these k
+    splits a degenerate pair.
 
-    One step of inverse iteration at the last eigenvalue from a vector
-    orthogonal to the k modes: its Rayleigh quotient is at least the next
-    eigenvalue (Courant-Fischer) and, when that one is degenerate with the
-    last, lands within round-off of it.  Tridiagonal bands have simple
-    eigenvalues, and two members of a pair already in the set leave none
-    to split: an eigenvector is fixed by its first two entries.
+    One step of inverse iteration just above the last eigenvalue, on the
+    factor of K - sigma I, from a vector orthogonal to the k modes: its
+    Rayleigh quotient is at least the next eigenvalue (Courant-Fischer) and,
+    when that one is degenerate with the last, lands within round-off of
+    it.  Tridiagonal bands have simple eigenvalues, and two members of a
+    pair already in the set leave none to split: an eigenvector is fixed by
+    its first two entries.
     """
-    if bands.tridiagonal or (len(vals) > 1 and vals[-1] - vals[-2] <= tol):
+    if bands.tridiagonal:
         return False
-    ab, pos = _ring_band(bands)
-    m = len(pos)
-    # K - sigma I in the ring order, in the general band storage of ?gbsv
-    shifted = np.zeros((5, m), dtype=ab.dtype)
-    shifted[2:] = ab
-    shifted[2] -= vals[-1] + 0.5 * tol
-    shifted[1, 1:] = ab[1, :-1].conj()
-    shifted[0, 2:] = ab[2, :-2].conj()
-    x = np.random.default_rng(1).standard_normal(m).astype(ab.dtype)
+
+    def paired(r):
+        return len(vals) > 1 and vals[-1] - vals[-2] <= DEGENERACY_TOL * r
+
+    if paired(radius.settle(paired)):
+        return False
+    factor = _ShiftedBandsFactor(bands, 1.0, -(vals[-1] + 0.5 * DEGENERACY_TOL * radius.low))
+    x = np.random.default_rng(1).standard_normal(len(bands.main)).astype(vecs.dtype)
     x -= vecs @ (vecs.conj().T @ x)
-    ring = np.empty_like(x)
-    ring[pos] = x
-    x = scipy.linalg.solve_banded((2, 2), shifted, ring)[pos]
+    x = factor.solve(x[None, :])[0]
     x -= vecs @ (vecs.conj().T @ x)
-    return np.vdot(x, bands.matvec(x)).real / np.vdot(x, x).real - vals[-1] <= tol
+    above = np.vdot(x, bands.matvec(x)).real / np.vdot(x, x).real - vals[-1]
+
+    def near(r):
+        return above <= DEGENERACY_TOL * r
+
+    return near(radius.settle(near))
 
 
 def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndarray:
@@ -783,9 +903,13 @@ def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndar
     return out
 
 
-def _quarantine(vals: np.ndarray, radius: float, positivity_tol: float):
+def _quarantine(vals: np.ndarray, radius: _Radius, positivity_tol: float):
     """Mask of the positive E^2 and the (index, E^2) of the others."""
-    keep = vals > positivity_tol * max(1.0, radius)
+
+    def positive(r):
+        return vals > positivity_tol * max(1.0, r)
+
+    keep = positive(radius.settle(positive))
     return keep, tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
 
 
@@ -813,7 +937,8 @@ def spectrum(
     positive energies E = +sqrt(E^2), ascending, and the quarantined (index,
     E^2) pairs, by the rule of `eigenmodes`."""
     vals = _all_eigenvalues(kinetic.bands)
-    keep, diagnostics = _quarantine(vals, max(abs(vals[0]), abs(vals[-1])), positivity_tol)
+    radius = max(abs(vals[0]), abs(vals[-1]))
+    keep, diagnostics = _quarantine(vals, _Radius(radius, radius), positivity_tol)
     return np.sqrt(vals[keep]), diagnostics
 
 
@@ -832,6 +957,13 @@ def eigenmodes(
     mode is among them; a set that would end on the first member of a
     degenerate pair grows by one, and a count that would need half of the
     unknowns or more gives every mode.
+
+    The quarantine and the degenerate pairs compare against max |E^2|.  A
+    partial solve decides each from two O(m) bounds on it
+    (`_radius_bounds`), and computes max |E^2| (`_spectral_radius`, a
+    second eigensolve) only for a decision that differs between them; each
+    decision is monotone in max |E^2|, so the mode set is the same bits
+    either way.
     """
     if count is not None and count < 1:
         raise ValueError("count must be at least 1")
@@ -842,24 +974,30 @@ def eigenmodes(
     while 2 * k < m:
         vals, vecs = _lowest_eigenpairs(bands, k)
         if radius is None:
-            radius = _spectral_radius(bands, vals[0])
+            radius = _radius_bounds(bands, vals[0])
         keep, diagnostics = _quarantine(vals, radius, positivity_tol)
         if np.count_nonzero(keep) < count:
             k = count + np.count_nonzero(~keep)
-        elif _splits_a_pair(bands, vals, vecs, DEGENERACY_TOL * radius):
+        elif _splits_a_pair(bands, vals, vecs, radius):
             k += 1
         else:
             break
     else:  # every mode
         vals, vecs = _all_eigenpairs(bands)
-        radius = max(abs(vals[0]), abs(vals[-1]))
+        top = max(abs(vals[0]), abs(vals[-1]))
+        radius = _Radius(top, top)
         keep, diagnostics = _quarantine(vals, radius, positivity_tol)
     closure = kinetic.closure
+    e2 = vals[keep]
+
+    def pairs(r):
+        return np.diff(e2) <= DEGENERACY_TOL * r
+
     fields = canonical_pairs(
-        vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius
+        e2, vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius.settle(pairs)
     )
     return ModeSet(
-        energies=np.sqrt(vals[keep]), fields=closure.extend(gauge(fields)), diagnostics=diagnostics
+        energies=np.sqrt(e2), fields=closure.extend(gauge(fields)), diagnostics=diagnostics
     )
 
 

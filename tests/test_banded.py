@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 
 from kfglab import evolution, operators
@@ -24,7 +25,6 @@ from kfglab.evolution import (
     CayleyPropagator,
     EvolutionConfig,
     SingularPropagator,
-    _ShiftedBandsFactor,
     check_majorana_preservation,
     evolve,
     state_to_wave,
@@ -41,6 +41,7 @@ from kfglab.operators import (
     e2_field,
     hermitian_frame,
     potential_diag,
+    _ShiftedBandsFactor,
 )
 from oracles import pairing_deviation
 
@@ -280,6 +281,24 @@ def test_catalog_closures_step_on_the_ldl_factor(tag, driven, monkeypatch):
     assert np.all(np.isfinite(x))
 
 
+def random_entries(rng, size, dtype):
+    """Entries of magnitude at most 1, with random phases if complex."""
+    x = rng.uniform(-1.0, 1.0, size)
+    return x if dtype is np.float64 else x * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size))
+
+
+def random_hermitian_bands(rng, m, dtype, corners: bool) -> Bands:
+    """Hermitian bands with entries of magnitude at most 1 and main[5] = -0.9."""
+    main = rng.uniform(-1.0, 1.0, m).astype(dtype)
+    main[5] = -0.9
+    lower = random_entries(rng, m - 1, dtype)
+    corner = random_entries(rng, 1, dtype)[0] if corners else 0.0
+    bands = Bands(main, lower.conj(), lower, corner, np.conj(corner))
+    assert bands.hermiticity_defect() == 0.0
+    assert (bands.corners is None) == (not corners)
+    return bands
+
+
 @pytest.mark.parametrize("c, routine", [(0.2, "pttrf"), (3.0, "gttrf")], ids=["ldl", "lu"])
 @pytest.mark.parametrize("corners", [False, True], ids=["tridiagonal", "corners"])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
@@ -288,25 +307,36 @@ def test_shifted_factor_solves_the_dense_system(dtype, corners, c, routine, monk
     # (Gershgorin); I + 3 B has a negative diagonal entry, so it is not
     rng = np.random.default_rng(11)
     m = 40
-
-    def entries(size):
-        x = rng.uniform(-1.0, 1.0, size)
-        return x if dtype is np.float64 else x * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size))
-
-    main = rng.uniform(-1.0, 1.0, m).astype(dtype)
-    main[5] = -0.9
-    lower = entries(m - 1)
-    corner = entries(1)[0] if corners else 0.0
-    bands = Bands(main, lower.conj(), lower, corner, np.conj(corner))
-    assert bands.hermiticity_defect() == 0.0
-    assert (bands.corners is None) == (not corners)
+    bands = random_hermitian_bands(rng, m, dtype, corners)
     dense = np.eye(m) + c * bands.dense()
-    rhs = np.stack([entries(m) for _ in range(3)]).astype(dtype)
+    rhs = np.stack([random_entries(rng, m, dtype) for _ in range(3)]).astype(dtype)
     want = np.linalg.solve(dense, rhs.T).T
     called = lapack_routines(monkeypatch)
     got = _ShiftedBandsFactor(bands, c).solve(rhs.copy())
     assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.cond(dense) * np.max(np.abs(want))
     assert ("gttrf" in called) == (routine == "gttrf")
+
+
+@pytest.mark.parametrize("corners", [False, True], ids=["tridiagonal", "corners"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_positive_definite_agrees_with_the_dense_lowest_eigenvalue(dtype, corners):
+    # d I + c B at shifts d that put its lowest eigenvalue just below and
+    # just above zero, and at random shifts; with corners, some cases have a
+    # positive definite tridiagonal part, so the capacitance decides
+    rng = np.random.default_rng(12)
+    decided_by_capacitance = 0
+    for _ in range(20):
+        bands = random_hermitian_bands(rng, 40, dtype, corners)
+        for c in (1.0, 0.3):
+            lowest = scipy.linalg.eigvalsh(c * bands.dense())[0]
+            tridiagonal = dataclasses.replace(bands, top_right=0.0, bottom_left=0.0)
+            for d in (-lowest - 1e-8, -lowest + 1e-8, rng.uniform(-2.0, 2.0)):
+                dense = d * np.eye(40) + c * bands.dense()
+                want = scipy.linalg.eigvalsh(dense)[0] > 0.0
+                assert _ShiftedBandsFactor(bands, c, d).positive_definite == want
+                tri_definite = scipy.linalg.eigvalsh(d * np.eye(40) + c * tridiagonal.dense())[0] > 0
+                decided_by_capacitance += tri_definite and not want
+    assert (decided_by_capacitance > 0) == corners
 
 
 @pytest.mark.parametrize("tag", BRANCHES)

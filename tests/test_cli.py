@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import runpy
+import sys
 from unittest import mock
 
 import numpy as np
@@ -54,6 +56,23 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return header, data
+
+
+@pytest.mark.parametrize("bc, code", [("dirichlet", 0), ("no-such-closure", 2)],
+                         ids=["ok", "config-error"])
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch, bc, code):
+    # `python -m kfglab ...` executes the package's __main__ module
+    cfg = tmp_path / "c.json"
+    write_config(cfg, bc=bc)
+    monkeypatch.setattr(sys, "argv", ["kfglab", "classify", "--config", str(cfg)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("kfglab", run_name="__main__")
+    assert exit_info.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["named_match"] == "dirichlet"
+    else:
+        assert err.startswith("config error:")
 
 
 class TestClassify:
@@ -119,8 +138,10 @@ class TestClassify:
 
 
 class TestBadNumbers:
-    """Non-finite lengths and times, and counts that are not integers, fail
-    before the run with exit code 2 instead of mid-run or silently."""
+    """Non-finite numbers, counts that are not integers, mode indices
+    outside the modes, tabulated profiles of another length and a config
+    that is not a JSON object fail before the run with exit code 2 instead
+    of mid-run, with a traceback or silently."""
 
     @staticmethod
     def write_with(path, section, key, value):
@@ -159,6 +180,79 @@ class TestBadNumbers:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @staticmethod
+    def assert_config_error(cfg, tmp_path, capsys, *words):
+        """`evolve` exits with code 2 before any step, and stderr names a
+        config error and each of `words`."""
+        with mock.patch.object(kfglab.cli, "evolve", side_effect=AssertionError("stepped")):
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and all(w in err for w in words), err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t0_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, t0=value)
+        self.assert_config_error(cfg, tmp_path, capsys, "t0", "finite")
+
+    @pytest.mark.parametrize("part, key", [("profile", "coefficient"), ("profile", "x0"),
+                                           ("time_factor", "omega")])
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_potential_parameter_is_config_error(self, tmp_path, capsys, part,
+                                                            key, value):
+        potential = {
+            "profile": {"kind": "quadratic", "x0": math.pi / 2, "coefficient": 0.3},
+            "time_factor": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 2.0, "offset": 1.0},
+        }
+        potential[part][key] = value
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential=potential)
+        self.assert_config_error(cfg, tmp_path, capsys, f"{part}.{key}", "finite")
+
+    def test_non_finite_tabulated_profile_is_config_error(self, tmp_path, capsys):
+        values = [0.0] * 64
+        values[5] = math.inf
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"profile": {"kind": "tabulated", "values": values}})
+        self.assert_config_error(cfg, tmp_path, capsys, "profile.values", "finite")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"dirichlet"', "3", "null"],
+                             ids=["list", "string", "number", "null"])
+    def test_top_level_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        self.assert_config_error(cfg, tmp_path, capsys, "JSON object")
+
+    @pytest.mark.parametrize("index", [10_000, -1])
+    def test_mode_index_outside_the_modes_is_config_error(self, tmp_path, capsys, index):
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, "initial_state", "index", index)
+        self.assert_config_error(cfg, tmp_path, capsys, f"mode index {index}")
+
+    @pytest.mark.parametrize("key, value", [("amplitude", math.inf), ("amplitude", math.nan),
+                                            ("phase", -math.inf)])
+    def test_non_finite_mode_coefficient_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, "initial_state", key, value)
+        self.assert_config_error(cfg, tmp_path, capsys, f"mode {key}", "finite")
+
+    @pytest.mark.parametrize("key", ["psi_re", "psi_t_im"])
+    def test_non_finite_tabulated_state_is_config_error(self, tmp_path, capsys, key):
+        psi = np.sin(np.linspace(0.0, math.pi, 64))
+        tab = {"psi_re": psi.tolist(), "psi_t_im": (-psi).tolist()}
+        tab[key][7] = math.nan
+        cfg = tmp_path / "c.json"
+        write_config(cfg, majorana="none", initial_state={"tabulated": tab})
+        self.assert_config_error(cfg, tmp_path, capsys, "tabulated state", "finite")
+
+    @pytest.mark.parametrize("length", [10, 65])
+    def test_tabulated_profile_of_another_length_is_config_error(self, tmp_path, capsys,
+                                                                 length):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"profile": {"kind": "tabulated", "values": [0.0] * length}})
+        self.assert_config_error(cfg, tmp_path, capsys, "length must match the grid")
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -4,9 +4,12 @@ the certified shift, the mode-set cache and the errors of mode synthesis."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from kfglab import operators
@@ -57,14 +60,14 @@ def assert_agree(dense, partial, field_tol):
 @pytest.mark.parametrize("tag", TAGS)
 def test_partial_modes_match_dense(tag, monkeypatch):
     shifts = []
-    certify = operators._positive_definite_factor
+    certify = operators._below_spectrum
 
-    def recorded(a, sigma):
-        lu = certify(a, sigma)
-        shifts.append(lu is not None)
-        return lu
+    def recorded(bands, sigma):
+        factor = certify(bands, sigma)
+        shifts.append(factor is not None)
+        return factor
 
-    monkeypatch.setattr(operators, "_positive_definite_factor", recorded)
+    monkeypatch.setattr(operators, "_below_spectrum", recorded)
     dense, partial = both_paths(params_from_tag(tag))
     assert partial.count == COUNT
     assert_agree(dense, partial, 1e-9)
@@ -171,3 +174,56 @@ def test_every_quarantined_mode_is_listed():
         partial = eigenmodes(dataclasses.replace(kin), count=count)
         assert partial.count == count
         assert [i for i, _ in partial.diagnostics] == [0, 1]
+
+
+@pytest.fixture
+def no_splu(monkeypatch):
+    """scipy's sparse LU `splu` failing, in every scipy module that holds
+    it (ARPACK's shift-invert mode builds one when given no inverse)."""
+    splu = scipy.sparse.linalg.splu
+
+    def failing(*args, **kwargs):
+        raise AssertionError("scipy.sparse.linalg.splu was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scipy") and vars(module).get("splu") is splu:
+            monkeypatch.setattr(module, "splu", failing)
+
+
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_partial_modes_never_reach_a_sparse_lu(tag, no_splu):
+    system = System(Grid(0.0, math.pi, 512), CATALOG[tag].params, QUADRATIC)
+    assert system.modes(3).count >= 3
+    assert "sym" not in vars(system.kinetic())
+
+
+@pytest.mark.parametrize("n", [N, 512])
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_radius_bounds_bracket_the_spectral_radius(tag, n):
+    kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
+    vals = scipy.linalg.eigvalsh(kin.sym)
+    bounds = operators._radius_bounds(kin.bands, vals[0])
+    assert bounds.low <= max(abs(vals[0]), abs(vals[-1])) <= bounds.high
+
+
+@pytest.mark.parametrize("n", [N, 512])
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_mode_sets_from_the_radius_bounds_equal_the_exact_ones(tag, n, monkeypatch):
+    kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
+
+    def unused(bands, lowest):
+        raise AssertionError("_spectral_radius was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_spectral_radius", unused)
+        got = eigenmodes(dataclasses.replace(kin), count=3)
+
+    def exact(bands, lowest):
+        radius = operators._spectral_radius(bands, lowest)
+        return operators._Radius(radius, radius)
+
+    monkeypatch.setattr(operators, "_radius_bounds", exact)
+    want = eigenmodes(dataclasses.replace(kin), count=3)
+    assert got.count >= 3 and got.diagnostics == want.diagnostics
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.fields, want.fields)
