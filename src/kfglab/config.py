@@ -21,7 +21,7 @@ from .core import (
 )
 from .bc import BcParams, InvalidParams, params_from_tag
 from .evolution import EvolutionConfig
-from .operators import InvalidMode, SingularClosure, System, check_end_values
+from .operators import InvalidMode, SingularClosure, System
 
 
 class ConfigError(KfgLabError):
@@ -149,22 +149,44 @@ def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
         raise ConfigError(f"bad bc section: {exc}") from exc
 
 
+def _extreme_times(factor: TimeFactor, t0: float, t1: float) -> list[float]:
+    """Times at which the factor takes its least and its greatest value over
+    [t0, t1]: both ends and, for a sinusoidal factor, the first crest and
+    trough between them."""
+    times = [t0, t1]
+    if factor.kind == "sinusoidal" and factor.omega != 0.0:
+        lo, hi = sorted(factor.omega * t + factor.phase for t in times)
+        for crest in (0.5 * math.pi, 1.5 * math.pi):
+            theta = crest + 2.0 * math.pi * math.ceil((lo - crest) / (2.0 * math.pi))
+            if theta <= hi:
+                times.append((theta - factor.phase) / factor.omega)
+    return times
+
+
 def system_from_config(cfg: dict) -> System:
-    """The configured system.  A closure that identifies the end values
-    (periodic, say) needs a profile with S(a) = S(b), at every time, so a
-    profile with different end values is a configuration error, as is a
-    tabulated profile whose length is not the grid's."""
+    """The configured system.  Over the run's times [t0, t0 + steps dt]
+    (t0 alone without an evolution section) a `nonneg` potential with
+    min S < -1e-14, an end-identifying closure (periodic, say) with
+    S(a, t) != S(b, t), and a tabulated profile not of the grid's length
+    are configuration errors, checked at the factor's extremes there."""
     units = units_from_config(cfg)
     grid = grid_from_config(cfg)
     potential = potential_from_config(cfg)
     bc = bc_from_config(cfg, units)
+    t0 = _finite(cfg.get("t0", 0.0), "t0")
+    t1 = t0
+    if "evolution" in cfg:
+        evolution = evolution_from_config(cfg)
+        t1 = t0 + evolution.steps * evolution.dt
     system = System(grid=grid, bc=bc, potential=potential, units=units)
+    factor = potential.time_factor
     try:
-        check_end_values(system.closure, potential.profile.sample(grid.x))
+        for t in _extreme_times(factor, t0, t1):
+            system.potential_diagonal.check(factor.value(t), t)
     except InvalidPotential as exc:
-        raise ConfigError(f"bad potential profile: {exc}") from exc
+        raise ConfigError(f"bad potential: {exc}") from exc
     except SingularClosure as exc:
-        raise ConfigError(f"bc {cfg['bc']!r} with this potential profile: {exc}") from exc
+        raise ConfigError(f"bc {cfg['bc']!r} with this potential: {exc}") from exc
     return system
 
 

@@ -133,12 +133,16 @@ class CayleyPropagator:
     product (`_BandedProduct`, written over a copy of w) for
     (v', w') = (2y - v, w + a T y), and the rank-2 update
     (v', w') -= y[m-1] G + y[0] H, one BLAS ?gemv per row.  A static run
-    factors M and builds the product's band and G, H once; a driven run
-    refactors with the midpoint potential at each step, rebuilds G and H
-    with that factor, and rewrites only the band's diagonal, as
-    K(t) = K_0 + diag(t).  A static run with at most DENSE_STEP_MAX_DOF
-    unknowns applies the dense step matrix instead, whose row i is the
-    banded step of unit vector i.
+    factors M and builds the product's band and G, H once.  A driven run
+    builds them at its first midpoint and keeps the LAPACK handles, the
+    band and the entries of K that do not move with t; each later step
+    rewrites the real part of the band's diagonal from the profile sampled
+    once (`System.potential_diagonal`, whose O(1) guards check S >= 0 and
+    S(a, t) = S(b, t) there, as `config.system_from_config` does over a
+    run's times), refactors M and rebuilds G and H where the factor's unit
+    solves changed.  A static run with at most DENSE_STEP_MAX_DOF unknowns
+    applies the dense step matrix instead, whose row i is the banded step
+    of unit vector i.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
@@ -157,72 +161,95 @@ class CayleyPropagator:
         self._k = 0.5 * dt
         self._m_scale = (self._k / hbar) ** 2
         self._w_scale = 2.0 * self._k / hbar**2
-        # the v and w halves of the end responses G and H (`_factor_at`)
-        self._fold_scales = np.array([[2.0], [2.0 / self._k]])
+        self._w_half = 2.0 / self._k  # w halves of H and G off the ends (`_fold`)
         # a real closure has real bands at every time
         self._real = not system.closure.is_complex
         self._gemv = scipy.linalg.blas.get_blas_funcs(
             "gemv", dtype=np.float64 if self._real else np.complex128
         )
-        self._product: _BandedProduct | None = None
-        self._static_factor = self._factor_at(0.0) if system.is_static else None
+        self._factor: _ShiftedBandsFactor | None = None
         self._dense: np.ndarray | None = None
-        if system.is_static and system.closure.n_dof <= DENSE_STEP_MAX_DOF:
-            # on dirichlet from n = 128 the matrix holds subnormal entries
-            # (558 at n = 128), which made a step two to three times slower
-            self._dense = _flush_subnormals(
-                self._step(np.eye(2 * system.closure.n_dof), *self._static_factor)
-            )
+        self._driven = not system.is_static
+        if system.is_static:
+            self._move_to(0.0)
+            if system.closure.n_dof <= DENSE_STEP_MAX_DOF:
+                # on dirichlet from n = 128 the matrix holds subnormal entries
+                # (558 at n = 128), which made a step two to three times slower
+                self._dense = _flush_subnormals(self._step(np.eye(2 * system.closure.n_dof)))
 
-    def _factor_at(self, t: float) -> tuple[_ShiftedBandsFactor, np.ndarray | None]:
-        """The factor of M at time t and the end responses as the columns
-        [H G] of a (2m, 2) array (None without corners), with T(t) in the
-        product's band."""
-        bands = self.system.kinetic(t).bands
-        if self._product is None:
-            self._product = _BandedProduct(bands, -self._w_scale)
+    def _move_to(self, t: float) -> None:
+        """Factor M and fold the end responses for K at time t: built from
+        `system.kinetic(t)` once, then from a new diagonal."""
+        if self._factor is not None:
+            main = self._product.band[1]
+            diag = self.system.potential_diagonal.diag(t, out=self._diag)
+            np.add(self._main0, diag[self._dof], out=main.real)
+            self._factor.refactor(main)
         else:
-            # K(t) = K_0 + diag(t): only the diagonal moves with t
-            self._product.band[1] = bands.main
-        factor = _ShiftedBandsFactor(bands, self._m_scale)
-        if factor.corner_rows is None:
-            return factor, None
-        # rows [H; G] = [2q, a (K q - bottom_left e_(m-1)); 2p, a (K p -
-        # top_right e_0)], which ?gemv reads as the columns of a (2m, 2)
-        # matrix.  q and p combine the unit solves z of the tridiagonal part
-        # I + c T of M, whose rows vanish away from the ends: there
-        # z + c T z = 0, so a K [q; p] = -(a/c) [q; p] = (2/k) [q; p], and
-        # only the four end entries take band products.  p and q hold no
-        # subnormal part (the factor flushes them), so G and H hold none.
-        q_p = factor.corner_rows[::-1]
-        ends = np.multiply(q_p[:, None, :], self._fold_scales)
-        (q0, q1, q2, q3), (p0, p1, p2, p3) = q_p[:, [0, 1, -2, -1]].tolist()
-        d0, d1 = bands.main[[0, -1]].tolist()
-        u, l = bands.upper[0].item(), bands.lower[-1].item()
-        top, bottom = bands.corners.tolist()
-        w, a = ends[:, 1], -self._w_scale
-        w[0, 0] = a * (d0 * q0 + u * q1 + top * q3)
-        w[0, -1] = a * (l * q2 + d1 * q3 + bottom * (q0 - 1.0))
-        w[1, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))
-        w[1, -1] = a * (l * p2 + d1 * p3 + bottom * p0)
-        return factor, ends.reshape(2, -1).T
+            kinetic = self.system.kinetic(t)
+            main, bands = kinetic.bands.main, kinetic.bands
+            self._main0 = kinetic.kinetic_bands.main.real
+            self._diag = np.empty(self.system.grid.n)
+            # the unknowns are a run of grid points: pinned and slaved ones end it
+            dof = self.system.closure.dof
+            self._dof = slice(dof[0], dof[-1] + 1)
+            self._product = _BandedProduct(bands, -self._w_scale)
+            self._factor = _ShiftedBandsFactor(bands, self._m_scale)
+            self._ends = None
+            if bands.corners is not None:
+                # the entries of K the fold reads that do not move with t
+                self._end_entries = (bands.upper[0].item(), bands.lower[-1].item(),
+                                     *bands.corners.tolist())
+                self._ends = np.empty((4, len(main)), dtype=self._product.band.dtype)
+                # the columns [H G] of a (2m, 2) array, as ?gemv reads them
+                self._end_columns = self._ends.reshape(2, -1).T
+        if self._ends is not None:
+            self._fold(main)
 
-    def _step(
-        self, x: np.ndarray, factor: _ShiftedBandsFactor, ends: np.ndarray | None
-    ) -> np.ndarray:
+    def _fold(self, main: np.ndarray) -> None:
+        """The end responses into `_ends`, rows [H; G] = [2q, a (K q -
+        bottom_left e_(m-1)); 2p, a (K p - top_right e_0)], from the
+        factor's unit solves z, [p; q] = corner_coef z^T, and K's diagonal
+        `main`; a driven step rewrites only the factor's corner spans."""
+        # q and p combine the unit solves z of the tridiagonal part I + c T
+        # of M, whose rows vanish away from the ends: there z + c T z = 0, so
+        # a K [q; p] = -(a/c) [q; p] = (2/k) [q; p], and only the four end
+        # entries take band products.  So the four rows [2q; (2/k) q; 2p;
+        # (2/k) p] are one product of z with the scaled coefficients, and
+        # lose the subnormal parts that a factor below one makes of z's
+        # smallest entries (108 on quasimixed+ at n = 8192), as in p and q
+        factor, ends = self._factor, self._ends
+        (p_0, p_1), (q_0, q_1) = factor.corner_coef
+        s = self._w_half
+        scaled = np.array([2.0 * q_0, 2.0 * q_1, s * q_0, s * q_1,
+                           2.0 * p_0, 2.0 * p_1, s * p_0, s * p_1]).reshape(4, 2)
+        for span in factor.corner_spans:
+            _flush_subnormals(np.matmul(scaled, factor.unit_solves[span].T, out=ends[:, span]))
+        (q0, q1, q2, q3), (p0, p1, p2, p3) = zip(
+            *[(q_0 * z0 + q_1 * z1, p_0 * z0 + p_1 * z1) for z0, z1 in factor.unit_ends])
+        d0, d1 = main[::len(main) - 1].tolist()
+        u, l, top, bottom = self._end_entries
+        a = -self._w_scale
+        ends[1, 0] = a * (d0 * q0 + u * q1 + top * q3)
+        ends[1, -1] = a * (l * q2 + d1 * q3 + bottom * (q0 - 1.0))
+        ends[3, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))
+        ends[3, -1] = a * (l * p2 + d1 * p3 + bottom * p0)
+
+    def _step(self, x: np.ndarray) -> np.ndarray:
         """The step applied to each row of an (r, 2m) stack."""
         m = x.shape[1] // 2
         v, w = x[:, :m], x[:, m:]
         rhs = self._k * w
         rhs += v
-        y = factor.solve_tridiagonal(rhs)
+        y = self._factor.solve_tridiagonal(rhs)
         out = np.empty(x.shape, dtype=y.dtype)
         v_new, w_new = out[:, :m], out[:, m:]
         np.multiply(y, 2.0, out=v_new)
         v_new -= v
         w_new[...] = w
         self._product.accumulate(y, w_new)
-        if ends is not None:
+        if self._ends is not None:
+            ends = self._end_columns
             for y_row, out_row in zip(y, out):
                 # out_row -= [H G] [y_row[0], y_row[m-1]], reading the two ends
                 # of y_row with stride m - 1; after x: beta = 1, y, offx,
@@ -266,7 +293,9 @@ class CayleyPropagator:
         if self._dense is not None:
             out = x @ self._dense
         else:
-            out = self._step(x, *(self._static_factor or self._factor_at(t + 0.5 * self.dt)))
+            if self._driven:
+                self._move_to(t + 0.5 * self.dt)
+            out = self._step(x)
         return self.unpack(out) if z.ndim == 1 else out
 
 

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import KfgLabError, KfgState, FvState, kfg_to_fv
-from .operators import NumericalFailure, System, e2_field, sampled_diag
+from .core import KfgLabError, KfgState, FvState
+from .operators import NumericalFailure, System
 
 
 class InsufficientData(KfgLabError):
@@ -89,10 +89,8 @@ class Snapshot:
 
     @cached_property
     def e2_psi(self) -> np.ndarray:
-        """E^2 psi on the snapshot's own samples of S (`System.e2_apply`'s bits)."""
-        system = self.system
-        diag = sampled_diag(system.closure, system.units, self.s)
-        return e2_field(system.closure, system.units, diag, self.psi)
+        """E^2 psi at the snapshot's time (`System.e2_apply`'s bits)."""
+        return self.system.e2_apply(self.psi, self.state.t)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -411,23 +409,6 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
     that is not finite (a state grown past the float range, say) raises
     NumericalFailure."""
     return Snapshot(state, system).summary
-
-
-def indefinite_norm(state: KfgState, system: System) -> float:
-    """<<Psi, Psi>>: trapezoid integral of the charge density."""
-    return system.grid.integrate(Snapshot(state, system).rho).real
-
-
-def energy_bracket(state: KfgState, system: System) -> complex:
-    """<<Psi, E Psi>>: trapezoid integral of the proper energy density."""
-    return system.grid.integrate(Snapshot(state, system).rho_E)
-
-
-def dirac_norm(state: KfgState, system: System) -> float:
-    """The positive-definite norm of the two-component representation."""
-    fv = kfg_to_fv(state, system.units)
-    dens = (np.conj(fv.psi1) * fv.psi1 + np.conj(fv.psi2) * fv.psi2).real
-    return system.grid.integrate(dens).real
 
 
 # --------------------------------------------------------------------------

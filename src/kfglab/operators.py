@@ -46,6 +46,7 @@ import scipy.sparse.linalg
 
 from .core import (
     Grid,
+    InvalidPotential,
     KfgLabError,
     KfgState,
     NATURAL_UNITS,
@@ -288,28 +289,51 @@ def potential_diag(
 ) -> np.ndarray:
     """(mc^2)^2 + 2 mc^2 S(x, t) on the full grid.
 
-    Raises SingularClosure for an end-identifying closure over a potential
-    with S(a, t) != S(b, t).
+    Raises InvalidPotential for a potential flagged nonnegative with
+    min S(x, t) < -1e-14, and SingularClosure for an end-identifying closure
+    over a potential with S(a, t) != S(b, t).
     """
-    s = np.asarray(potential.sample(closure.grid.x, t), dtype=float)
-    return sampled_diag(closure, units, s)
+    return PotentialDiagonal(closure, potential, units).diag(t)
 
 
-def sampled_diag(closure: DiscreteClosure, units: PhysicalUnits, s: np.ndarray) -> np.ndarray:
-    """(mc^2)^2 + 2 mc^2 s for a potential s already sampled on the full grid;
-    raises SingularClosure as `potential_diag` does."""
-    check_end_values(closure, s)
-    mc2 = units.mc2
-    return mc2**2 + 2.0 * mc2 * s
+class PotentialDiagonal:
+    """(mc^2)^2 + 2 mc^2 S(x, t) on a closure's grid for S = p(x) f(t), with
+    the profile p sampled once: the potential's part of K(t)'s diagonal.
 
+    `check(f, t)` runs the potential's two guards at factor value f in O(1),
+    from the extremes and end values of p.  Rounding is monotone, so min S
+    is f min p (f >= 0) or f max p (f < 0), and max |S| is max |p| |f|, bit
+    for bit: the guards decide as they did on every sample of S.
+    """
 
-def check_end_values(closure: DiscreteClosure, s: np.ndarray) -> None:
-    """Raise SingularClosure when an end-identifying closure meets a grid
-    field s (a potential or a profile) with s(a) != s(b)."""
-    if closure.slaved is not None and abs(s[0] - s[-1]) > 1e-12 * (1.0 + np.max(np.abs(s))):
-        raise SingularClosure(
-            "end-identifying boundary condition requires S(a, t) = S(b, t)"
-        )
+    def __init__(self, closure: DiscreteClosure, potential: ScalarPotential, units: PhysicalUnits):
+        p = self.profile = np.asarray(potential.profile.sample(closure.grid.x), dtype=float)
+        self.time_factor, self._mc2 = potential.time_factor, units.mc2
+        self._range = (p.min(), p.max()) if potential.nonneg else None
+        self._ends = (p[0], p[-1], np.max(np.abs(p))) if closure.slaved is not None else None
+
+    def check(self, f: float, t: float) -> None:
+        """Raise InvalidPotential for a potential flagged nonnegative with
+        min S < -1e-14, and SingularClosure for an end-identifying closure
+        with S(a) != S(b), at factor value f (time t)."""
+        low = None if self._range is None else f * self._range[1 if f < 0.0 else 0]
+        if low is not None and low < -1e-14:
+            raise InvalidPotential(f"potential flagged nonnegative but min S = {low:.3e} at t = {t}")
+        if self._ends is not None:
+            a, b, top = self._ends
+            if abs(a * f - b * f) > 1e-12 * (1.0 + top * abs(f)):
+                raise SingularClosure(
+                    "end-identifying boundary condition requires S(a, t) = S(b, t)")
+
+    def diag(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The diagonal at time t on the full grid, into `out` if given,
+        after the guards; in place with the bits of mc2**2 + 2.0 * mc2 * p f."""
+        f = self.time_factor.value(t)
+        self.check(f, t)
+        out = np.multiply(self.profile, f, out=out)
+        out *= 2.0 * self._mc2
+        out += self._mc2**2
+        return out
 
 
 @dataclass(frozen=True)
@@ -384,12 +408,16 @@ class Bands:
         return float(np.linalg.norm(entries - adjoint) / max(np.linalg.norm(entries), 1e-300))
 
 
+TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
 def _flush_subnormals(a: np.ndarray) -> np.ndarray:
     """Set the subnormal entries (real and imaginary parts apart) of a
-    C-contiguous float array to zero, in place.  Each product with one is
-    slow, and its term lies below 2.2e-308 times the other factor."""
+    float array with a contiguous last axis to zero, in place.  Each product
+    with one is slow, and its term lies below 2.2e-308 times the other
+    factor."""
     parts = a.view(np.float64)
-    np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+    np.putmask(parts, np.abs(parts) < TINY, 0.0)
     return a
 
 
@@ -403,8 +431,8 @@ class _ShiftedBandsFactor:
     so it fails only when T is not positive definite; then LU ?gttrf
     factors T instead.  The corners enter as a rank-2 Woodbury correction
     M = T + U C U^T, with U = [e_0, e_(m-1)] and C = c [[0, top_right],
-    [bottom_left, 0]], built from two unit solves with whichever factor was
-    built.
+    [bottom_left, 0]], built from the two unit solves `unit_solves` =
+    T^-1 U with whichever factor was built.
 
     `positive_definite` says whether M is: ?pttrf succeeded and, with
     corners, the capacitance I + C U^T T^-1 U has a positive determinant.
@@ -412,47 +440,100 @@ class _ShiftedBandsFactor:
     (Haynsworth, 1968), and det C < 0 gives C one eigenvalue of each sign,
     so a positive definite T leaves M positive definite exactly then.
 
+    `refactor(main)` factors M again with a new diagonal of B, keeping the
+    LAPACK handles, c lower and the corners.  The unit solves decay from
+    their end into subnormal numbers, slow in every operation, that do not
+    reach zero when they decay by less than half per unknown (the smallest
+    subnormal times such a factor rounds to itself).  Once a full solve has
+    reached zero by the middle unknown, later ones run over a leading and a
+    trailing stretch of the L D L^H factor, which factors T's leading block
+    and, for e_(m-1), meets only zeros before the stretch.  A stretch ends
+    one unknown past the full solve's last normal entry, and a stretched
+    solve whose far entry is not below the smallest normal float is solved
+    in full again; `unit_solves` stays zero past the stretches.
+
     Raises SingularFactor when T or the capacitance is exactly singular.
     """
 
     def __init__(self, bands: Bands, c: float, d: float = 1.0):
         arrays = (bands.main, bands.upper, bands.lower)
-        pttrf, pttrs = scipy.linalg.lapack.get_lapack_funcs(("pttrf", "pttrs"), arrays)
-        lower = c * bands.lower
-        diag, e, info = pttrf(d + c * bands.main.real, lower)
+        self._pttrf, self._pttrs, self._gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
+            ("pttrf", "pttrs", "gttrf", "gttrs"), arrays)
+        self._c, self._d, self._upper = c, d, bands.upper
+        self._lower = c * bands.lower
+        # zpttrs takes the factor as L D L^H with `lower`
+        self._lower_kw = {"lower": 1} if np.iscomplexobj(self._lower) else {}
+        self._corners = None if bands.corners is None else (c * bands.corners).tolist()
+        self._reach = m = len(bands.main)
+        if self._corners is not None:
+            self.unit_solves = np.zeros((m, 2), dtype=np.result_type(*arrays), order="F")
+            self._unit = self.unit_solves.copy(order="F")
+            self._unit[0, 0] = self._unit[-1, 1] = 1.0
+        self.refactor(bands.main)
+
+    def refactor(self, main: np.ndarray) -> None:
+        """Factor M for the bands with `main` as their diagonal."""
+        c, d = self._c, self._d
+        diag, e, info = self._pttrf(d + c * main.real, self._lower, overwrite_d=1)
         self.positive_definite = info == 0
+        self._ldl = (diag, e) if info == 0 else None
         if info == 0:
             # e is the subdiagonal of L in T = L D L^H
-            kw = {"lower": 1} if np.iscomplexobj(e) else {}
-            self._tri_solve = functools.partial(pttrs, diag, e, **kw)
+            self._tri_solve = functools.partial(self._pttrs, diag, e, **self._lower_kw)
         else:
-            gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), arrays)
-            *lu, info = gttrf(lower, d + c * bands.main, c * bands.upper)
+            *lu, info = self._gttrf(self._lower, d + c * main, c * self._upper)
             if info != 0:
                 raise SingularFactor(f"banded factor is singular (info {info})")
-            self._tri_solve = functools.partial(gttrs, *lu)
-        self.corner_rows = None
-        if bands.corners is not None:
-            m = len(bands.main)
-            unit = np.zeros((m, 2), dtype=np.result_type(*arrays), order="F")
-            unit[0, 0] = unit[-1, 1] = 1.0
-            z = self._tri_solve(unit, overwrite_b=True)[0]
-            top, bottom = c * bands.corners
-            # the capacitance I + C U^T T^-1 U from the four end entries
-            a, b = 1.0 + top * z[-1, 0], top * z[-1, 1]
-            g, h = bottom * z[0, 0], 1.0 + bottom * z[0, 1]
-            det = a * h - b * g
-            if det == 0.0:
-                raise SingularFactor("banded factor's corner correction is singular")
-            self.positive_definite = self.positive_definite and det.real > 0.0
-            # row i of the correction is y[i, -1] p + y[i, 0] q, with
-            # [p; q] = C (capacitance^-1)^T z^T
-            coef = np.array([[top * h, -top * g], [-bottom * b, bottom * a]]) / det
-            self.corner_rows = coef @ z.T
-            # p and q decay away from the ends into subnormal numbers (4474 of
-            # 8191 entries on periodic at n = 8192), which made each step's
-            # correction ten times slower
-            _flush_subnormals(self.corner_rows)
+            self._tri_solve = functools.partial(self._gttrs, *lu)
+        self._corner_rows = None
+        if self._corners is None:
+            return
+        self.corner_spans = self._solve_units(len(main))
+        z = self.unit_solves
+        top, bottom = self._corners
+        # the rows of z at the unknowns 0, 1, m-2 and m-1
+        self.unit_ends = z[:2].tolist() + z[-2:].tolist()
+        (z00, z01), _, _, (z10, z11) = self.unit_ends
+        # the capacitance I + C U^T T^-1 U from the four end entries
+        a, b = 1.0 + top * z10, top * z11
+        g, h = bottom * z00, 1.0 + bottom * z01
+        det = a * h - b * g
+        if det == 0.0:
+            raise SingularFactor("banded factor's corner correction is singular")
+        self.positive_definite = self.positive_definite and det.real > 0.0
+        # row i of the correction is y[i, -1] p + y[i, 0] q, with
+        # [p; q] = C (capacitance^-1)^T z^T = corner_coef z^T
+        self.corner_coef = ((top * h / det, -top * g / det), (-bottom * b / det, bottom * a / det))
+
+    @property
+    def corner_rows(self) -> np.ndarray | None:
+        """[p; q] = `corner_coef` `unit_solves`^T, None without corners."""
+        if self._corner_rows is None and self._corners is not None:
+            self._corner_rows = _flush_subnormals(np.array(self.corner_coef) @ self.unit_solves.T)
+        return self._corner_rows
+
+    def _solve_units(self, m: int) -> list[slice]:
+        """Solve `unit_solves` without subnormal parts, and give the spans
+        of unknowns where it may have changed."""
+        z, reach = self.unit_solves, self._reach
+        if self._ldl is not None and 2 * reach < m:
+            diag, e = self._ldl
+            lead, trail = z[:reach, 0], z[m - reach:, 1]
+            lead[:] = self._pttrs(diag[:reach], e[:reach - 1], self._unit[:reach, 0],
+                                  **self._lower_kw)[0]
+            trail[:] = self._pttrs(diag[m - reach:], e[m - reach:], self._unit[m - reach:, 1],
+                                   **self._lower_kw)[0]
+            if abs(lead[-1]) < TINY and abs(trail[0]) < TINY:
+                _flush_subnormals(lead)
+                _flush_subnormals(trail)
+                return [slice(0, reach), slice(m - reach, m)]
+        z[...] = self._tri_solve(self._unit.copy(order="F"), overwrite_b=True)[0]
+        _flush_subnormals(z.T)
+        self._reach = m
+        if z[m // 2, 0] == 0.0 and z[(m - 1) // 2, 1] == 0.0:
+            # one unknown past the last nonzero entry from either end
+            self._reach = 1 + max(m - np.argmax(z[::-1, 0] != 0.0), m - np.argmax(z[:, 1] != 0.0))
+        return [slice(0, m)]
 
     def solve_tridiagonal(self, rhs: np.ndarray) -> np.ndarray:
         """T^-1 applied along the last axis of a C-ordered (r, m) array, in
@@ -561,10 +642,9 @@ class KineticMatrix:
     def l_dof(self) -> np.ndarray:
         return self.bands.similarity(1.0 / np.sqrt(self.closure.dof_weights)).dense()
 
-    def at(self, potential: ScalarPotential, t: float) -> "KineticMatrix":
-        """The same operator with the potential taken at time t."""
-        diag = potential_diag(self.closure, potential, self.units, t)
-        return dataclasses.replace(self, t=t, diag=diag)
+    def at(self, diagonal: PotentialDiagonal, t: float) -> "KineticMatrix":
+        """The same operator with the potential's diagonal taken at time t."""
+        return dataclasses.replace(self, t=t, diag=diagonal.diag(t))
 
 
 def assemble_kinetic(
@@ -1073,7 +1153,11 @@ class System:
             )
         if self.is_static or t == self._kinetic.t:
             return self._kinetic
-        return self._kinetic.at(self.potential, t)
+        return self._kinetic.at(self.potential_diagonal, t)
+
+    @cached_property
+    def potential_diagonal(self) -> PotentialDiagonal:
+        return PotentialDiagonal(self.closure, self.potential, self.units)
 
     def frozen(self, t: float) -> "System":
         """This system with its potential frozen at time t (itself if static)."""
@@ -1100,8 +1184,7 @@ class System:
 
     def e2_apply(self, field: np.ndarray, t: float = 0.0) -> np.ndarray:
         """On-shell E^2 psi = c^2 p^2 psi + (mc^2)^2 psi + 2 mc^2 S psi."""
-        diag = potential_diag(self.closure, self.potential, self.units, t)
-        return e2_field(self.closure, self.units, diag, field)
+        return e2_field(self.closure, self.units, self.potential_diagonal.diag(t), field)
 
     def synthesize(
         self,

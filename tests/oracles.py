@@ -8,6 +8,8 @@ small grids.  The package steps the algebraically identical wave form
 Hermitian K (`KineticMatrix.sym`) with `scipy.linalg.eigh`, O(n^3); the
 package solves every mode set from the bands.  The field-integral summary
 sums the local densities that `global_summary` reads as quadratic forms.
+The two brackets and the Dirac norm are integrated on their own, as the
+summary's norm and energy read them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from kfglab.core import FvState, KfgState, PhysicalUnits
+from kfglab.core import FvState, KfgState, PhysicalUnits, kfg_to_fv
 from kfglab.evolution import SingularPropagator
 from kfglab.observables import GlobalSummary, Snapshot
 from kfglab.operators import (
@@ -154,3 +156,20 @@ def field_integral_summary(state: KfgState, system: System) -> GlobalSummary:
         current_split_residual=float(current_split),
         positivity=(float(surf), kinetic, mass_term, tderiv, pot_term),
     )
+
+
+def indefinite_norm(state: KfgState, system: System) -> float:
+    """<<Psi, Psi>>: trapezoid integral of the charge density."""
+    return system.grid.integrate(Snapshot(state, system).rho).real
+
+
+def energy_bracket(state: KfgState, system: System) -> complex:
+    """<<Psi, E Psi>>: trapezoid integral of the proper energy density."""
+    return system.grid.integrate(Snapshot(state, system).rho_E)
+
+
+def dirac_norm(state: KfgState, system: System) -> float:
+    """The positive-definite norm of the two-component representation."""
+    fv = kfg_to_fv(state, system.units)
+    dens = (np.conj(fv.psi1) * fv.psi1 + np.conj(fv.psi2) * fv.psi2).real
+    return system.grid.integrate(dens).real

@@ -423,6 +423,73 @@ def test_driven_run_builds_bands_once_per_system(monkeypatch):
     assert len(calls) == 3
 
 
+def test_driven_run_looks_up_lapack_and_builds_the_band_once(monkeypatch):
+    # counted as `counting_closure_bands` counts the bands: a driven run keeps
+    # its LAPACK handles and the product's band, and refactors every step
+    lookups, bands = [], []
+    get = scipy.linalg.lapack.get_lapack_funcs
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs",
+                        lambda *args, **kwargs: lookups.append(args[0]) or get(*args, **kwargs))
+    product = evolution._BandedProduct
+
+    class CountedProduct(product):
+        def __init__(self, *args, **kwargs):
+            bands.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_BandedProduct", CountedProduct)
+    for tag in ("robin_mit_plus", "periodic"):
+        system = make_system(tag, driven=True)
+        st0 = wave_to_state(packet_wave(system), system, 0.0)
+        list(evolve(st0, system, EvolutionConfig(dt=DT, steps=6, record_every=3)))
+    assert lookups == [("pttrf", "pttrs", "gttrf", "gttrs")] * 2
+    assert len(bands) == 2
+
+
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_driven_step_diagonal_is_the_assembled_one(tag):
+    # the fused per-step diagonal has the bits of K_0 + potential_diag
+    system = make_system(tag, driven=True)
+    prop = CayleyPropagator(system, DT)
+    x = prop.pack(packet_wave(system))
+    for k in range(3):
+        x = prop.advance(x, k * DT)
+        diag = potential_diag(system.closure, system.potential, system.units, (k + 0.5) * DT)
+        want = system.kinetic(0.0).kinetic_bands.main + diag[system.closure.dof]
+        assert prop._product.band[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])
+def test_corner_unit_solves_stop_at_the_smallest_normal_float(tag):
+    # at n = 8192 the unit solves decay below it within about 1900 unknowns
+    pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE)
+    system = System(Grid(0.0, math.pi, 8192), CATALOG[tag].params, pot)
+    m = system.closure.n_dof
+    prop = CayleyPropagator(system, DT)
+    x = prop.pack(packet_wave(system))
+    for k in range(3):
+        x = prop.advance(x, k * DT)
+    factor = prop._factor
+
+    def check_unit_solves(spans):
+        assert factor.corner_spans == spans
+        z = factor.unit_solves.T
+        unit = np.zeros(z.shape, dtype=z.dtype)
+        unit[0, 0] = unit[1, -1] = 1.0
+        full = factor.solve_tridiagonal(unit)
+        parts = np.ascontiguousarray(z).view(np.float64)
+        assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(np.float64).tiny))
+        assert np.max(np.abs(z - full)) <= 1e-15 * np.max(np.abs(full))
+
+    reach = factor.corner_spans[0].stop
+    assert 2 * reach < m
+    check_unit_solves([slice(0, reach), slice(m - reach, m)])
+    # a diagonal 0.5 / c lower decays too slowly for the stretches, so the
+    # unit vectors are solved in full again
+    factor.refactor(prop._product.band[1] - 0.5 / prop._m_scale)
+    check_unit_solves([slice(0, m)])
+
+
 def test_driven_identifying_closure_checks_every_midpoint():
     # S(a, t) = S(b, t) only at t = 0, where the modes are taken
     lopsided = ScalarPotential(

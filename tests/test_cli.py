@@ -191,6 +191,23 @@ class TestBadNumbers:
         assert err.startswith("config error:") and all(w in err for w in words), err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("time_factor", [
+        {"kind": "constant"},
+        {"kind": "linear", "rate": -1.0},
+        {"kind": "sinusoidal", "amplitude": 1.0, "omega": 5.0 * math.pi, "phase": math.pi,
+         "offset": 0.5},
+    ], ids=["static", "driven", "driven-trough"])
+    def test_nonneg_violation_is_config_error(self, tmp_path, capsys, time_factor):
+        # a profile below zero with a constant factor; S = 0 at t0 = 0, then
+        # S < 0 up to t = 0.2; and f = 0.5 at both ends of [0, 0.2] but -0.5
+        # at t = 0.1
+        profile = {"kind": "quadratic", "x0": math.pi / 2, "coefficient": 0.3,
+                   "offset": -1.0 if time_factor["kind"] == "constant" else 0.0}
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"profile": profile, "time_factor": time_factor,
+                                     "nonneg": True})
+        self.assert_config_error(cfg, tmp_path, capsys, "nonnegative", "min S")
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_t0_is_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "c.json"

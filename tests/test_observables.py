@@ -23,16 +23,13 @@ from kfglab.observables import (
     boundary_jtilde_E,
     continuity_residuals,
     decomposition_checks,
-    dirac_norm,
     endpoint_data,
-    energy_bracket,
     global_summary,
-    indefinite_norm,
     local_fields,
     two_component_fields,
 )
 from kfglab.evolution import EvolutionConfig, evolve
-from oracles import field_integral_summary
+from oracles import dirac_norm, energy_bracket, field_integral_summary, indefinite_norm
 
 GRID = Grid(0.0, math.pi, 96)
 BUMP = ScalarPotential(

@@ -233,7 +233,7 @@ class TestSynthesis:
         assert np.allclose(s0.psi_t, s1.psi_t, atol=1e-12)
 
     def test_two_mode_energy_bracket_constant(self):
-        from kfglab.observables import energy_bracket
+        from oracles import energy_bracket
 
         system = System(GRID, CATALOG["dirichlet"].params)
         ms = system.modes()
