@@ -27,6 +27,7 @@ from .config import (
     load_config,
     majorana_from_config,
     system_from_config,
+    t0_from_config,
 )
 from .observables import DENSITY_NAMES, Snapshot
 from .operators import spectrum
@@ -76,7 +77,7 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     system = system_from_config(cfg)
-    energies, diagnostics = spectrum(system.kinetic())
+    energies, diagnostics = spectrum(system.kinetic(t0_from_config(cfg)))
     rows = []
     for idx, e2 in diagnostics:
         rows.append([idx, float("nan"), e2, 1])
@@ -97,9 +98,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
-    system = system_from_config(cfg)
-    state0 = initial_state_from_config(cfg, system)
     econf = evolution_from_config(cfg)
+    system = system_from_config(cfg, econf)
+    state0 = initial_state_from_config(cfg, system)
     kind = majorana_from_config(cfg)
     rows, worst, last = [], 0.0, None
     for rec in evolve(state0, system, econf, majorana=kind):

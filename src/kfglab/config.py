@@ -163,20 +163,27 @@ def _extreme_times(factor: TimeFactor, t0: float, t1: float) -> list[float]:
     return times
 
 
-def system_from_config(cfg: dict) -> System:
+def t0_from_config(cfg: dict) -> float:
+    """The run's start time, at which modes and the spectrum are taken."""
+    return _finite(cfg.get("t0", 0.0), "t0")
+
+
+def system_from_config(cfg: dict, evolution: EvolutionConfig | None = None) -> System:
     """The configured system.  Over the run's times [t0, t0 + steps dt]
     (t0 alone without an evolution section) a `nonneg` potential with
     min S < -1e-14, an end-identifying closure (periodic, say) with
     S(a, t) != S(b, t), and a tabulated profile not of the grid's length
-    are configuration errors, checked at the factor's extremes there."""
+    are configuration errors, checked at the factor's extremes there.
+    `evolution` is the config's evolution section, parsed here if not
+    given."""
     units = units_from_config(cfg)
     grid = grid_from_config(cfg)
     potential = potential_from_config(cfg)
     bc = bc_from_config(cfg, units)
-    t0 = _finite(cfg.get("t0", 0.0), "t0")
-    t1 = t0
-    if "evolution" in cfg:
+    t0 = t1 = t0_from_config(cfg)
+    if evolution is None and "evolution" in cfg:
         evolution = evolution_from_config(cfg)
+    if evolution is not None:
         t1 = t0 + evolution.steps * evolution.dt
     system = System(grid=grid, bc=bc, potential=potential, units=units)
     factor = potential.time_factor
@@ -209,7 +216,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             "a strictly neutral run is incompatible with a complex (m2 != 0) "
             "boundary condition"
         )
-    t0 = _finite(cfg.get("t0", 0.0), "t0")
+    t0 = t0_from_config(cfg)
     if "modes" in d:
         try:
             for m in d["modes"]:

@@ -139,10 +139,9 @@ class CayleyPropagator:
     rewrites the real part of the band's diagonal from the profile sampled
     once (`System.potential_diagonal`, whose O(1) guards check S >= 0 and
     S(a, t) = S(b, t) there, as `config.system_from_config` does over a
-    run's times), refactors M and rebuilds G and H where the factor's unit
-    solves changed.  A static run with at most DENSE_STEP_MAX_DOF unknowns
-    applies the dense step matrix instead, whose row i is the banded step
-    of unit vector i.
+    run's times), refactors M and rebuilds G and H.  A static run with at
+    most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix instead,
+    whose row i is the banded step of unit vector i.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
@@ -210,7 +209,7 @@ class CayleyPropagator:
         """The end responses into `_ends`, rows [H; G] = [2q, a (K q -
         bottom_left e_(m-1)); 2p, a (K p - top_right e_0)], from the
         factor's unit solves z, [p; q] = corner_coef z^T, and K's diagonal
-        `main`; a driven step rewrites only the factor's corner spans."""
+        `main`."""
         # q and p combine the unit solves z of the tridiagonal part I + c T
         # of M, whose rows vanish away from the ends: there z + c T z = 0, so
         # a K [q; p] = -(a/c) [q; p] = (2/k) [q; p], and only the four end
@@ -223,8 +222,7 @@ class CayleyPropagator:
         s = self._w_half
         scaled = np.array([2.0 * q_0, 2.0 * q_1, s * q_0, s * q_1,
                            2.0 * p_0, 2.0 * p_1, s * p_0, s * p_1]).reshape(4, 2)
-        for span in factor.corner_spans:
-            _flush_subnormals(np.matmul(scaled, factor.unit_solves[span].T, out=ends[:, span]))
+        _flush_subnormals(np.matmul(scaled, factor.unit_solves.T, out=ends))
         (q0, q1, q2, q3), (p0, p1, p2, p3) = zip(
             *[(q_0 * z0 + q_1 * z1, p_0 * z0 + p_1 * z1) for z0, z1 in factor.unit_ends])
         d0, d1 = main[::len(main) - 1].tolist()

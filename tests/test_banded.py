@@ -40,8 +40,9 @@ from kfglab.operators import (
     closure_bands,
     e2_field,
     hermitian_frame,
-    potential_diag,
+    PotentialDiagonal,
     _ShiftedBandsFactor,
+    _flush_subnormals,
 )
 from oracles import pairing_deviation
 
@@ -110,7 +111,7 @@ def test_bands_reproduce_e2_field(tag):
     units = PhysicalUnits(hbar=0.7, c=1.3, mass=0.9)
     grid = Grid(0.0, math.pi, 40)
     closure = build_closure(grid, bc_realization(CATALOG[tag].params))
-    diag = potential_diag(closure, ScalarPotential(profile=QUADRATIC), units, 0.0)
+    diag = PotentialDiagonal(closure, ScalarPotential(profile=QUADRATIC), units).diag(0.0)
     bands = closure_bands(closure, units, diag)
     rng = np.random.default_rng(11)
     u = rng.normal(size=closure.n_dof) + 1j * rng.normal(size=closure.n_dof)
@@ -130,7 +131,7 @@ def test_dense_bands_equal_unit_vector_probes(tag, n):
     # the five comb probes give every entry the bits of its own unit probe
     units = PhysicalUnits(hbar=0.7, c=1.3, mass=0.9)
     closure = build_closure(Grid(0.0, math.pi, n), bc_realization(CATALOG[tag].params))
-    diag = potential_diag(closure, ScalarPotential(profile=QUADRATIC), units, 0.0)
+    diag = PotentialDiagonal(closure, ScalarPotential(profile=QUADRATIC), units).diag(0.0)
     dense = closure_bands(closure, units, diag).dense()
     unit = np.eye(closure.n_dof)
     columns = [e2_field(closure, units, diag, closure.extend(e))[closure.dof] for e in unit]
@@ -157,7 +158,7 @@ def test_ghost_map_reaching_an_interior_point_is_singular():
 def test_closure_maps_act_on_stacks_row_by_row(tag):
     system = make_system(tag, driven=False)
     closure, n = system.closure, system.grid.n
-    diag = potential_diag(closure, system.potential, system.units, 0.0)
+    diag = system.potential_diagonal.diag(0.0)
     rng = np.random.default_rng(5)
     u = rng.normal(size=(4, closure.n_dof)) + 1j * rng.normal(size=(4, closure.n_dof))
     full = closure.extend(u)
@@ -376,7 +377,7 @@ def test_kinetic_at_later_time_matches_fresh_assembly(tag):
     first = system.kinetic(0.0)
     kin = system.kinetic(0.37)
     closure, units = system.closure, system.units
-    diag = potential_diag(closure, system.potential, units, 0.37)
+    diag = PotentialDiagonal(closure, system.potential, units).diag(0.37)
     bands = closure_bands(closure, units, diag)
     fresh, _ = hermitian_frame(closure, bands)
     for got, want in ((kin.bands, fresh), (kin.l_dof, bands.dense())):
@@ -438,56 +439,51 @@ def test_driven_run_looks_up_lapack_and_builds_the_band_once(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(evolution, "_BandedProduct", CountedProduct)
-    for tag in ("robin_mit_plus", "periodic"):
+    for tag in ("robin_mit_plus", "periodic", "quasimixed+"):
         system = make_system(tag, driven=True)
         st0 = wave_to_state(packet_wave(system), system, 0.0)
         list(evolve(st0, system, EvolutionConfig(dt=DT, steps=6, record_every=3)))
-    assert lookups == [("pttrf", "pttrs", "gttrf", "gttrs")] * 2
-    assert len(bands) == 2
+    # quasimixed+ factors its real tridiagonal part with the real routines
+    assert lookups == [("pttrf", "pttrs", "gttrf", "gttrs")] * 3 + [("pttrf", "pttrs")]
+    assert len(bands) == 3
 
 
 @pytest.mark.parametrize("tag", list(CATALOG))
 def test_driven_step_diagonal_is_the_assembled_one(tag):
-    # the fused per-step diagonal has the bits of K_0 + potential_diag
+    # the fused per-step diagonal has the bits of K_0 + (mc^2)^2 + 2 mc^2 S,
+    # with S sampled afresh at each midpoint
     system = make_system(tag, driven=True)
     prop = CayleyPropagator(system, DT)
     x = prop.pack(packet_wave(system))
+    mc2, x_grid = system.units.mc2, system.grid.x
     for k in range(3):
         x = prop.advance(x, k * DT)
-        diag = potential_diag(system.closure, system.potential, system.units, (k + 0.5) * DT)
+        diag = mc2**2 + 2.0 * mc2 * system.potential.sample(x_grid, (k + 0.5) * DT)
         want = system.kinetic(0.0).kinetic_bands.main + diag[system.closure.dof]
         assert prop._product.band[1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])
-def test_corner_unit_solves_stop_at_the_smallest_normal_float(tag):
-    # at n = 8192 the unit solves decay below it within about 1900 unknowns
+def test_corner_unit_solves_hold_no_subnormal_entry(tag):
+    # at n = 8192 the unit solves decay below the smallest normal float
+    # within about 1900 unknowns
     pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE)
     system = System(Grid(0.0, math.pi, 8192), CATALOG[tag].params, pot)
-    m = system.closure.n_dof
     prop = CayleyPropagator(system, DT)
     x = prop.pack(packet_wave(system))
     for k in range(3):
         x = prop.advance(x, k * DT)
     factor = prop._factor
-
-    def check_unit_solves(spans):
-        assert factor.corner_spans == spans
-        z = factor.unit_solves.T
-        unit = np.zeros(z.shape, dtype=z.dtype)
-        unit[0, 0] = unit[1, -1] = 1.0
-        full = factor.solve_tridiagonal(unit)
-        parts = np.ascontiguousarray(z).view(np.float64)
-        assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(np.float64).tiny))
-        assert np.max(np.abs(z - full)) <= 1e-15 * np.max(np.abs(full))
-
-    reach = factor.corner_spans[0].stop
-    assert 2 * reach < m
-    check_unit_solves([slice(0, reach), slice(m - reach, m)])
-    # a diagonal 0.5 / c lower decays too slowly for the stretches, so the
-    # unit vectors are solved in full again
-    factor.refactor(prop._product.band[1] - 0.5 / prop._m_scale)
-    check_unit_solves([slice(0, m)])
+    z = factor.unit_solves.T
+    unit = np.zeros(z.shape, dtype=prop._product.band.dtype)
+    unit[0, 0] = unit[1, -1] = 1.0
+    # the step's own solve, complex on quasimixed+
+    full = factor.solve_tridiagonal(unit)
+    parts = np.ascontiguousarray(z).view(np.float64)
+    assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(np.float64).tiny))
+    assert np.max(np.abs(z - full)) <= 1e-15 * np.max(np.abs(full))
+    # quasimixed+ solves them in real arithmetic, with the complex solve's bits
+    assert np.array_equal(z, _flush_subnormals(full))
 
 
 def test_driven_identifying_closure_checks_every_midpoint():

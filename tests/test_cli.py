@@ -338,6 +338,21 @@ class TestSpectrum:
         diag = data[data[:, 3] == 1]
         assert len(diag) == 1 and diag[0, 2] < 0  # one negative E^2, quarantined
 
+    def test_driven_spectrum_is_taken_at_t0(self, tmp_path):
+        # S = p (t - 1) is negative at t = 0 and zero at t0 = 1, so the
+        # spectrum at t0 is the free one; at t = 0 the nonneg flag would fail
+        potential = {"profile": {"kind": "quadratic", "x0": math.pi / 2, "coefficient": 0.3},
+                     "time_factor": {"kind": "linear", "rate": 1.0, "offset": -1.0},
+                     "nonneg": True}
+        free = {"profile": {"kind": "constant", "value": 0.0}}
+        spectra = []
+        for name, pot, t0 in (("driven", potential, 1.0), ("free", free, 0.0)):
+            cfg, out = tmp_path / f"{name}.json", tmp_path / name
+            write_config(cfg, potential=pot, t0=t0)
+            assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+            spectra.append(read_csv(out / "spectrum.csv")[1])
+        np.testing.assert_array_equal(*spectra)
+
 
 class TestEvolve:
     def test_outputs_and_conservation(self, tmp_path):
