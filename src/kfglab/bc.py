@@ -84,6 +84,8 @@ class BcParams:
     sin_mu: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m0, self.m1, self.m2, self.m3, self.mu, self.lam))):
+            raise InvalidParams("m0, m1, m2, m3, mu and lam must be finite")
         m, mu = _normalize_mu((self.m0, self.m1, self.m2, self.m3), self.mu)
         if mu != self.mu:
             object.__setattr__(self, "mu", mu)

@@ -138,12 +138,8 @@ def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
             return params_from_tag(d, lam=units.bc_length)
         _known_keys(d, "bc", "m0 m1 m2 m3 mu lambda")
         return BcParams(
-            m0=float(d["m0"]),
-            m1=float(d["m1"]),
-            m2=float(d["m2"]),
-            m3=float(d["m3"]),
-            mu=float(d["mu"]),
-            lam=float(d.get("lambda", units.bc_length)),
+            **{key: _finite(d[key], f"bc.{key}") for key in ("m0", "m1", "m2", "m3", "mu")},
+            lam=_finite(d.get("lambda", units.bc_length), "bc.lambda"),
         )
     except (KeyError, TypeError, ValueError, InvalidParams) as exc:
         raise ConfigError(f"bad bc section: {exc}") from exc
@@ -218,6 +214,8 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
         )
     t0 = t0_from_config(cfg)
     if "modes" in d:
+        if not d["modes"]:
+            raise ConfigError("bad mode list: it names no mode")
         try:
             for m in d["modes"]:
                 _known_keys(m, "initial_state mode", "index amplitude phase")

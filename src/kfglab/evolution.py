@@ -31,7 +31,6 @@ import scipy.linalg.blas
 
 from .core import KfgState, PhysicalUnits, majorana_project
 from .operators import (
-    DENSE_STEP_MAX_DOF,
     Bands,
     NumericalFailure,
     SingularFactor,
@@ -42,6 +41,17 @@ from .operators import (
 
 # the implicit half of the Cayley step is not invertible
 SingularPropagator = SingularFactor
+
+# The dense/banded crossover of the static step, in unknowns: at or below it
+# a static run steps with the dense 2m x 2m step matrix, one BLAS product,
+# and the many short static runs of the verify suites sit at n <= 64.  A
+# neutral run's one-row banded step (see `CayleyPropagator.pack`) on the
+# LDL^H factor with ?gbmv meets the dense two-row product, with the dense
+# matrix's subnormal entries set to zero, between n = 112 and 128 on
+# dirichlet and neumann, and between 128 and 162 on robin_mit_plus and
+# periodic (best of 7 x 2000 steps, one BLAS thread, 2 shared vCPUs; at
+# n = 162 dense/banded 22.7/9.5 us on dirichlet, 17.1/11.2 us on periodic).
+DENSE_STEP_MAX_DOF = 160
 
 
 @dataclass(frozen=True)
@@ -78,14 +88,14 @@ def state_to_wave(state: KfgState, system: System) -> np.ndarray:
             f"state has {state.n} points but the grid has {system.grid.n}"
         )
     cl = system.closure
-    sqw = np.sqrt(cl.dof_weights)
+    sqw = cl.sqrt_weights
     return np.concatenate([sqw * cl.restrict(state.psi), sqw * cl.restrict(state.psi_t)])
 
 
 def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     cl = system.closure
     m = cl.n_dof
-    sqw = np.sqrt(cl.dof_weights)
+    sqw = cl.sqrt_weights
     return KfgState(
         psi=cl.extend(z[:m] / sqw), psi_t=cl.extend(z[m:] / sqw), t=t
     )
@@ -182,16 +192,12 @@ class CayleyPropagator:
         if self._factor is not None:
             main = self._product.band[1]
             diag = self.system.potential_diagonal.diag(t, out=self._diag)
-            np.add(self._main0, diag[self._dof], out=main.real)
+            self._kinetic.main(diag, out=main.real)
             self._factor.refactor(main)
         else:
-            kinetic = self.system.kinetic(t)
+            kinetic = self._kinetic = self.system.kinetic(t)
             main, bands = kinetic.bands.main, kinetic.bands
-            self._main0 = kinetic.kinetic_bands.main.real
             self._diag = np.empty(self.system.grid.n)
-            # the unknowns are a run of grid points: pinned and slaved ones end it
-            dof = self.system.closure.dof
-            self._dof = slice(dof[0], dof[-1] + 1)
             self._product = _BandedProduct(bands, -self._w_scale)
             self._factor = _ShiftedBandsFactor(bands, self._m_scale)
             self._ends = None

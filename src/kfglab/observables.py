@@ -439,9 +439,12 @@ class ContinuityResiduals:
     # which is minus the all-upper T01 stored in ObservableFields
 
 
-def continuity_residuals(
-    states: list[KfgState], system: System, edge_skip: int = 2
-) -> ContinuityResiduals:
+# grid points left out at each end by `continuity_residuals`, whose
+# one-sided gradient stencils there are not centered
+EDGE_SKIP = 2
+
+
+def continuity_residuals(states: list[KfgState], system: System) -> ContinuityResiduals:
     """Centered-in-time residuals of the local balance laws.
 
     `states` must hold at least three uniformly spaced snapshots; residuals
@@ -457,7 +460,7 @@ def continuity_residuals(
     dx = system.grid.dx
     grid_x = system.grid.x
     all_fields = [local_fields(s, system) for s in states]
-    sl = slice(edge_skip, system.grid.n - edge_skip)
+    sl = slice(EDGE_SKIP, system.grid.n - EDGE_SKIP)
 
     worst = {"charge": 0.0, "energy": 0.0, "emt_time": 0.0, "emt_space": 0.0}
     c = system.units.c

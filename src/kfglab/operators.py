@@ -65,26 +65,6 @@ from .bc import (
 SLAVED_CUTOFF = 1e-10
 PIN_CUTOFF = 1e-10
 
-# The dense/banded crossover, in unknowns.  At or below it a static run
-# steps with the dense 2m x 2m step matrix (one BLAS product beats the banded
-# step's ?pttrs, ?gbmv and few numpy calls below about 112-162 unknowns, and
-# the many short static runs of the verify suites sit at n <= 64), and
-# `eigenmodes` solves for every mode, from the bands.  Above it
-# `eigenmodes(count=k)` solves only for the lowest modes.  Every mode against
-# 3 modes, ms, at n = 64 / 128 / 160 grid points (best of 10, one BLAS
-# thread, 2 shared vCPUs, quadratic potential): dirichlet 0.54/0.41,
-# 1.08/0.40, 1.99/0.47; periodic 0.64/1.53, 1.57/1.61, 2.83/1.66;
-# quasimixed+ 0.89/2.20, 5.35/2.27, 8.31/2.59, so for the modes alone the
-# crossover would sit near n = 64 (separated) and 96-128 (corners); the
-# step sets it.  A neutral run's one-row
-# banded step (see `CayleyPropagator.pack`) on the LDL^H factor with ?gbmv
-# meets the dense two-row product, with the dense matrix's subnormal entries
-# set to zero, between n = 112 and 128 on dirichlet and neumann, and
-# between 128 and 162 on robin_mit_plus and periodic (best of 7 x 2000
-# steps, same host; at n = 162 dense/banded 22.7/9.5 us on dirichlet,
-# 17.1/11.2 us on periodic); the crossover stays at 160.
-DENSE_STEP_MAX_DOF = 160
-
 
 class SingularClosure(KfgLabError):
     """The boundary closure cannot be eliminated on this grid/potential."""
@@ -132,8 +112,7 @@ class DiscreteClosure:
     """Ghost-elimination data for one boundary realization on one grid."""
 
     grid: Grid
-    lam: float
-    dof: np.ndarray                      # indices of the unknowns
+    dof: slice                           # the unknowns: one run of grid points
     pinned: tuple[int, ...]              # grid points held at zero
     slaved: tuple[int, complex] | None   # (grid point, factor): f[pt] = factor * f[0]
     ghost_a: GhostMap
@@ -143,7 +122,12 @@ class DiscreteClosure:
 
     @property
     def n_dof(self) -> int:
-        return len(self.dof)
+        return self.dof.stop - self.dof.start
+
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """W^(1/2): the square roots of `dof_weights`."""
+        return np.sqrt(self.dof_weights)
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return np.asarray(full)[self.dof]
@@ -218,9 +202,9 @@ def build_closure(grid: Grid, realization: BcRealization) -> DiscreteClosure:
         if gb is None:
             pinned.append(n - 1)
             gb = GhostMap(indices=(-2, -1), coefs=np.array([-1.0, 2.0]))
-        dof = np.array([i for i in range(n) if i not in pinned])
+        dof = slice(1 if 0 in pinned else 0, n - 1 if n - 1 in pinned else n)
         return DiscreteClosure(
-            grid=grid, lam=lam, dof=dof, pinned=tuple(pinned), slaved=None,
+            grid=grid, dof=dof, pinned=tuple(pinned), slaved=None,
             ghost_a=ga, ghost_b=gb, dof_weights=w[dof], is_complex=False,
         )
 
@@ -239,10 +223,9 @@ def build_closure(grid: Grid, realization: BcRealization) -> DiscreteClosure:
             indices=(0, n - 2, n - 1),
             coefs=np.array([-scale * det / m12, 1.0, scale * m22 / m12]),
         )
-        dof = np.arange(n)
         return DiscreteClosure(
-            grid=grid, lam=lam, dof=dof, pinned=(), slaved=None,
-            ghost_a=ga, ghost_b=gb, dof_weights=w.copy(), is_complex=is_complex,
+            grid=grid, dof=slice(0, n), pinned=(), slaved=None,
+            ghost_a=ga, ghost_b=gb, dof_weights=w, is_complex=is_complex,
         )
 
     # value-identifying closure: psi(b) = m11 psi(a)
@@ -256,11 +239,10 @@ def build_closure(grid: Grid, realization: BcRealization) -> DiscreteClosure:
     # g_b = m11 g_a + m11 psi[1] - psi[n-2]
     gb_coef = m11 * ga_coef + np.array([0.0, m11, -1.0])
     gb = GhostMap(indices=(0, 1, n - 2), coefs=gb_coef)
-    dof = np.arange(n - 1)
     weights = w[:-1].copy()
     weights[0] = w[0] + abs(m11) ** 2 * w[-1]
     return DiscreteClosure(
-        grid=grid, lam=lam, dof=dof, pinned=(), slaved=(n - 1, complex(m11)),
+        grid=grid, dof=slice(0, n - 1), pinned=(), slaved=(n - 1, complex(m11)),
         ghost_a=ga, ghost_b=gb, dof_weights=weights, is_complex=is_complex,
     )
 
@@ -567,7 +549,7 @@ def hermitian_frame(closure: DiscreteClosure, bands: Bands) -> tuple[Bands, floa
 
     Raises SingularClosure when the defect exceeds 1e-12.
     """
-    sym = bands.similarity(np.sqrt(closure.dof_weights))
+    sym = bands.similarity(closure.sqrt_weights)
     defect = sym.hermiticity_defect()
     if defect > 1e-12:
         raise SingularClosure(f"closure is not self-adjoint (defect {defect:.3e})")
@@ -599,8 +581,14 @@ class KineticMatrix:
 
     @cached_property
     def bands(self) -> Bands:
-        k0 = self.kinetic_bands
-        return dataclasses.replace(k0, main=k0.main + self.diag[self.closure.dof])
+        return dataclasses.replace(self.kinetic_bands, main=self.main(self.diag))
+
+    def main(self, diag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """K's diagonal for the potential's diagonal `diag` on the full grid:
+        K_0's plus `diag` on the unknowns, or its real part into a real
+        `out`."""
+        k0 = self.kinetic_bands.main
+        return np.add(k0 if out is None else k0.real, diag[self.closure.dof], out=out)
 
     @cached_property
     def sym(self) -> np.ndarray:
@@ -608,7 +596,7 @@ class KineticMatrix:
 
     @cached_property
     def l_dof(self) -> np.ndarray:
-        return self.bands.similarity(1.0 / np.sqrt(self.closure.dof_weights)).dense()
+        return self.bands.similarity(1.0 / self.closure.sqrt_weights).dense()
 
     def at(self, diagonal: PotentialDiagonal, t: float) -> "KineticMatrix":
         """The same operator with the potential's diagonal taken at time t."""
@@ -672,9 +660,11 @@ def pseudo_hermiticity_defect(h: np.ndarray) -> float:
     return float(np.linalg.norm(twisted - h) / max(np.linalg.norm(h), 1e-300))
 
 
-def assemble_fv_hamiltonian(
-    kinetic: KineticMatrix, tol: float = 1e-10
-) -> DiscreteHamiltonian:
+# the largest pseudo-Hermiticity defect `assemble_fv_hamiltonian` accepts
+PSEUDO_HERMITICITY_TOL = 1e-10
+
+
+def assemble_fv_hamiltonian(kinetic: KineticMatrix) -> DiscreteHamiltonian:
     """Assemble the two-component Hamiltonian from the closed kinetic matrix."""
     units = kinetic.units
     mc2 = units.mc2
@@ -686,9 +676,9 @@ def assemble_fv_hamiltonian(
     h[nd:, :nd] = -w_block
     h[nd:, nd:] = -w_block - mc2 * np.eye(nd)
     defect = pseudo_hermiticity_defect(h)
-    if defect > tol:
+    if defect > PSEUDO_HERMITICITY_TOL:
         raise ClosureNotSelfAdjoint(
-            f"pseudo-Hermiticity defect {defect:.3e} exceeds {tol:.1e}"
+            f"pseudo-Hermiticity defect {defect:.3e} exceeds {PSEUDO_HERMITICITY_TOL:.1e}"
         )
     return DiscreteHamiltonian(kinetic=kinetic, matrix=h, pseudo_hermiticity_defect=defect)
 
@@ -894,40 +884,6 @@ def _all_eigenvalues(bands: Bands) -> np.ndarray:
 DEGENERACY_TOL = 64 * np.finfo(float).eps
 
 
-def _splits_a_pair(bands: Bands, vals: np.ndarray, vecs: np.ndarray, radius: _Radius) -> bool:
-    """Whether the eigenvalue after the k lowest (vals, vecs) lies within
-    DEGENERACY_TOL max |E^2| of the last one, so that a set of these k
-    splits a degenerate pair.
-
-    One step of inverse iteration just above the last eigenvalue, on the
-    factor of K - sigma I, from a vector orthogonal to the k modes: its
-    Rayleigh quotient is at least the next eigenvalue (Courant-Fischer) and,
-    when that one is degenerate with the last, lands within round-off of
-    it.  Tridiagonal bands have simple eigenvalues, and two members of a
-    pair already in the set leave none to split: an eigenvector is fixed by
-    its first two entries.
-    """
-    if bands.tridiagonal:
-        return False
-
-    def paired(r):
-        return len(vals) > 1 and vals[-1] - vals[-2] <= DEGENERACY_TOL * r
-
-    if paired(radius.settle(paired)):
-        return False
-    factor = _ShiftedBandsFactor(bands, 1.0, -(vals[-1] + 0.5 * DEGENERACY_TOL * radius.low))
-    x = np.random.default_rng(1).standard_normal(len(bands.main)).astype(vecs.dtype)
-    x -= vecs @ (vecs.conj().T @ x)
-    x = factor.solve(x[None, :])[0]
-    x -= vecs @ (vecs.conj().T @ x)
-    above = np.vdot(x, bands.matvec(x)).real / np.vdot(x, x).real - vals[-1]
-
-    def near(r):
-        return above <= DEGENERACY_TOL * r
-
-    return near(radius.settle(near))
-
-
 def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndarray:
     """Rotate each degenerate pair of mode rows to a basis fixed by the pair.
 
@@ -956,11 +912,15 @@ def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndar
     return out
 
 
-def _quarantine(vals: np.ndarray, radius: _Radius, positivity_tol: float):
+# E^2 at or below POSITIVITY_TOL * max(1, max |E^2|) is quarantined.
+POSITIVITY_TOL = 1e-12
+
+
+def _quarantine(vals: np.ndarray, radius: _Radius):
     """Mask of the positive E^2 and the (index, E^2) of the others."""
 
     def positive(r):
-        return vals > positivity_tol * max(1.0, r)
+        return vals > POSITIVITY_TOL * max(1.0, r)
 
     keep = positive(radius.settle(positive))
     return keep, tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
@@ -983,33 +943,29 @@ def gauge(fields: np.ndarray) -> np.ndarray:
     return fields * (mag[rows, pivot] / fields[rows, pivot])[:, None]
 
 
-def spectrum(
-    kinetic: KineticMatrix, positivity_tol: float = 1e-12
-) -> tuple[np.ndarray, tuple]:
+def spectrum(kinetic: KineticMatrix) -> tuple[np.ndarray, tuple]:
     """Every eigenvalue of the closed kinetic operator, without vectors: the
     positive energies E = +sqrt(E^2), ascending, and the quarantined (index,
     E^2) pairs, by the rule of `eigenmodes`."""
     vals = _all_eigenvalues(kinetic.bands)
     radius = max(abs(vals[0]), abs(vals[-1]))
-    keep, diagnostics = _quarantine(vals, _Radius(radius, radius), positivity_tol)
+    keep, diagnostics = _quarantine(vals, _Radius(radius, radius))
     return np.sqrt(vals[keep]), diagnostics
 
 
-def eigenmodes(
-    kinetic: KineticMatrix, positivity_tol: float = 1e-12, count: int | None = None
-) -> ModeSet:
+def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     """Stationary modes of the closed kinetic operator, solved from its bands.
 
     Eigenvalues are E^2; modes store E = +sqrt(E^2) with fields extended to
     the full grid, orthonormal under the trapezoid weights, with each
     degenerate pair in its canonical basis (`canonical_pairs`) and gauged
-    (see `gauge`).  E^2 <= positivity_tol * max(1, max |E^2|) is
-    quarantined in `diagnostics`.  count=None gives every mode.  With a
-    count and more than DENSE_STEP_MAX_DOF unknowns only the lowest modes
-    are computed, until `count` of them are positive, so every quarantined
-    mode is among them; a set that would end on the first member of a
-    degenerate pair grows by one, and a count that would need half of the
-    unknowns or more gives every mode.
+    (see `gauge`).  E^2 <= POSITIVITY_TOL * max(1, max |E^2|) is quarantined
+    in `diagnostics`.  count=None gives every mode.  A count gives the k
+    lowest modes, with k = count plus the quarantined ones among them, so
+    that every quarantined mode is listed, while 2k < m for the m unknowns;
+    a larger k gives every mode.  Bands with corners can hold degenerate
+    pairs, so their solve takes one mode more, kept when it pairs with the
+    k-th: a set never ends on the first member of a pair.
 
     The quarantine and the degenerate pairs compare against max |E^2|.  A
     partial solve decides each from two O(m) bounds on it
@@ -1022,24 +978,30 @@ def eigenmodes(
         raise ValueError("count must be at least 1")
     bands = kinetic.bands
     m = kinetic.n_dof
-    k = count if count is not None and m > DENSE_STEP_MAX_DOF else m
+    k = m if count is None else count
+    extra = 0 if bands.tridiagonal else 1  # a tridiagonal K has simple eigenvalues
     radius = None
     while 2 * k < m:
-        vals, vecs = _lowest_eigenpairs(bands, k)
+        vals, vecs = _lowest_eigenpairs(bands, k + extra)
         if radius is None:
             radius = _radius_bounds(bands, vals[0])
-        keep, diagnostics = _quarantine(vals, radius, positivity_tol)
-        if np.count_nonzero(keep) < count:
-            k = count + np.count_nonzero(~keep)
-        elif _splits_a_pair(bands, vals, vecs, radius):
+        positive = np.count_nonzero(_quarantine(vals[:k], radius)[0])
+        if positive < count:
+            k += count - positive
+            continue
+
+        def paired(r):
+            return vals[k] - vals[k - 1] <= DEGENERACY_TOL * r
+
+        if extra and paired(radius.settle(paired)):
             k += 1
-        else:
-            break
+        vals, vecs = vals[:k], vecs[:, :k]
+        break
     else:  # every mode
         vals, vecs = _all_eigenpairs(bands)
         top = max(abs(vals[0]), abs(vals[-1]))
         radius = _Radius(top, top)
-        keep, diagnostics = _quarantine(vals, radius, positivity_tol)
+    keep, diagnostics = _quarantine(vals, radius)
     closure = kinetic.closure
     e2 = vals[keep]
 
@@ -1047,7 +1009,7 @@ def eigenmodes(
         return np.diff(e2) <= DEGENERACY_TOL * r
 
     fields = canonical_pairs(
-        e2, vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius.settle(pairs)
+        e2, vecs[:, keep].T / closure.sqrt_weights, DEGENERACY_TOL * radius.settle(pairs)
     )
     return ModeSet(
         energies=np.sqrt(e2), fields=closure.extend(gauge(fields)), diagnostics=diagnostics

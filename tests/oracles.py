@@ -22,6 +22,7 @@ from kfglab.evolution import SingularPropagator
 from kfglab.observables import GlobalSummary, Snapshot
 from kfglab.operators import (
     DEGENERACY_TOL,
+    POSITIVITY_TOL,
     DiscreteHamiltonian,
     KineticMatrix,
     ModeSet,
@@ -31,12 +32,12 @@ from kfglab.operators import (
 )
 
 
-def dense_modes(kinetic: KineticMatrix, positivity_tol: float = 1e-12) -> ModeSet:
+def dense_modes(kinetic: KineticMatrix) -> ModeSet:
     """Every mode from the dense `eigh` of K, with the quarantine, canonical
     pairs and gauge of `kfglab.operators.eigenmodes`."""
     vals, vecs = scipy.linalg.eigh(kinetic.sym)
     radius = float(np.max(np.abs(vals)))
-    keep = vals > positivity_tol * max(1.0, radius)
+    keep = vals > POSITIVITY_TOL * max(1.0, radius)
     closure = kinetic.closure
     fields = canonical_pairs(
         vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius

@@ -167,6 +167,28 @@ class TestBadNumbers:
         assert "config error" in err and "finite" in err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["classify", "spectrum", "evolve"])
+    @pytest.mark.parametrize("bc", [
+        {"m0": math.nan, "m1": 0.0, "m2": 0.0, "m3": 1.0, "mu": 0.5},
+        {"m0": 0.0, "m1": math.nan, "m2": 0.0, "m3": 1.0, "mu": 0.5},
+        {"m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 1.0, "mu": 0.5, "lambda": math.nan},
+        {"m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 1.0, "mu": 0.5, "lambda": math.inf},
+        "rotation:nan",
+    ], ids=["m0-nan", "m1-nan", "lambda-nan", "lambda-inf", "rotation-nan"])
+    def test_non_finite_bc_number_is_config_error(self, tmp_path, capsys, command, bc):
+        # json reads NaN and Infinity, and NaN passes every comparison-based check
+        cfg = tmp_path / "c.json"
+        write_config(cfg, bc=bc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_empty_mode_list_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, initial_state={"modes": []})
+        self.assert_config_error(cfg, tmp_path, capsys, "mode list")
+
     @pytest.mark.parametrize("section,key,value", [
         ("grid", "n", 64.7),
         ("evolution", "steps", 2.5),

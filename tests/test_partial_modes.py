@@ -15,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from kfglab import operators
 from kfglab.bc import CATALOG, BcParams, params_from_tag
 from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile
+from kfglab.evolution import DENSE_STEP_MAX_DOF
 from kfglab.operators import (
-    DENSE_STEP_MAX_DOF,
+    DEGENERACY_TOL,
     PIN_CUTOFF,
     SLAVED_CUTOFF,
     InvalidMode,
@@ -26,7 +27,7 @@ from kfglab.operators import (
 )
 from oracles import dense_modes
 
-# above the crossover, so a count takes the partial path
+# the grid of the banded step tests, above the static step's dense crossover
 N = DENSE_STEP_MAX_DOF + 8
 COUNT = 4
 QUADRATIC = ScalarPotential(SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3))
@@ -146,6 +147,71 @@ def test_index_beyond_the_positive_modes_raises(monkeypatch):
         with pytest.raises(InvalidMode):
             system.synthesize([(index, 1.0, 0.0)], kind="plus")
     assert seen and all(2 * k < m for k in seen)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("tag", ["dirichlet", "robin_mit_plus", "periodic", "quasimixed+"])
+def test_a_count_takes_the_partial_path_on_small_grids(tag, n, monkeypatch):
+    kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
+    every = eigenmodes(dataclasses.replace(kin))
+
+    def unused(bands):
+        raise AssertionError("_all_eigenpairs was called")
+
+    monkeypatch.setattr(operators, "_all_eigenpairs", unused)
+    partial = eigenmodes(dataclasses.replace(kin), count=3)
+    assert partial.count == 3
+    assert_agree(every, partial, 1e-9)
+
+
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_partial_sets_factor_only_at_the_shifts_they_certify(tag, monkeypatch):
+    # a corner band learns whether its set ends on a pair from one mode more,
+    # not from a factor of K - sigma I at a shift inside the spectrum
+    built, certifying = [], []
+    factor, certify = operators._ShiftedBandsFactor, operators._below_spectrum
+
+    def recorded_factor(*args):
+        built.append(bool(certifying))
+        return factor(*args)
+
+    def recorded_certify(bands, sigma):
+        certifying.append(sigma)
+        try:
+            return certify(bands, sigma)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(operators, "_ShiftedBandsFactor", recorded_factor)
+    monkeypatch.setattr(operators, "_below_spectrum", recorded_certify)
+    kin = System(Grid(0.0, math.pi, N), CATALOG[tag].params, QUADRATIC).kinetic()
+    for count in (1, 2, 3):
+        eigenmodes(dataclasses.replace(kin), count=count)
+    assert all(built) and bool(built) == (kin.bands.corners is not None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.floats(0.0, math.pi, exclude_max=True),
+    sign=st.sampled_from(["", ":-"]),
+    n=st.integers(12, 160),
+    quadratic=st.booleans(),
+)
+def test_every_count_gives_the_leading_rows_of_the_every_mode_set(mu, sign, n, quadratic):
+    system = System(Grid(0.0, math.pi, n), params_from_tag(f"rotation:{mu!r}{sign}"),
+                    QUADRATIC if quadratic else None)
+    kin = system.kinetic()
+    every = eigenmodes(dataclasses.replace(kin))
+    e2 = np.concatenate([[v for _, v in every.diagnostics], every.energies**2])
+    # E^2 i and i + 1 form a degenerate pair, which no set ends between
+    paired = np.diff(e2) <= DEGENERACY_TOL * np.max(np.abs(e2))
+    q = len(every.diagnostics)
+    for count in range(1, 7):
+        partial = eigenmodes(dataclasses.replace(kin), count=count)
+        k = q + count
+        want = every.count if 2 * k >= kin.n_dof else count + paired[k - 1]
+        assert partial.count == want
+        assert_agree(every, partial, 1e-8)
 
 
 @pytest.mark.parametrize("tag", ["periodic", "antiperiodic"])

@@ -87,8 +87,8 @@ def test_tracer_sees_every_evolve_layer(tmp_path):
 
 
 def test_static_evolve_computes_only_the_modes_it_synthesizes(tmp_path):
-    # n = 256 lies above the dense crossover: one partial eigensolve of the
-    # three synthesized modes, on the System's one closure
+    # one partial eigensolve of the three synthesized modes, on the System's
+    # one closure
     tracer_mod = load_tracer()
     cfg = evolve_config(tmp_path / "cfg.json", driven=False, n=256, modes=3)
     tracer = tracer_mod.Tracer()
