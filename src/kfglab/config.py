@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +55,14 @@ def _count(value, name: str) -> int:
 
 
 def _finite(value, name: str) -> float:
-    """A finite JSON number as a float."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {x}")
-    return x
+    """A finite JSON number as a float; float() would take true as 1 and
+    "0" as 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    # false for NaN, infinities and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _known_keys(d, section: str, keys: str) -> None:
@@ -77,14 +78,15 @@ def _known_keys(d, section: str, keys: str) -> None:
 def units_from_config(cfg: dict) -> PhysicalUnits:
     d = cfg.get("units", {})
     _known_keys(d, "units", "hbar c mass lambda bc_length")
+    if "lambda" in d and "bc_length" in d:
+        raise ConfigError("the units section gives both lambda and bc_length; give one")
+    length = "bc_length" if "bc_length" in d else "lambda"
     try:
         return PhysicalUnits(
-            hbar=float(d.get("hbar", 1.0)),
-            c=float(d.get("c", 1.0)),
-            mass=float(d.get("mass", 1.0)),
-            bc_length=float(d.get("lambda", d.get("bc_length", 1.0))),
+            **{key: _finite(d.get(key, 1.0), f"units.{key}") for key in ("hbar", "c", "mass")},
+            bc_length=_finite(d.get(length, 1.0), f"units.{length}"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad units section: {exc}") from exc
 
 
@@ -94,8 +96,9 @@ def grid_from_config(cfg: dict) -> Grid:
         raise ConfigError("config is missing the grid section")
     _known_keys(d, "grid", "a b n")
     try:
-        return Grid(a=float(d["a"]), b=float(d["b"]), n=_count(d["n"], "grid.n"))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Grid(a=_finite(d["a"], "grid.a"), b=_finite(d["b"], "grid.b"),
+                    n=_count(d["n"], "grid.n"))
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
 
@@ -119,11 +122,14 @@ def potential_from_config(cfg: dict) -> ScalarPotential:
     if d is None:
         return ScalarPotential()
     _known_keys(d, "potential", "profile time_factor nonneg")
+    nonneg = d.get("nonneg", False)
+    if not isinstance(nonneg, bool):
+        raise ConfigError(f"potential.nonneg must be true or false, got {nonneg!r}")
     try:
         return ScalarPotential(
             profile=SpatialProfile(**_numbers(d.get("profile", {}), "profile")),
             time_factor=TimeFactor(**_numbers(d.get("time_factor", {}), "time_factor")),
-            nonneg=bool(d.get("nonneg", False)),
+            nonneg=nonneg,
         )
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential section: {exc}") from exc
@@ -213,6 +219,8 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             "boundary condition"
         )
     t0 = t0_from_config(cfg)
+    if "modes" in d and "tabulated" in d:
+        raise ConfigError("initial_state gives both modes and tabulated; give one")
     if "modes" in d:
         if not d["modes"]:
             raise ConfigError("bad mode list: it names no mode")
@@ -236,21 +244,17 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
     if "tabulated" in d:
         td = d["tabulated"]
         _known_keys(td, "initial_state tabulated", "psi_re psi_im psi_t_re psi_t_im")
-        try:
-            n = system.grid.n
-            psi = np.asarray(td["psi_re"], dtype=float) + 1j * np.asarray(
-                td.get("psi_im", np.zeros(n)), dtype=float
-            )
-            psi_t = np.asarray(td.get("psi_t_re", np.zeros(n)), dtype=float) + 1j * np.asarray(
-                td.get("psi_t_im", np.zeros(n)), dtype=float
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tabulated state: {exc}") from exc
-        if len(psi) != n or len(psi_t) != n:
-            raise ConfigError("tabulated state length must match the grid")
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
-            raise ConfigError("tabulated state values must be finite")
-        return KfgState(psi=psi, psi_t=psi_t, t=t0)
+        if "psi_re" not in td:
+            raise ConfigError("bad tabulated state: it gives no psi_re")
+        n = system.grid.n
+        parts = []
+        for key in ("psi_re", "psi_im", "psi_t_re", "psi_t_im"):
+            values = td.get(key, [0.0] * n)
+            if not isinstance(values, list) or len(values) != n:
+                raise ConfigError(f"tabulated state {key} needs one number per grid point ({n})")
+            parts.append(np.array([_finite(v, f"tabulated state {key}") for v in values]))
+        re, im, t_re, t_im = parts
+        return KfgState(psi=re + 1j * im, psi_t=t_re + 1j * t_im, t=t0)
     raise ConfigError("initial_state must contain 'modes' or 'tabulated'")
 
 
@@ -263,7 +267,7 @@ def evolution_from_config(cfg: dict) -> EvolutionConfig:
         raise ConfigError(f"evolution.scheme must be 'cayley', got {d['scheme']!r}")
     try:
         return EvolutionConfig(
-            dt=float(d["dt"]),
+            dt=_finite(d["dt"], "evolution.dt"),
             steps=_count(d["steps"], "evolution.steps"),
             record_every=_count(d.get("record_every", 1), "evolution.record_every"),
         )

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +55,6 @@ from .core import (
 from .bc import (
     BcParams,
     BcRealization,
-    CoupledBc,
     NotMajoranaCompatible,
     SeparatedBc,
     bc_realization,
@@ -777,52 +775,18 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _spectral_radius(bands: Bands, lowest: float) -> float:
-    """max |E^2| over the spectrum, given its lowest eigenvalue."""
-    m = len(bands.main)
-    if bands.tridiagonal:
-        top = scipy.linalg.eigvalsh_tridiagonal(
-            bands.main, bands.lower, select="i", select_range=(m - 1, m - 1)
-        )[0]
-    else:
-        negated = Bands(-bands.main, -bands.upper, -bands.lower,
-                        -bands.top_right, -bands.bottom_left)
-        top = -_lowest_eigenpairs(negated, 1)[0][0]
-    return max(abs(lowest), abs(top))
-
-
-@dataclass(frozen=True)
-class _Radius:
-    """low <= max |E^2| <= high, and max |E^2| itself on demand."""
-
-    low: float
-    high: float
-    exact: Callable[[], float] | None = None
-
-    def settle(self, rule: Callable[[float], object]) -> float:
-        """A radius at which `rule`, monotone in the radius, decides as it
-        does at max |E^2|: the lower bound when the rule decides alike at
-        both bounds, else max |E^2| itself."""
-        if np.array_equal(rule(self.low), rule(self.high)):
-            return self.low
-        return self.exact()
-
-
-def _radius_bounds(bands: Bands, lowest: float) -> _Radius:
-    """Bounds on max |E^2| of Hermitian bands from their lowest eigenvalue,
-    in O(m): below, max(|lowest|, max K_ii), since each diagonal entry is a
-    Rayleigh quotient; above, the largest Gershgorin row sum of the matrix
-    the solvers read (the diagonal, the lower band and the bottom-left
-    corner).  `_spectral_radius` runs only when a decision needs it."""
-    main = bands.main.real
-    rows = np.abs(main)
+def _mode_scale(bands: Bands) -> float:
+    """The infinity norm of Hermitian bands, their largest absolute row sum,
+    from the diagonal, the lower band and the bottom-left corner, in O(m):
+    the scale of every mode decision.  It bounds max |E^2| from above
+    (Gershgorin) and is at most four times it, as no row holds more than
+    four entries."""
+    rows = np.abs(bands.main.real)
     off = np.abs(bands.lower)
     rows[:-1] += off
     rows[1:] += off
     rows[[0, -1]] += abs(bands.bottom_left)
-    low = max(abs(lowest), float(np.max(main)))
-    return _Radius(low, max(low, float(np.max(rows))),
-                   functools.cache(functools.partial(_spectral_radius, bands, lowest)))
+    return float(np.max(rows))
 
 
 def _ring_band(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
@@ -877,10 +841,11 @@ def _all_eigenvalues(bands: Bands) -> np.ndarray:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
 
 
-# Eigenvalues within DEGENERACY_TOL * max|E^2| of each other form a
-# degenerate pair.  The computed members of the free periodic and
-# antiperiodic pairs lie up to 12 eps max|E^2| apart (n = 64 ... 1024, dense
-# and banded drivers), and the next gaps there are above 1e10 eps max|E^2|.
+# Eigenvalues within DEGENERACY_TOL * ||K||_inf (`_mode_scale`) of each
+# other form a degenerate pair.  The computed members of the free periodic
+# and antiperiodic pairs lie up to 12 eps max|E^2| apart (n = 64 ... 1024,
+# dense and banded drivers), and the next gaps there are above 1e10 eps
+# max|E^2|; ||K||_inf lies between max|E^2| and 4 max|E^2|.
 DEGENERACY_TOL = 64 * np.finfo(float).eps
 
 
@@ -912,17 +877,14 @@ def canonical_pairs(vals: np.ndarray, fields: np.ndarray, tol: float) -> np.ndar
     return out
 
 
-# E^2 at or below POSITIVITY_TOL * max(1, max |E^2|) is quarantined.
+# E^2 at or below POSITIVITY_TOL * max(1, ||K||_inf) is quarantined.
 POSITIVITY_TOL = 1e-12
 
 
-def _quarantine(vals: np.ndarray, radius: _Radius):
-    """Mask of the positive E^2 and the (index, E^2) of the others."""
-
-    def positive(r):
-        return vals > POSITIVITY_TOL * max(1.0, r)
-
-    keep = positive(radius.settle(positive))
+def _quarantine(vals: np.ndarray, scale: float):
+    """Mask of the positive E^2 and the (index, E^2) of the others, for the
+    mode scale `scale`."""
+    keep = vals > POSITIVITY_TOL * max(1.0, scale)
     return keep, tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep))
 
 
@@ -948,8 +910,7 @@ def spectrum(kinetic: KineticMatrix) -> tuple[np.ndarray, tuple]:
     positive energies E = +sqrt(E^2), ascending, and the quarantined (index,
     E^2) pairs, by the rule of `eigenmodes`."""
     vals = _all_eigenvalues(kinetic.bands)
-    radius = max(abs(vals[0]), abs(vals[-1]))
-    keep, diagnostics = _quarantine(vals, _Radius(radius, radius))
+    keep, diagnostics = _quarantine(vals, _mode_scale(kinetic.bands))
     return np.sqrt(vals[keep]), diagnostics
 
 
@@ -959,7 +920,7 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     Eigenvalues are E^2; modes store E = +sqrt(E^2) with fields extended to
     the full grid, orthonormal under the trapezoid weights, with each
     degenerate pair in its canonical basis (`canonical_pairs`) and gauged
-    (see `gauge`).  E^2 <= POSITIVITY_TOL * max(1, max |E^2|) is quarantined
+    (see `gauge`).  E^2 <= POSITIVITY_TOL * max(1, ||K||_inf) is quarantined
     in `diagnostics`.  count=None gives every mode.  A count gives the k
     lowest modes, with k = count plus the quarantined ones among them, so
     that every quarantined mode is listed, while 2k < m for the m unknowns;
@@ -967,12 +928,10 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     pairs, so their solve takes one mode more, kept when it pairs with the
     k-th: a set never ends on the first member of a pair.
 
-    The quarantine and the degenerate pairs compare against max |E^2|.  A
-    partial solve decides each from two O(m) bounds on it
-    (`_radius_bounds`), and computes max |E^2| (`_spectral_radius`, a
-    second eigensolve) only for a decision that differs between them; each
-    decision is monotone in max |E^2|, so the mode set is the same bits
-    either way.
+    The quarantine and the degenerate pairs compare against one scale, the
+    infinity norm of the bands (`_mode_scale`), known in O(m) before any
+    solve, so a partial set decides as the every-mode set and `spectrum`
+    do.
     """
     if count is not None and count < 1:
         raise ValueError("count must be at least 1")
@@ -980,37 +939,23 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     m = kinetic.n_dof
     k = m if count is None else count
     extra = 0 if bands.tridiagonal else 1  # a tridiagonal K has simple eigenvalues
-    radius = None
+    scale = _mode_scale(bands)
     while 2 * k < m:
         vals, vecs = _lowest_eigenpairs(bands, k + extra)
-        if radius is None:
-            radius = _radius_bounds(bands, vals[0])
-        positive = np.count_nonzero(_quarantine(vals[:k], radius)[0])
+        positive = np.count_nonzero(_quarantine(vals[:k], scale)[0])
         if positive < count:
             k += count - positive
             continue
-
-        def paired(r):
-            return vals[k] - vals[k - 1] <= DEGENERACY_TOL * r
-
-        if extra and paired(radius.settle(paired)):
+        if extra and vals[k] - vals[k - 1] <= DEGENERACY_TOL * scale:
             k += 1
         vals, vecs = vals[:k], vecs[:, :k]
         break
     else:  # every mode
         vals, vecs = _all_eigenpairs(bands)
-        top = max(abs(vals[0]), abs(vals[-1]))
-        radius = _Radius(top, top)
-    keep, diagnostics = _quarantine(vals, radius)
+    keep, diagnostics = _quarantine(vals, scale)
     closure = kinetic.closure
     e2 = vals[keep]
-
-    def pairs(r):
-        return np.diff(e2) <= DEGENERACY_TOL * r
-
-    fields = canonical_pairs(
-        e2, vecs[:, keep].T / closure.sqrt_weights, DEGENERACY_TOL * radius.settle(pairs)
-    )
+    fields = canonical_pairs(e2, vecs[:, keep].T / closure.sqrt_weights, DEGENERACY_TOL * scale)
     return ModeSet(
         energies=np.sqrt(e2), fields=closure.extend(gauge(fields)), diagnostics=diagnostics
     )

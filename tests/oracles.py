@@ -34,13 +34,14 @@ from kfglab.operators import (
 
 def dense_modes(kinetic: KineticMatrix) -> ModeSet:
     """Every mode from the dense `eigh` of K, with the quarantine, canonical
-    pairs and gauge of `kfglab.operators.eigenmodes`."""
+    pairs and gauge of `kfglab.operators.eigenmodes`, at the mode scale of
+    the dense K, its infinity norm."""
     vals, vecs = scipy.linalg.eigh(kinetic.sym)
-    radius = float(np.max(np.abs(vals)))
-    keep = vals > POSITIVITY_TOL * max(1.0, radius)
+    scale = float(np.linalg.norm(kinetic.sym, np.inf))
+    keep = vals > POSITIVITY_TOL * max(1.0, scale)
     closure = kinetic.closure
     fields = canonical_pairs(
-        vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * radius
+        vals[keep], vecs[:, keep].T / np.sqrt(closure.dof_weights), DEGENERACY_TOL * scale
     )
     return ModeSet(
         energies=np.sqrt(vals[keep]),

@@ -157,6 +157,7 @@ class TestBadNumbers:
         ("evolution", "dt", math.nan),
         ("grid", "a", -math.inf),
         ("grid", "b", math.inf),
+        ("grid", "b", 10**400),  # an integer beyond the float range
         ("units", "hbar", math.inf),
     ])
     def test_non_finite_is_config_error(self, tmp_path, capsys, section, key, value):
@@ -293,6 +294,47 @@ class TestBadNumbers:
         write_config(cfg, potential={"profile": {"kind": "tabulated", "values": [0.0] * length}})
         self.assert_config_error(cfg, tmp_path, capsys, "length must match the grid")
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("evolution", "dt", True),
+        ("grid", "a", "0"),
+        ("grid", "b", None),
+        ("units", "hbar", True),
+        ("units", "lambda", "1"),
+        ("initial_state", "amplitude", True),
+        ("initial_state", "phase", "0.3"),
+        ("potential", "time_factor", {"kind": "sinusoidal", "amplitude": True}),
+        ("bc", "m0", "-1"),
+        ("bc", "mu", False),
+    ])
+    def test_number_of_another_json_type_is_config_error(self, tmp_path, capsys, section,
+                                                         key, value):
+        # float() would read true as 1 and "0" as 0
+        cfg = tmp_path / "c.json"
+        if section == "bc":
+            bc = {"m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 1.0, "mu": 0.5, key: value}
+            write_config(cfg, bc=bc)
+        else:
+            self.write_with(cfg, section, key, value)
+        self.assert_config_error(cfg, tmp_path, capsys, "must be a number")
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_nonneg_that_is_not_a_json_boolean_is_config_error(self, tmp_path, capsys, value):
+        # bool("false") is true: a well below zero would then fail as
+        # "flagged nonnegative"
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, "potential", "nonneg", value)
+        self.assert_config_error(cfg, tmp_path, capsys, "potential.nonneg", "true or false")
+
+    @pytest.mark.parametrize("entry", [True, "0.5"])
+    def test_tabulated_entry_that_is_not_a_number_is_config_error(self, tmp_path, capsys,
+                                                                  entry):
+        psi = np.sin(np.linspace(0.0, math.pi, 64)).tolist()
+        psi[3] = entry
+        cfg = tmp_path / "c.json"
+        write_config(cfg, majorana="none", initial_state={"tabulated": {"psi_re": psi}})
+        self.assert_config_error(cfg, tmp_path, capsys, "tabulated state psi_re",
+                                 "must be a number")
+
     def test_integral_float_count_is_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, evolution={"dt": 0.002, "steps": 10.0, "record_every": 5})
@@ -340,6 +382,18 @@ class TestStrictSections:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "psi_t_img" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_units_with_lambda_and_bc_length_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, units={"lambda": 1.0, "bc_length": 2.0})
+        TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "lambda and bc_length")
+
+    def test_initial_state_with_modes_and_tabulated_is_config_error(self, tmp_path, capsys):
+        psi = np.sin(np.linspace(0.0, math.pi, 64))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, initial_state={"modes": [{"index": 0}],
+                                         "tabulated": {"psi_re": psi.tolist()}})
+        TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "modes and tabulated")
 
     def test_the_cayley_scheme_and_top_level_keys_are_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -24,6 +24,7 @@ from kfglab.operators import (
     System,
     eigenmodes,
     gauge,
+    spectrum,
 )
 from oracles import dense_modes
 
@@ -204,7 +205,7 @@ def test_every_count_gives_the_leading_rows_of_the_every_mode_set(mu, sign, n, q
     every = eigenmodes(dataclasses.replace(kin))
     e2 = np.concatenate([[v for _, v in every.diagnostics], every.energies**2])
     # E^2 i and i + 1 form a degenerate pair, which no set ends between
-    paired = np.diff(e2) <= DEGENERACY_TOL * np.max(np.abs(e2))
+    paired = np.diff(e2) <= DEGENERACY_TOL * np.linalg.norm(kin.sym, np.inf)
     q = len(every.diagnostics)
     for count in range(1, 7):
         partial = eigenmodes(dataclasses.replace(kin), count=count)
@@ -242,6 +243,22 @@ def test_every_quarantined_mode_is_listed():
         assert [i for i, _ in partial.diagnostics] == [0, 1]
 
 
+def test_the_quarantine_reads_the_infinity_norm():
+    # on neumann ||K||_inf lies about 10 % above max|E^2|, and this constant
+    # well puts the lowest E^2 (about 1.70e-9) between 1e-12 max|E^2|
+    # (about 1.61e-9) and 1e-12 ||K||_inf (about 1.78e-9): every path
+    # quarantines it
+    well = ScalarPotential(SpatialProfile(kind="constant", value=-0.5 + 8.5e-10))
+    kin = System(Grid(0.0, math.pi, 64), CATALOG["neumann"].params, well).kinetic()
+    vals = scipy.linalg.eigvalsh(kin.sym)
+    scale = np.linalg.norm(kin.sym, np.inf)
+    assert 1e-12 * np.max(np.abs(vals)) < vals[0] <= 1e-12 * scale
+    sets = [eigenmodes(dataclasses.replace(kin), count=c) for c in (1, 2, None)]
+    for diagnostics in [s.diagnostics for s in sets] + [spectrum(kin)[1],
+                                                         dense_modes(kin).diagnostics]:
+        assert [i for i, _ in diagnostics] == [0]
+
+
 @pytest.fixture
 def no_splu(monkeypatch):
     """scipy's sparse LU `splu` failing, in every scipy module that holds
@@ -265,31 +282,7 @@ def test_partial_modes_never_reach_a_sparse_lu(tag, no_splu):
 
 @pytest.mark.parametrize("n", [N, 512])
 @pytest.mark.parametrize("tag", list(CATALOG))
-def test_radius_bounds_bracket_the_spectral_radius(tag, n):
+def test_mode_scale_is_the_infinity_norm(tag, n):
     kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
-    vals = scipy.linalg.eigvalsh(kin.sym)
-    bounds = operators._radius_bounds(kin.bands, vals[0])
-    assert bounds.low <= max(abs(vals[0]), abs(vals[-1])) <= bounds.high
-
-
-@pytest.mark.parametrize("n", [N, 512])
-@pytest.mark.parametrize("tag", list(CATALOG))
-def test_mode_sets_from_the_radius_bounds_equal_the_exact_ones(tag, n, monkeypatch):
-    kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
-
-    def unused(bands, lowest):
-        raise AssertionError("_spectral_radius was called")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(operators, "_spectral_radius", unused)
-        got = eigenmodes(dataclasses.replace(kin), count=3)
-
-    def exact(bands, lowest):
-        radius = operators._spectral_radius(bands, lowest)
-        return operators._Radius(radius, radius)
-
-    monkeypatch.setattr(operators, "_radius_bounds", exact)
-    want = eigenmodes(dataclasses.replace(kin), count=3)
-    assert got.count >= 3 and got.diagnostics == want.diagnostics
-    assert np.array_equal(got.energies, want.energies)
-    assert np.array_equal(got.fields, want.fields)
+    want = np.linalg.norm(kin.sym, np.inf)
+    assert abs(operators._mode_scale(kin.bands) - want) <= 1e-14 * want
