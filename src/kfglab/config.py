@@ -212,6 +212,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
     d = cfg.get("initial_state")
     if d is None:
         raise ConfigError("config is missing the initial_state section")
+    _known_keys(d, "initial_state", "modes tabulated")
     kind = majorana_from_config(cfg) or "none"
     if kind != "none" and system.closure.is_complex:
         raise ConfigError(

@@ -31,7 +31,6 @@ import scipy.linalg.blas
 
 from .core import KfgState, PhysicalUnits, majorana_project
 from .operators import (
-    Bands,
     NumericalFailure,
     SingularFactor,
     System,
@@ -42,15 +41,17 @@ from .operators import (
 # the implicit half of the Cayley step is not invertible
 SingularPropagator = SingularFactor
 
-# The dense/banded crossover of the static step, in unknowns: at or below it
+# The dense/banded switch of the static step, in unknowns: at or below it
 # a static run steps with the dense 2m x 2m step matrix, one BLAS product,
 # and the many short static runs of the verify suites sit at n <= 64.  A
-# neutral run's one-row banded step (see `CayleyPropagator.pack`) on the
-# LDL^H factor with ?gbmv meets the dense two-row product, with the dense
-# matrix's subnormal entries set to zero, between n = 112 and 128 on
-# dirichlet and neumann, and between 128 and 162 on robin_mit_plus and
-# periodic (best of 7 x 2000 steps, one BLAS thread, 2 shared vCPUs; at
-# n = 162 dense/banded 22.7/9.5 us on dirichlet, 17.1/11.2 us on periodic).
+# neutral run's one-row banded step (see `CayleyPropagator.pack`), run from
+# record to record in one `advance` call, meets the dense two-row product
+# (its subnormal entries set to zero) at 88 unknowns on dirichlet, neumann
+# and robin_mit_plus and at 96 on periodic, and from 104 unknowns won all 15
+# interleaved rounds on each of the four (200 steps a round, one BLAS
+# thread, 2 shared vCPUs; dense/banded at 160 unknowns 3.1 on dirichlet,
+# 2.2 on periodic).  It stays above that crossover: a lower value changes
+# the output bytes of every static run with the unknowns it moves.
 DENSE_STEP_MAX_DOF = 160
 
 
@@ -101,31 +102,6 @@ def wave_to_state(z: np.ndarray, system: System, t: float) -> KfgState:
     )
 
 
-class _BandedProduct:
-    """w + alpha T u along the last axis, for the tridiagonal part T of
-    bands: one BLAS ?gbmv per row on T's (3, m) band storage, kept in
-    Fortran order so that no call copies it.  Row by row, each row has the
-    bits it has alone."""
-
-    def __init__(self, bands: Bands, alpha: float):
-        m = len(bands.main)
-        self.band = np.zeros((3, m), dtype=np.result_type(bands.main, bands.upper,
-                                                          bands.lower), order="F")
-        self.band[0, 1:] = bands.upper
-        self.band[1] = bands.main
-        self.band[2, :-1] = bands.lower
-        self._gbmv = scipy.linalg.blas.get_blas_funcs("gbmv", (self.band,))
-        self._alpha = alpha
-
-    def accumulate(self, u: np.ndarray, out: np.ndarray) -> None:
-        """out += alpha T u, in place, for (r, m) stacks with contiguous rows."""
-        m = u.shape[-1]
-        for u_row, out_row in zip(u, out):
-            # after x: incx, offx, beta = 1, y, incy, offy, trans, overwrite_y;
-            # passed by keyword they cost 0.6 us more a call
-            self._gbmv(m, m, 1, 1, self._alpha, self.band, u_row, 1, 0, 1.0, out_row, 1, 0, 0, 1)
-
-
 class CayleyPropagator:
     """Steps the weighted wave vector z = (v, w) by the Cayley map of
     A = [[0, 1], [-K/hbar^2, 0]], with K = `system.kinetic(t).bands` taken
@@ -139,19 +115,23 @@ class CayleyPropagator:
     part of M.  Both corner terms are linear in y[m-1] and y[0], so they
     fold into two end responses G = [2p, a(K p - top_right e_0)] and
     H = [2q, a(K q - bottom_left e_(m-1))], a = -2k/hbar^2, built with the
-    factor, and a step is the tridiagonal solve for y, the tridiagonal
-    product (`_BandedProduct`, written over a copy of w) for
-    (v', w') = (2y - v, w + a T y), and the rank-2 update
-    (v', w') -= y[m-1] G + y[0] H, one BLAS ?gemv per row.  A static run
-    factors M and builds the product's band and G, H once.  A driven run
-    builds them at its first midpoint and keeps the LAPACK handles, the
-    band and the entries of K that do not move with t; each later step
-    rewrites the real part of the band's diagonal from the profile sampled
-    once (`System.potential_diagonal`, whose O(1) guards check S >= 0 and
-    S(a, t) = S(b, t) there, as `config.system_from_config` does over a
-    run's times), refactors M and rebuilds G and H.  A static run with at
-    most DENSE_STEP_MAX_DOF unknowns applies the dense step matrix instead,
-    whose row i is the banded step of unit vector i.
+    factor, and a step is the tridiagonal solve for y, (v', w') =
+    (2y - v, w + a T y) with T y one BLAS ?gbmv per row on T's band storage,
+    and the rank-2 update (v', w') -= y[m-1] G + y[0] H, one BLAS ?gemv per
+    row.  A static run factors M and builds the band and G, H once.  A
+    driven run builds them at its first midpoint and keeps the LAPACK
+    handles, the band and the entries of K that do not move with t; each
+    later step rewrites the real part of the band's diagonal from the
+    profile sampled once (`System.potential_diagonal`, whose O(1) guards
+    check S >= 0 and S(a, t) = S(b, t) there, as `config.system_from_config`
+    does over a run's times), refactors M and rebuilds G and H.  A static
+    run with at most DENSE_STEP_MAX_DOF unknowns applies the dense step
+    matrix instead, whose row i is the banded step of unit vector i.
+
+    `advance` runs any number of steps in one call, from record to record:
+    the banded steps update one work copy of the stack in place, through
+    buffers and handles bound once per call, so a step costs the solve,
+    the BLAS calls and four numpy operations.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
@@ -173,9 +153,8 @@ class CayleyPropagator:
         self._w_half = 2.0 / self._k  # w halves of H and G off the ends (`_fold`)
         # a real closure has real bands at every time
         self._real = not system.closure.is_complex
-        self._gemv = scipy.linalg.blas.get_blas_funcs(
-            "gemv", dtype=np.float64 if self._real else np.complex128
-        )
+        self._dtype = np.float64 if self._real else np.complex128
+        self._gemv = scipy.linalg.blas.get_blas_funcs("gemv", dtype=self._dtype)
         self._factor: _ShiftedBandsFactor | None = None
         self._dense: np.ndarray | None = None
         self._driven = not system.is_static
@@ -184,28 +163,37 @@ class CayleyPropagator:
             if system.closure.n_dof <= DENSE_STEP_MAX_DOF:
                 # on dirichlet from n = 128 the matrix holds subnormal entries
                 # (558 at n = 128), which made a step two to three times slower
-                self._dense = _flush_subnormals(self._step(np.eye(2 * system.closure.n_dof)))
+                self._dense = _flush_subnormals(
+                    self._steps(np.eye(2 * system.closure.n_dof), 0.0, 1, 0))
 
     def _move_to(self, t: float) -> None:
         """Factor M and fold the end responses for K at time t: built from
         `system.kinetic(t)` once, then from a new diagonal."""
         if self._factor is not None:
-            main = self._product.band[1]
+            main = self._band[1]
             diag = self.system.potential_diagonal.diag(t, out=self._diag)
             self._kinetic.main(diag, out=main.real)
             self._factor.refactor(main)
         else:
             kinetic = self._kinetic = self.system.kinetic(t)
-            main, bands = kinetic.bands.main, kinetic.bands
+            bands = kinetic.bands
+            m = len(bands.main)
             self._diag = np.empty(self.system.grid.n)
-            self._product = _BandedProduct(bands, -self._w_scale)
+            # T's (3, m) band storage for ?gbmv, in Fortran order so that no
+            # call copies it
+            band = self._band = np.zeros((3, m), dtype=np.result_type(
+                bands.main, bands.upper, bands.lower), order="F")
+            band[0, 1:] = bands.upper
+            main = band[1] = bands.main
+            band[2, :-1] = bands.lower
+            self._gbmv = scipy.linalg.blas.get_blas_funcs("gbmv", (band,))
             self._factor = _ShiftedBandsFactor(bands, self._m_scale)
-            self._ends = None
+            self._ends = self._end_columns = None
             if bands.corners is not None:
                 # the entries of K the fold reads that do not move with t
                 self._end_entries = (bands.upper[0].item(), bands.lower[-1].item(),
                                      *bands.corners.tolist())
-                self._ends = np.empty((4, len(main)), dtype=self._product.band.dtype)
+                self._ends = np.empty((4, m), dtype=band.dtype)
                 # the columns [H G] of a (2m, 2) array, as ?gemv reads them
                 self._end_columns = self._ends.reshape(2, -1).T
         if self._ends is not None:
@@ -228,7 +216,16 @@ class CayleyPropagator:
         s = self._w_half
         scaled = np.array([2.0 * q_0, 2.0 * q_1, s * q_0, s * q_1,
                            2.0 * p_0, 2.0 * p_1, s * p_0, s * p_1]).reshape(4, 2)
-        _flush_subnormals(np.matmul(scaled, factor.unit_solves.T, out=ends))
+        z = factor.unit_solves
+        if z.dtype != ends.dtype:
+            # complex coefficients, real unit solves: the real and imaginary
+            # parts as real products, with the bits of the complex one and
+            # without casting z (7.5 -> 4.5 us on quasimixed+ at n = 256)
+            np.matmul(z, scaled.view(np.float64).reshape(4, 2, 2),
+                      out=ends.view(np.float64).reshape(4, -1, 2))
+        else:
+            np.matmul(scaled, z.T, out=ends)
+        _flush_subnormals(ends)
         (q0, q1, q2, q3), (p0, p1, p2, p3) = zip(
             *[(q_0 * z0 + q_1 * z1, p_0 * z0 + p_1 * z1) for z0, z1 in factor.unit_ends])
         d0, d1 = main[::len(main) - 1].tolist()
@@ -239,27 +236,37 @@ class CayleyPropagator:
         ends[3, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))
         ends[3, -1] = a * (l * p2 + d1 * p3 + bottom * p0)
 
-    def _step(self, x: np.ndarray) -> np.ndarray:
-        """The step applied to each row of an (r, 2m) stack."""
+    def _steps(self, x: np.ndarray, t: float, steps: int, first: int) -> np.ndarray:
+        """`steps` banded steps, timed as in `advance`, applied to each row
+        of an (r, 2m) stack on a work copy that every step updates in place."""
+        x = np.array(x, dtype=np.result_type(x, self._dtype))
         m = x.shape[1] // 2
         v, w = x[:, :m], x[:, m:]
-        rhs = self._k * w
-        rhs += v
-        y = self._factor.solve_tridiagonal(rhs)
-        out = np.empty(x.shape, dtype=y.dtype)
-        v_new, w_new = out[:, :m], out[:, m:]
-        np.multiply(y, 2.0, out=v_new)
-        v_new -= v
-        w_new[...] = w
-        self._product.accumulate(y, w_new)
-        if self._ends is not None:
-            ends = self._end_columns
-            for y_row, out_row in zip(y, out):
-                # out_row -= [H G] [y_row[0], y_row[m-1]], reading the two ends
-                # of y_row with stride m - 1; after x: beta = 1, y, offx,
-                # incx, offy, incy, trans, overwrite_y
-                self._gemv(-1.0, ends, y_row, 1.0, out_row, 0, m - 1, 0, 1, 0, 1)
-        return out
+        rhs, twice = np.empty((2, *v.shape), dtype=x.dtype)
+        rhs_columns, rows = rhs.T, list(zip(rhs, w, x))
+        k, dt, a, gemv, driven = self._k, self.dt, -self._w_scale, self._gemv, self._driven
+        for j in range(steps):
+            if driven:
+                self._move_to(t + (first + j) * dt + 0.5 * dt)
+            if driven or not j:
+                solve, flags = self._factor.tri_solve, self._factor.tri_flags
+                gbmv, band, ends = self._gbmv, self._band, self._end_columns
+            np.multiply(w, k, out=rhs)
+            rhs += v
+            solve(rhs_columns, *flags)  # y, in place over rhs (its dtype, Fortran order)
+            np.multiply(rhs, 2.0, out=twice)
+            np.subtract(twice, v, out=v)
+            for y_row, w_row, x_row in rows:
+                # w_row += a T y_row; after y_row: incx, offx, beta = 1, w_row,
+                # incy, offy, trans, overwrite_y (by keyword they cost 0.6 us
+                # more a call)
+                gbmv(m, m, 1, 1, a, band, y_row, 1, 0, 1.0, w_row, 1, 0, 0, 1)
+                if ends is not None:
+                    # x_row -= [H G] [y_row[0], y_row[m-1]], reading the two
+                    # ends of y_row with stride m - 1; after y_row: beta = 1,
+                    # x_row, offx, incx, offy, incy, trans, overwrite_y
+                    gemv(-1.0, ends, y_row, 1.0, x_row, 0, m - 1, 0, 1, 0, 1)
+        return x
 
     def pack(self, z: np.ndarray, kind: str | None = None) -> np.ndarray:
         """The stack the step acts on, for a 1-D wave vector z.
@@ -290,17 +297,19 @@ class CayleyPropagator:
             z.imag = x[0]
         return z
 
-    def advance(self, z: np.ndarray, t: float) -> np.ndarray:
-        """One step from time t of a packed stack, or of a 1-D wave vector
-        (packed before the step and unpacked after it)."""
+    def advance(self, z: np.ndarray, t: float, steps: int = 1, first: int = 0) -> np.ndarray:
+        """`steps` steps of a packed stack, or of a 1-D wave vector (packed
+        before the steps and unpacked after them), into a new array.  Step j
+        (from 0) starts at t + (first + j) dt, so a run that passes its start
+        time and the number of steps already taken forms each step's time
+        from the start, whichever call takes the step."""
         x = self.pack(z) if z.ndim == 1 else z
         if self._dense is not None:
-            out = x @ self._dense
+            for _ in range(steps):
+                x = x @ self._dense
         else:
-            if self._driven:
-                self._move_to(t + 0.5 * self.dt)
-            out = self._step(x)
-        return self.unpack(out) if z.ndim == 1 else out
+            x = self._steps(x, t, steps, first)
+        return self.unpack(x) if z.ndim == 1 else x
 
 
 def _pairing_deviation(x: np.ndarray, kind: str, units: PhysicalUnits) -> float:
@@ -337,7 +346,11 @@ def evolve(
     sector deviation goes alongside; with a real closure the deviation is
     structurally zero.  Only the current packed stack is kept between
     snapshots, and z is rebuilt from it only at a snapshot: each caller takes
-    the observables it reads from the records.
+    the observables it reads from the records.  Each record interval is one
+    `advance` call, which steps a work copy of the stack in place; step k
+    (from 1) starts at t0 + (k - 1) dt, formed from the start time in
+    whichever interval it falls, and no record shares memory with the stack
+    that later steps change.
 
     A neutral run whose state starts exactly in its sector steps one real
     row (see `CayleyPropagator.pack`) when the step is banded: a real
@@ -363,10 +376,10 @@ def evolve(
 
     x = prop.pack(z, majorana)
     yield snapshot(0, x, z)
-    for k in range(1, config.steps + 1):
-        x = prop.advance(x, t0 + (k - 1) * config.dt)
-        if k % config.record_every == 0 or k == config.steps:
-            yield snapshot(k, x, prop.unpack(x, majorana))
+    for first in range(0, config.steps, config.record_every):
+        k = min(first + config.record_every, config.steps)
+        x = prop.advance(x, t0, k - first, first)
+        yield snapshot(k, x, prop.unpack(x, majorana))
 
 
 def check_majorana_preservation(

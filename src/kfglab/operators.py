@@ -428,6 +428,8 @@ class _ShiftedBandsFactor:
         # zpttrs takes the factor as L D L^H with `lower`, in complex numbers
         self._e_dtype = lower.dtype
         self._lower_kw = {"lower": 1} if np.iscomplexobj(lower) else {}
+        # the positional arguments after b: lower (zpttrs only), overwrite_b
+        self._pttrs_flags = (1, 1) if self._lower_kw else (1,)
         self._unit_pttrs = functools.partial(self._pttrs, **self._lower_kw)
         if self._lower_kw and not lower.imag.any():
             lower = lower.real
@@ -448,14 +450,16 @@ class _ShiftedBandsFactor:
         if info == 0:
             # e is the subdiagonal of L in T = L D L^H, cast here once for
             # zpttrs when dpttrf built it
-            self._tri_solve = functools.partial(
-                self._pttrs, diag, e.astype(self._e_dtype, copy=False), **self._lower_kw)
+            self.tri_solve = functools.partial(
+                self._pttrs, diag, e.astype(self._e_dtype, copy=False))
+            self.tri_flags = self._pttrs_flags
             unit_solve = functools.partial(self._unit_pttrs, diag, e)
         else:
             *lu, info = self._gttrf(self._lower, d + c * main, c * self._upper)
             if info != 0:
                 raise SingularFactor(f"banded factor is singular (info {info})")
-            self._tri_solve = unit_solve = functools.partial(self._gttrs, *lu)
+            self.tri_solve = unit_solve = functools.partial(self._gttrs, *lu)
+            self.tri_flags = ("N", 1)  # trans, overwrite_b
         self._corner_rows = None
         if self._corners is None:
             return
@@ -486,8 +490,10 @@ class _ShiftedBandsFactor:
     def solve_tridiagonal(self, rhs: np.ndarray) -> np.ndarray:
         """T^-1 applied along the last axis of a C-ordered (r, m) array, in
         place where the dtypes allow; ?pttrs and ?gttrs solve each row on
-        its own, so its bits do not depend on r."""
-        return self._tri_solve(rhs.T, overwrite_b=True)[0].T
+        its own, so its bits do not depend on r.  `tri_solve(b, *tri_flags)`
+        is the same solve of an (m, r) array b, with positional arguments
+        only."""
+        return self.tri_solve(rhs.T, *self.tri_flags)[0].T
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 applied as `solve_tridiagonal` does, each row with the bits

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from kfglab import evolution, operators
@@ -426,26 +427,30 @@ def test_driven_run_builds_bands_once_per_system(monkeypatch):
 
 def test_driven_run_looks_up_lapack_and_builds_the_band_once(monkeypatch):
     # counted as `counting_closure_bands` counts the bands: a driven run keeps
-    # its LAPACK handles and the product's band, and refactors every step
-    lookups, bands = [], []
+    # its LAPACK and BLAS handles and the band, and refactors every step
+    lookups, blas = [], []
     get = scipy.linalg.lapack.get_lapack_funcs
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs",
                         lambda *args, **kwargs: lookups.append(args[0]) or get(*args, **kwargs))
-    product = evolution._BandedProduct
-
-    class CountedProduct(product):
-        def __init__(self, *args, **kwargs):
-            bands.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "_BandedProduct", CountedProduct)
+    get_blas = scipy.linalg.blas.get_blas_funcs
+    monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs",
+                        lambda *args, **kwargs: blas.append(args[0]) or get_blas(*args, **kwargs))
     for tag in ("robin_mit_plus", "periodic", "quasimixed+"):
         system = make_system(tag, driven=True)
         st0 = wave_to_state(packet_wave(system), system, 0.0)
         list(evolve(st0, system, EvolutionConfig(dt=DT, steps=6, record_every=3)))
     # quasimixed+ factors its real tridiagonal part with the real routines
     assert lookups == [("pttrf", "pttrs", "gttrf", "gttrs")] * 3 + [("pttrf", "pttrs")]
-    assert len(bands) == 3
+    # the band is built with its ?gbmv handle
+    assert blas == ["gemv", "gbmv"] * 3
+    # and stays the same array, rewritten in place, across steps and calls
+    system = make_system("periodic", driven=True)
+    prop = CayleyPropagator(system, DT)
+    x = prop.advance(prop.pack(packet_wave(system)), 0.0)
+    band = prop._band
+    for first in (1, 3):
+        x = prop.advance(x, 0.0, 2, first)
+        assert prop._band is band
 
 
 @pytest.mark.parametrize("tag", list(CATALOG))
@@ -460,7 +465,7 @@ def test_driven_step_diagonal_is_the_assembled_one(tag):
         x = prop.advance(x, k * DT)
         diag = mc2**2 + 2.0 * mc2 * system.potential.sample(x_grid, (k + 0.5) * DT)
         want = system.kinetic(0.0).kinetic_bands.main + diag[system.closure.dof]
-        assert prop._product.band[1].tobytes() == want.tobytes()
+        assert prop._band[1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])
@@ -475,7 +480,7 @@ def test_corner_unit_solves_hold_no_subnormal_entry(tag):
         x = prop.advance(x, k * DT)
     factor = prop._factor
     z = factor.unit_solves.T
-    unit = np.zeros(z.shape, dtype=prop._product.band.dtype)
+    unit = np.zeros(z.shape, dtype=prop._band.dtype)
     unit[0, 0] = unit[1, -1] = 1.0
     # the step's own solve, complex on quasimixed+
     full = factor.solve_tridiagonal(unit)
@@ -617,17 +622,20 @@ def test_neutral_banded_run_steps_one_row(tag, driven, start, kind, monkeypatch)
     assert system.closure.n_dof > DENSE_STEP_MAX_DOF
     st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.1, kind=start)
     advance = CayleyPropagator.advance
-    shapes = set()
+    shapes, steps = set(), []
 
-    def watched(self, x, t):
+    def watched(self, x, t, *args):
         shapes.add(x.shape)
-        return advance(self, x, t)
+        steps.append(args)
+        return advance(self, x, t, *args)
 
     monkeypatch.setattr(CayleyPropagator, "advance", watched)
     records = list(evolve(st0, system, EvolutionConfig(dt=DT, steps=40, record_every=7),
                           majorana=kind))
     rows = 1 if start == kind else 2
     assert shapes == {(rows, 2 * system.closure.n_dof)}
+    # one call per record interval: (steps, steps already taken)
+    assert steps == [(7, 0), (7, 7), (7, 14), (7, 21), (7, 28), (5, 35)]
 
     prop = CayleyPropagator(system, DT)
     x = prop.pack(state_to_wave(st0, system))
@@ -644,3 +652,78 @@ def test_neutral_banded_run_steps_one_row(tag, driven, start, kind, monkeypatch)
         assert np.array_equal(rec.state.psi_t, state.psi_t)
     worst = max(rec.majorana_deviation for rec in records)
     assert (worst == 0.0) if start == kind else (worst > 0.1)
+
+
+# `advance(x, t, steps, first)` runs a record interval in one call, on a work
+# copy of x; it must give the bytes of `steps` single steps, step j from
+# t + (first + j) dt
+
+
+def single_steps(prop: CayleyPropagator, x: np.ndarray, t0: float, first: int,
+                 steps: int) -> np.ndarray:
+    for k in range(first, first + steps):
+        x = prop.advance(x, t0 + k * DT)
+    return x
+
+
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_many_steps_in_one_call_match_single_steps(tag):
+    # static banded at n = 256 (two rows and one real row on a real closure,
+    # the complex row on a complex one) and static dense at n = 64
+    for n in (256, 64):
+        system = System(Grid(0.0, math.pi, n), CATALOG[tag].params,
+                        ScalarPotential(profile=QUADRATIC))
+        assert (system.closure.n_dof > DENSE_STEP_MAX_DOF) == (n == 256)
+        prop = CayleyPropagator(system, DT)
+        z = packet_wave(system)
+        stacks = [prop.pack(z)]
+        if n == 256 and not system.closure.is_complex:
+            stacks.append(prop.pack(z.real + 0j, "plus"))
+            assert stacks[-1].shape == (1, len(z))
+        for x in stacks:
+            start = x.copy()
+            got = prop.advance(x, 0.1, 13)
+            assert got.tobytes() == single_steps(prop, x, 0.1, 0, 13).tobytes()
+            assert x.tobytes() == start.tobytes() and got.dtype == x.dtype
+
+
+@pytest.mark.parametrize("tag", ["robin_mit_plus", "quasimixed+"])
+def test_driven_intervals_time_each_step_from_the_start(tag):
+    # intervals of 7 over 80 steps from t0 = 0.3: step k of the run starts at
+    # t0 + k dt in whichever call it falls, as in 80 single steps.  Forming it
+    # as (t0 + first dt) + j dt instead moves 13 midpoints by the last bit; a
+    # strong potential on a coarse grid lets that reach the band's diagonal
+    strong = SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=300.0)
+    system = System(Grid(0.0, math.pi, 32), CATALOG[tag].params,
+                    ScalarPotential(profile=strong, time_factor=DRIVE))
+    prop = CayleyPropagator(system, DT)
+    x = want = prop.pack(packet_wave(system))
+    for first in range(0, 80, 7):
+        steps = min(7, 80 - first)
+        x = prop.advance(x, 0.3, steps, first)
+        want = single_steps(prop, want, 0.3, first, steps)
+        assert x.tobytes() == want.tobytes(), first
+
+
+@pytest.mark.parametrize("tag, driven, n, majorana", [
+    ("quasimixed+", False, N, None), ("quasimixed+", True, N, None),
+    ("dirichlet", False, N, "plus"), ("periodic", False, N, None),
+    ("periodic", False, N_DENSE, None),
+])
+def test_changing_a_record_leaves_later_records_unchanged(tag, driven, n, majorana):
+    # no record aliases the stack the run keeps stepping (a complex closure's
+    # `unpack` returns a view of it)
+    system = make_system(tag, driven, n)
+    st0 = wave_to_state(packet_wave(system), system, 0.0)
+    if majorana is not None:
+        st0 = majorana_project(st0, majorana)
+    config = EvolutionConfig(dt=DT, steps=20, record_every=6)
+    clean = list(evolve(st0, system, config, majorana=majorana))
+    changed = []
+    for rec in evolve(st0, system, config, majorana=majorana):
+        changed.append((rec.state.psi.tobytes(), rec.state.psi_t.tobytes()))
+        rec.state.psi[:] = np.nan
+        rec.state.psi_t[:] = np.nan
+    assert len(changed) == len(clean) == 5
+    for (psi, psi_t), rec in zip(changed, clean):
+        assert psi == rec.state.psi.tobytes() and psi_t == rec.state.psi_t.tobytes()

@@ -395,6 +395,17 @@ class TestStrictSections:
                                          "tabulated": {"psi_re": psi.tolist()}})
         TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "modes and tabulated")
 
+    def test_unknown_initial_state_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt key next to a valid one
+        cfg = tmp_path / "c.json"
+        write_config(cfg, initial_state={"modes": [{"index": 0}], "tabluated": {}})
+        TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "initial_state", "tabluated")
+
+    def test_initial_state_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, initial_state="modes")
+        TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "initial_state", "object")
+
     def test_the_cayley_scheme_and_top_level_keys_are_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, evolution={"dt": 0.002, "steps": 10, "scheme": "cayley"},

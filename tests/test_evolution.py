@@ -70,9 +70,9 @@ class TestSnapshotGenerator:
         calls = []
         advance = CayleyPropagator.advance
 
-        def counted(self, z, t):
-            calls.append(t)
-            return advance(self, z, t)
+        def counted(self, z, t, steps=1, first=0):
+            calls.append(steps)
+            return advance(self, z, t, steps, first)
 
         monkeypatch.setattr(CayleyPropagator, "advance", counted)
         system = System(GRID, CATALOG["dirichlet"].params)
@@ -82,7 +82,8 @@ class TestSnapshotGenerator:
             calls.clear()
             records = list(itertools.islice(evolve(st0, system, config), k))
             assert len(records) == k
-            assert len(calls) == (k - 1) * config.record_every
+            # one call of record_every steps per record after the first
+            assert calls == [config.record_every] * (k - 1)
 
     @pytest.mark.parametrize("tag, driven, n", [
         *[(tag, False, n) for tag in ("dirichlet", "periodic", "rotation:0.0") for n in (64, 256)],

@@ -49,8 +49,17 @@ def evolve_config(path: Path, driven: bool, n: int = 32, modes: int = 1) -> Path
     return path
 
 
-def test_tracer_sees_every_evolve_layer(tmp_path):
+def test_tracer_sees_every_evolve_layer(tmp_path, monkeypatch):
     tracer_mod = load_tracer()
+    # `advance` takes one record interval a call: (static, steps) of each
+    intervals = []
+    advance = evolution.CayleyPropagator.advance
+
+    def counted(self, x, t, steps=1, first=0):
+        intervals.append((self.system.is_static, steps))
+        return advance(self, x, t, steps, first)
+
+    monkeypatch.setattr(evolution.CayleyPropagator, "advance", counted)
     originals = (
         operators.assemble_kinetic,
         evolution.CayleyPropagator.__dict__["advance"],
@@ -71,8 +80,10 @@ def test_tracer_sees_every_evolve_layer(tmp_path):
     finally:
         tracer.uninstall()
     stats = tracer_mod.layer_stats(tracer.spans)
-    assert stats["evolution.advance_static"]["calls"] == 6
-    assert stats["evolution.advance_driven"]["calls"] == 6
+    # 6 steps recorded every 3: 2 calls of 3 steps on each path
+    assert stats["evolution.advance_static"]["calls"] == 2
+    assert stats["evolution.advance_driven"]["calls"] == 2
+    assert intervals == [(True, 3), (True, 3), (False, 3), (False, 3)]
     assert stats["evolution.propagator_init"]["calls"] == 2
     assert stats["operators.assemble_kinetic"]["calls"] == 3
     last = [s for s in tracer.spans if s[0] == "operators.assemble_kinetic"][-1]
