@@ -266,20 +266,20 @@ def _confining_residuals(m0, m3, cos_mu, sin_mu):
     )
 
 
-def check_confining_conditions(params: BcParams, tol: float = ALG_TOL) -> bool:
+def check_confining_conditions(params: BcParams) -> bool:
     """For a confining (m1 = m2 = 0) closure: do both endpoint bilinear
     products of the form Im(psi * c p psi) vanish?
 
     True exactly for the Dirichlet, Neumann and two mixed closures: the
     zeros of the confining system on the unit circles.
     """
-    if abs(params.m1) > tol or abs(params.m2) > tol:
+    if abs(params.m1) > ALG_TOL or abs(params.m2) > ALG_TOL:
         raise WrongBranch("confining conditions apply only when m1 = m2 = 0")
     p = params
-    return confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) <= tol
+    return confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) <= ALG_TOL
 
 
-def check_tau1_condition(realization: BcRealization, tol: float = ALG_TOL) -> bool:
+def check_tau1_condition(realization: BcRealization) -> bool:
     """Does the coupling matrix preserve the tau_1 bilinear form (and its inverse too)?
 
     Preservation balances Im(psi * (c p psi)) at the two ends, which is what
@@ -291,7 +291,7 @@ def check_tau1_condition(realization: BcRealization, tol: float = ALG_TOL) -> bo
     minv = np.linalg.inv(m)
     d1 = np.max(np.abs(m.T @ TAU1 @ m - TAU1))
     d2 = np.max(np.abs(minv.T @ TAU1 @ minv - TAU1))
-    return bool(d1 <= tol and d2 <= tol)
+    return bool(d1 <= ALG_TOL and d2 <= ALG_TOL)
 
 
 def check_energy_condition(params: BcParams, tol: float = ALG_TOL) -> bool:
@@ -405,34 +405,34 @@ def params_from_tag(tag: str, lam: float = 1.0) -> BcParams:
     raise InvalidParams(f"unknown boundary-condition tag {tag!r}")
 
 
-def _params_close(p: BcParams, q: BcParams, tol: float = ALG_TOL) -> bool:
+def _params_close(p: BcParams, q: BcParams) -> bool:
     return (
-        abs(p.m0 - q.m0) <= tol
-        and abs(p.m1 - q.m1) <= tol
-        and abs(p.m2 - q.m2) <= tol
-        and abs(p.m3 - q.m3) <= tol
-        and abs(p.cos_mu - q.cos_mu) <= tol
-        and abs(p.sin_mu - q.sin_mu) <= tol
+        abs(p.m0 - q.m0) <= ALG_TOL
+        and abs(p.m1 - q.m1) <= ALG_TOL
+        and abs(p.m2 - q.m2) <= ALG_TOL
+        and abs(p.m3 - q.m3) <= ALG_TOL
+        and abs(p.cos_mu - q.cos_mu) <= ALG_TOL
+        and abs(p.sin_mu - q.sin_mu) <= ALG_TOL
     )
 
 
-def match_catalog(params: BcParams, tol: float = ALG_TOL) -> tuple[str | None, str | None]:
+def match_catalog(params: BcParams) -> tuple[str | None, str | None]:
     """(tag, roman label) of the catalog entry equal to params, if any."""
     for tag, entry in CATALOG.items():
         if tag.startswith("rotation:"):
             continue  # family handled below so arbitrary mu values match
-        if _params_close(params, entry.params, tol):
+        if _params_close(params, entry.params):
             return tag, entry.roman
     for tag, q in _EXTRA_TAGS.items():
-        if _params_close(params, q, tol):
+        if _params_close(params, q):
             return tag, "(xi)" if "periodic" in tag else "(xii)"
     if (
-        abs(params.m0) <= tol
-        and abs(params.m2) <= tol
-        and abs(params.m3) <= tol
-        and abs(abs(params.m1) - 1.0) <= tol
+        abs(params.m0) <= ALG_TOL
+        and abs(params.m2) <= ALG_TOL
+        and abs(params.m3) <= ALG_TOL
+        and abs(abs(params.m1) - 1.0) <= ALG_TOL
     ):
-        roman = "(x)" if abs(params.sin_mu) <= tol else "(ix)"
+        roman = "(x)" if abs(params.sin_mu) <= ALG_TOL else "(ix)"
         suffix = "" if params.m1 > 0 else ":-"
         return f"rotation:{params.mu!r}{suffix}", roman
     return None, None
@@ -600,9 +600,10 @@ def enumerate_energy_slice_solutions(
     return [p[0] for p in _cluster([(m % math.pi,) for m in x[res <= tol, 0].tolist()])]
 
 
-def _cluster(points: list[tuple[float, ...]], radius: float = 1e-3):
-    """Group nearby points whose last entry is an angle, compared through
-    (cos, sin); returns the first point of each group, sorted."""
+def _cluster(points: list[tuple[float, ...]]):
+    """Group points whose last entry is an angle, compared through (cos, sin):
+    a point within 1e-3 of a group's first point joins that group.  Returns
+    the first point of each group, sorted."""
     reps: list[tuple[float, ...]] = []
     for p in points:
         for q in reps:
@@ -611,7 +612,7 @@ def _cluster(points: list[tuple[float, ...]], radius: float = 1e-3):
                 math.cos(p[-1]) - math.cos(q[-1]),
                 math.sin(p[-1]) - math.sin(q[-1]),
             )
-            if d < radius:
+            if d < 1e-3:
                 break
         else:
             reps.append(p)

@@ -339,9 +339,9 @@ class Bands:
             return None
         return np.array([self.top_right, self.bottom_left])
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The matrix applied along the last axis of x, into `out` if given."""
-        out = np.multiply(self.main, x, out=out)
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The matrix applied along the last axis of x."""
+        out = self.main * x
         out[..., :-1] += self.upper * x[..., 1:]
         out[..., 1:] += self.lower * x[..., :-1]
         if self.corners is not None:

@@ -12,6 +12,9 @@ neutral states, the boundary-current classification of every catalog
 closure, mean-energy positivity with its splitting identities, second-order
 convergence of the four local balance laws, and agreement of the
 one-component and two-component observable pipelines.
+
+The checks take no arguments: each states its grid sizes, step counts,
+seeds and bound once, in its own body.
 """
 
 from __future__ import annotations
@@ -84,8 +87,15 @@ class VerifySuiteResult:
         }
 
 
-def majorana_tags() -> list[str]:
-    return [tag for tag, e in CATALOG.items() if abs(e.params.m2) < 1e-12]
+MAJORANA_TAGS = tuple(tag for tag, e in CATALOG.items() if abs(e.params.m2) < 1e-12)
+
+
+def _at_most(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:
+    return CheckResult(name, measured <= tolerance, measured, tolerance, detail)
+
+
+def _at_least(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:
+    return CheckResult(name, measured >= tolerance, measured, tolerance, detail)
 
 
 def _nondegenerate_pair(system: System) -> tuple[int, int]:
@@ -97,7 +107,7 @@ def _nondegenerate_pair(system: System) -> tuple[int, int]:
     raise RuntimeError("no nondegenerate mode pair found")
 
 
-def two_mode_neutral(system: System, seed: int = 0, t: float | None = None) -> KfgState:
+def two_mode_neutral(system: System, seed: int, t: float | None = None) -> KfgState:
     """Generic two-mode strictly neutral state (random phases and time)."""
     rng = np.random.default_rng(seed)
     i, j = _nondegenerate_pair(system)
@@ -106,21 +116,20 @@ def two_mode_neutral(system: System, seed: int = 0, t: float | None = None) -> K
     return system.synthesize([(i, 1.0, phases[0]), (j, 0.8, phases[1])], t=tt, kind="plus")
 
 
-def charged_state(system: System, seed: int = 0, n_modes: int = 3) -> KfgState:
+def charged_state(system: System, seed: int) -> KfgState:
+    """Charged state of the three lowest modes (random amplitudes, phases, time)."""
     rng = np.random.default_rng(seed)
-    ms = system.modes()
-    k = min(n_modes, ms.count)
     coeffs = [
         (idx, float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.0, 2 * math.pi)))
-        for idx in range(k)
+        for idx in range(min(3, system.modes().count))
     ]
     return system.synthesize(coeffs, t=float(rng.uniform(0.2, 0.9)), kind="none")
 
 
-def _bump_potential(center: float, coefficient: float = 0.25) -> ScalarPotential:
-    """Nonnegative static quadratic well, symmetric so S(a) = S(b)."""
+def _bump_potential(coefficient: float = 0.25) -> ScalarPotential:
+    """Nonnegative static quadratic well centred at pi/2, symmetric so S(a) = S(b)."""
     return ScalarPotential(
-        profile=SpatialProfile(kind="quadratic", x0=center, coefficient=coefficient),
+        profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=coefficient),
         nonneg=True,
     )
 
@@ -130,10 +139,9 @@ def _bump_potential(center: float, coefficient: float = 0.25) -> ScalarPotential
 # --------------------------------------------------------------------------
 
 
-def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
-    checks: list[CheckResult] = []
+def check_bc_algebra():
     t0 = time.perf_counter()
-    found = enumerate_confining_solutions(samples, tol, seed=seed)
+    found = enumerate_confining_solutions(100_000, 1e-6)
     dist = 0.0
     matched = 0
     for m0, m3, mu in CONFINING_SOLUTIONS:
@@ -145,28 +153,9 @@ def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
         if best < 1e-4:
             matched += 1
         dist = max(dist, best)
-    checks.append(
-        CheckResult(
-            name="confining_enumeration_four_clusters",
-            passed=(len(found) == 4 and matched == 4),
-            measured=float(len(found)),
-            tolerance=4.0,
-            detail=f"clusters={len(found)}, worst distance to expected {dist:.2e}",
-        )
-    )
-    mus = enumerate_energy_slice_solutions(max(samples // 10, 10_000), tol, seed=seed)
-    ok = len(mus) == 1 and abs(mus[0] - math.pi / 2) < 1e-6
-    checks.append(
-        CheckResult(
-            name="energy_balance_slice_unique_angle",
-            passed=ok,
-            measured=float(mus[0]) if mus else math.nan,
-            tolerance=math.pi / 2,
-            detail=f"solutions={['%.9f' % m for m in mus]}",
-        )
-    )
+    mus = enumerate_energy_slice_solutions(10_000, 1e-6)
     # Dirichlet is the only confining closure passing the energy condition
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n_scan = 5000
     theta = rng.uniform(0.0, 2 * math.pi, n_scan)
     mu = rng.uniform(0.0, math.pi, n_scan)
@@ -180,26 +169,37 @@ def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
                     "robin_mit_plus", "robin_mit_minus")
         if check_energy_condition(CATALOG[tag].params)
     ]
-    checks.append(
+    elapsed = time.perf_counter() - t0
+    return [
+        CheckResult(
+            name="confining_enumeration_four_clusters",
+            passed=(len(found) == 4 and matched == 4),
+            measured=float(len(found)),
+            tolerance=4.0,
+            detail=f"clusters={len(found)}, worst distance to expected {dist:.2e}",
+        ),
+        CheckResult(
+            name="energy_balance_slice_unique_angle",
+            passed=len(mus) == 1 and abs(mus[0] - math.pi / 2) < 1e-6,
+            measured=float(mus[0]) if mus else math.nan,
+            tolerance=math.pi / 2,
+            detail=f"solutions={['%.9f' % m for m in mus]}",
+        ),
         CheckResult(
             name="dirichlet_unique_energy_balanced_confining",
             passed=(stray == 0 and catalog_pass == ["dirichlet"]),
             measured=float(stray),
             tolerance=0.0,
             detail=f"catalog confining passers: {catalog_pass}",
-        )
-    )
-    elapsed = time.perf_counter() - t0
-    checks.append(
+        ),
         CheckResult(
             name="bc_algebra_runtime",
             passed=elapsed < 10.0,
             measured=elapsed,
             tolerance=10.0,
             detail="seconds",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -207,61 +207,44 @@ def check_bc_algebra(samples: int = 100_000, tol: float = 1e-6, seed: int = 0):
 # --------------------------------------------------------------------------
 
 
-def check_pseudo_self_adjointness(n: int = 128):
-    grid = Grid(0.0, math.pi, n)
+def check_pseudo_self_adjointness():
+    grid = Grid(0.0, math.pi, 128)
     pot = ScalarPotential()
-    checks = []
     worst = 0.0
     for entry in CATALOG.values():
         kin = assemble_kinetic(grid, pot, bc_realization(entry.params))
         h = assemble_fv_hamiltonian(kin)
         worst = max(worst, h.pseudo_hermiticity_defect)
-    checks.append(
-        CheckResult(
-            name="pseudo_self_adjointness_all_catalog",
-            passed=worst <= 1e-10,
-            measured=worst,
-            tolerance=1e-10,
-            detail=f"worst relative defect over {len(CATALOG)} closures at n={n}",
-        )
-    )
-    return checks
+    return [
+        _at_most("pseudo_self_adjointness_all_catalog", worst, 1e-10,
+                 f"worst relative defect over {len(CATALOG)} closures at n={grid.n}")
+    ]
 
 
-def _dispersion_errors(tag: str, n: int, n_modes: int = 5) -> np.ndarray:
+def _dispersion_errors(tag: str, n: int) -> np.ndarray:
+    """|E^2 - exact| of the five lowest modes after the exact constant mode."""
     length = math.pi if tag != "periodic" else 2 * math.pi
-    grid = Grid(0.0, length, n)
-    system = System(grid, CATALOG[tag].params)
-    ms = system.modes()
-    if tag == "dirichlet":
-        exact = [1.0 + (k * math.pi / length) ** 2 for k in range(1, n_modes + 1)]
-        disc = ms.energies[:n_modes] ** 2
-    elif tag == "neumann":
-        exact = [1.0 + (k * math.pi / length) ** 2 for k in range(1, n_modes + 1)]
-        disc = ms.energies[1 : n_modes + 1] ** 2  # skip the exact constant mode
-    elif tag == "periodic":
-        ks = [1, 1, 2, 2, 3]
-        exact = [1.0 + (2 * math.pi * k / length) ** 2 for k in ks[:n_modes]]
-        disc = ms.energies[1 : n_modes + 1] ** 2  # skip the exact constant mode
+    ms = System(Grid(0.0, length, n), CATALOG[tag].params).modes()
+    if tag == "periodic":
+        exact = [1.0 + (2 * math.pi * k / length) ** 2 for k in (1, 1, 2, 2, 3)]
     else:
-        raise ValueError(tag)
+        exact = [1.0 + (k * math.pi / length) ** 2 for k in range(1, 6)]
+    first = 0 if tag == "dirichlet" else 1  # skip the exact constant mode
+    disc = ms.energies[first : first + 5] ** 2
     return np.abs(np.asarray(disc) - np.asarray(exact))
 
 
-def check_spectra(n_coarse: int = 128, n_fine: int = 256):
+def check_spectra():
     checks = []
     for tag in ("dirichlet", "neumann", "periodic"):
-        e1 = _dispersion_errors(tag, n_coarse)
-        e2 = _dispersion_errors(tag, n_fine)
-        ratios = e1 / e2
-        ok = bool(np.all((ratios > 3.6) & (ratios < 4.4)))
+        ratios = _dispersion_errors(tag, 128) / _dispersion_errors(tag, 256)
         checks.append(
             CheckResult(
                 name=f"spectral_dispersion_{tag}",
-                passed=ok,
+                passed=bool(np.all((ratios > 3.6) & (ratios < 4.4))),
                 measured=float(np.min(ratios)),
                 tolerance=3.6,
-                detail=f"error ratios {np.round(ratios, 3).tolist()} for n={n_coarse}->{n_fine}",
+                detail=f"error ratios {np.round(ratios, 3).tolist()} for n=128->256",
             )
         )
     return checks
@@ -272,52 +255,36 @@ def check_spectra(n_coarse: int = 128, n_fine: int = 256):
 # --------------------------------------------------------------------------
 
 
-def check_conservation(n: int = 64, steps: int = 10_000, dt: float = 2e-3):
-    grid = Grid(0.0, math.pi, n)
-    pot = _bump_potential(center=math.pi / 2)
-    checks = []
+def check_conservation():
+    grid = Grid(0.0, math.pi, 64)
+    pot = _bump_potential()
+    steps = 10_000
+    config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 10)
     worst_norm = 0.0
     worst_energy = 0.0
-    for tag in majorana_tags():
+    for tag in MAJORANA_TAGS:
         system = System(grid, CATALOG[tag].params, pot)
         state = charged_state(system, seed=11)
-        summaries = [
-            global_summary(rec.state, system)
-            for rec in evolve(
-                state, system, EvolutionConfig(dt=dt, steps=steps, record_every=steps // 10)
-            )
-        ]
+        summaries = [global_summary(rec.state, system) for rec in evolve(state, system, config)]
         n0 = summaries[0].norm
         e0 = summaries[0].energy_mean.real
         nd = max(abs(s.norm - n0) for s in summaries) / abs(n0)
         ed = max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0)
         worst_norm = max(worst_norm, nd)
         worst_energy = max(worst_energy, ed)
-    checks.append(
-        CheckResult(
-            name="indefinite_norm_conservation",
-            passed=worst_norm <= 1e-10,
-            measured=worst_norm,
-            tolerance=1e-10,
-            detail=f"worst relative drift over {steps} steps, all neutral-capable closures",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="energy_bracket_conservation",
-            passed=worst_energy <= 1e-10,
-            measured=worst_energy,
-            tolerance=1e-10,
-            detail=f"worst relative drift over {steps} steps",
-        )
-    )
-    return checks
+    return [
+        _at_most("indefinite_norm_conservation", worst_norm, 1e-10,
+                 f"worst relative drift over {steps} steps, all neutral-capable closures"),
+        _at_most("energy_bracket_conservation", worst_energy, 1e-10,
+                 f"worst relative drift over {steps} steps"),
+    ]
 
 
-def check_majorana_triviality(n: int = 64, steps: int = 10_000, dt: float = 2e-3):
-    grid = Grid(0.0, math.pi, n)
-    pot = _bump_potential(center=math.pi / 2)
-    checks = []
+def check_majorana_triviality():
+    grid = Grid(0.0, math.pi, 64)
+    pot = _bump_potential()
+    steps = 10_000
+    config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 5)
     worst_rho = worst_j = worst_im_rho = worst_im_j = 0.0
     for tag in ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0"):
         system = System(grid, CATALOG[tag].params, pot)
@@ -331,7 +298,6 @@ def check_majorana_triviality(n: int = 64, steps: int = 10_000, dt: float = 2e-3
             for kind, rng in (("plus", np.random.default_rng(3)), ("minus", np.random.default_rng(4)))
         )
         state = KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.3)
-        config = EvolutionConfig(dt=dt, steps=steps, record_every=steps // 5)
         for rec in evolve(state, system, config):
             for kind in ("plus", "minus"):
                 snap = Snapshot(majorana_project(rec.state, kind), system)
@@ -344,38 +310,6 @@ def check_majorana_triviality(n: int = 64, steps: int = 10_000, dt: float = 2e-3
                 worst_j = max(worst_j, float(np.max(np.abs(fl.j))) / j_scale)
                 worst_im_rho = max(worst_im_rho, float(np.max(np.abs(fl.rho_E.imag))) / re_scale)
                 worst_im_j = max(worst_im_j, float(np.max(np.abs(fl.j_E.imag))) / je_scale)
-    checks.append(
-        CheckResult(
-            name="neutral_charge_density_trivial",
-            passed=worst_rho <= 1e-13,
-            measured=worst_rho, tolerance=1e-13,
-            detail="max |rho| / scale at every recorded step",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="neutral_charge_current_trivial",
-            passed=worst_j <= 1e-13,
-            measured=worst_j, tolerance=1e-13,
-            detail="max |j| / scale at every recorded step",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="neutral_energy_density_real",
-            passed=worst_im_rho <= 1e-13,
-            measured=worst_im_rho, tolerance=1e-13,
-            detail="max |Im rho_E| / scale",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="neutral_energy_current_real",
-            passed=worst_im_j <= 1e-13,
-            measured=worst_im_j, tolerance=1e-13,
-            detail="max |Im j_E| / scale",
-        )
-    )
     grid2 = Grid(0.0, math.pi, 48)
     worst_dev = 0.0
     for tag in ("dirichlet", "periodic", "robin_mit_minus"):
@@ -386,15 +320,16 @@ def check_majorana_triviality(n: int = 64, steps: int = 10_000, dt: float = 2e-3
                 state = KfgState(1j * state.psi, 1j * state.psi_t, state.t)
             dev = check_majorana_preservation(state, system, dt=2e-3, steps=1000, kind=kind)
             worst_dev = max(worst_dev, dev)
-    checks.append(
-        CheckResult(
-            name="neutral_sector_preserved",
-            passed=worst_dev <= 1e-12,
-            measured=worst_dev, tolerance=1e-12,
-            detail="raw pairing deviation over 1000 un-projected steps",
-        )
-    )
-    return checks
+    return [
+        _at_most("neutral_charge_density_trivial", worst_rho, 1e-13,
+                 "max |rho| / scale at every recorded step"),
+        _at_most("neutral_charge_current_trivial", worst_j, 1e-13,
+                 "max |j| / scale at every recorded step"),
+        _at_most("neutral_energy_density_real", worst_im_rho, 1e-13, "max |Im rho_E| / scale"),
+        _at_most("neutral_energy_current_real", worst_im_j, 1e-13, "max |Im j_E| / scale"),
+        _at_most("neutral_sector_preserved", worst_dev, 1e-12,
+                 "raw pairing deviation over 1000 un-projected steps"),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -405,16 +340,15 @@ BALANCED_TAGS = ("dirichlet", "neumann", "mixed_a0", "mixed_b0", "periodic", "an
 PERMEABLE_TAGS = ("periodic", "antiperiodic", "rotation:1.0471975511965976", "rotation:0.0")
 
 
-def check_boundary_currents(n: int = 256):
-    grid = Grid(0.0, math.pi, n)
+def check_boundary_currents():
+    grid = Grid(0.0, math.pi, 256)
     pot = ScalarPotential()
-    checks = []
     worst_eq = 0.0
     worst_confining = 0.0
     min_permeable = math.inf
     tilde_match = True
     tilde_detail = []
-    for tag in majorana_tags():
+    for tag in MAJORANA_TAGS:
         entry = CATALOG[tag]
         system = System(grid, entry.params, pot)
         rep = classify(entry.params)
@@ -455,40 +389,21 @@ def check_boundary_currents(n: int = 256):
         if balanced != expected_balanced or balanced != bool(rep.tau1_condition):
             tilde_match = False
         tilde_detail.append(f"{entry.roman}:{'0' if balanced else 'x'}")
-    checks.append(
-        CheckResult(
-            name="proper_current_endpoint_equality",
-            passed=worst_eq <= 1e-6,
-            measured=worst_eq, tolerance=1e-6,
-            detail="max |j_E(a) - j_E(b)| / scale over neutral-capable closures",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="confining_current_vanishes",
-            passed=worst_confining <= 1e-6,
-            measured=worst_confining, tolerance=1e-6,
-            detail="max |j_E(a)| / scale over confining closures",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="permeable_current_nonzero",
-            passed=min_permeable >= 1e-3,
-            measured=min_permeable, tolerance=1e-3,
-            detail="min over permeable closures of max |j_E(a)| / scale",
-        )
-    )
-    checks.append(
+    return [
+        _at_most("proper_current_endpoint_equality", worst_eq, 1e-6,
+                 "max |j_E(a) - j_E(b)| / scale over neutral-capable closures"),
+        _at_most("confining_current_vanishes", worst_confining, 1e-6,
+                 "max |j_E(a)| / scale over confining closures"),
+        _at_least("permeable_current_nonzero", min_permeable, 1e-3,
+                  "min over permeable closures of max |j_E(a)| / scale"),
         CheckResult(
             name="tensor_current_balance_classification",
             passed=tilde_match,
             measured=1.0 if tilde_match else 0.0,
             tolerance=1.0,
             detail=" ".join(tilde_detail) + " (0 = balanced ends)",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -496,60 +411,25 @@ def check_boundary_currents(n: int = 256):
 # --------------------------------------------------------------------------
 
 
-def check_positivity(n: int = 128):
-    grid = Grid(0.0, math.pi, n)
-    pot = _bump_potential(center=math.pi / 2, coefficient=0.4)
-    checks = []
+def check_positivity():
+    grid = Grid(0.0, math.pi, 128)
+    pot = _bump_potential(coefficient=0.4)
     min_energy = math.inf
     worst_e_split = 0.0
     worst_c_split = 0.0
     for tag in BALANCED_TAGS:
         system = System(grid, CATALOG[tag].params, pot)
-        state = two_mode_neutral(system, seed=13)
-        summ = global_summary(state, system)
+        summ = global_summary(two_mode_neutral(system, seed=13), system)
         min_energy = min(min_energy, summ.energy_mean.real)
         worst_e_split = max(worst_e_split, summ.energy_split_residual)
         worst_c_split = max(worst_c_split, summ.current_split_residual)
-    checks.append(
-        CheckResult(
-            name="mean_energy_positive_balanced_closures",
-            passed=min_energy > 0.0,
-            measured=min_energy, tolerance=0.0,
-            detail="min <<Psi,E Psi>> over the six balanced closures, S >= 0",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="energy_split_identity",
-            passed=worst_e_split <= 1e-8,
-            measured=worst_e_split, tolerance=1e-8,
-            detail="mean energy vs boundary term + tensor energy integral",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="current_split_identity",
-            passed=worst_c_split <= 1e-8,
-            measured=worst_c_split, tolerance=1e-8,
-            detail="J_E vs boundary term + J~_E, neutral states",
-        )
-    )
     equal_gap = 0.0
     for tag in ("dirichlet", "periodic", "antiperiodic"):
         system = System(grid, CATALOG[tag].params, pot)
-        state = two_mode_neutral(system, seed=17)
-        summ = global_summary(state, system)
+        summ = global_summary(two_mode_neutral(system, seed=17), system)
         scale = max(abs(summ.J_E), abs(summ.J_tilde_E),
                     grid.length * 1e-3, 1e-300)
         equal_gap = max(equal_gap, abs(summ.J_E.real - summ.J_tilde_E) / scale)
-    checks.append(
-        CheckResult(
-            name="global_currents_equal_balanced",
-            passed=equal_gap <= 1e-8,
-            measured=equal_gap, tolerance=1e-8,
-            detail="relative |J_E - J~_E| for Dirichlet/periodic/antiperiodic",
-        )
-    )
     system = System(grid, CATALOG["robin_mit_plus"].params, pot)
     gap = 0.0
     for t_probe in (0.4, 0.9, 1.5):
@@ -557,15 +437,22 @@ def check_positivity(n: int = 128):
         summ, fl = snap.summary, snap.fields
         scale = max(grid.length * float(np.max(np.abs(fl.cT10))), 1e-300)
         gap = max(gap, abs(summ.J_E.real - summ.J_tilde_E) / scale)
-    checks.append(
+    return [
         CheckResult(
-            name="global_currents_differ_robin",
-            passed=gap >= 1e-3,
-            measured=gap, tolerance=1e-3,
-            detail="relative |J_E - J~_E| for the MIT-type Robin closure",
-        )
-    )
-    return checks
+            name="mean_energy_positive_balanced_closures",
+            passed=min_energy > 0.0,
+            measured=min_energy, tolerance=0.0,
+            detail="min <<Psi,E Psi>> over the six balanced closures, S >= 0",
+        ),
+        _at_most("energy_split_identity", worst_e_split, 1e-8,
+                 "mean energy vs boundary term + tensor energy integral"),
+        _at_most("current_split_identity", worst_c_split, 1e-8,
+                 "J_E vs boundary term + J~_E, neutral states"),
+        _at_most("global_currents_equal_balanced", equal_gap, 1e-8,
+                 "relative |J_E - J~_E| for Dirichlet/periodic/antiperiodic"),
+        _at_least("global_currents_differ_robin", gap, 1e-3,
+                  "relative |J_E - J~_E| for the MIT-type Robin closure"),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -579,80 +466,68 @@ def _window_residuals(system: System, state0: KfgState, dt: float, kind: str | N
     return continuity_residuals(states, system)
 
 
-def check_continuity_convergence(n_coarse: int = 128):
-    checks = []
-    ratios_detail = []
-    all_ok = True
-    n_fine = 2 * (n_coarse - 1) + 1
+def _continuity_ratios(make_system, kind: str | None, seed: int, laws) -> dict[str, float]:
+    """Each law's residual at n = 128 over that at n = 255 (dx and dt halved)."""
+    res = []
+    for n in (128, 255):
+        grid = Grid(0.0, math.pi, n)
+        system = make_system(grid)
+        synth = system.frozen(0.0)
+        i, j = _nondegenerate_pair(synth)
+        rng = np.random.default_rng(seed)
+        coeffs = [(i, 1.0, rng.uniform(0, 2)), (j, 0.7, rng.uniform(0, 2))]
+        state = synth.synthesize(coeffs, t=0.0, kind=kind or "none")
+        # dt proportional to dx keeps the halving simultaneous; the 1/4
+        # factor keeps the spatial truncation dominant so the measured
+        # ratio sits cleanly at the second-order value
+        res.append(_window_residuals(system, state, grid.dx / 4.0, kind))
+    coarse, fine = res
+    return {
+        law: getattr(coarse, law) / getattr(fine, law) if getattr(fine, law) > 0 else math.inf
+        for law in laws
+    }
 
-    def _ratio_set(make_system, kind, seed, laws):
-        nonlocal all_ok
-        res = {}
-        for n in (n_coarse, n_fine):
-            grid = Grid(0.0, math.pi, n)
-            system = make_system(grid)
-            synth = system.frozen(0.0)
-            i, j = _nondegenerate_pair(synth)
-            rng = np.random.default_rng(seed)
-            coeffs = [(i, 1.0, rng.uniform(0, 2)), (j, 0.7, rng.uniform(0, 2))]
-            state = synth.synthesize(coeffs, t=0.0, kind=kind or "none")
-            # dt proportional to dx keeps the halving simultaneous; the 1/4
-            # factor keeps the spatial truncation dominant so the measured
-            # ratio sits cleanly at the second-order value
-            dt = grid.dx / 4.0
-            res[n] = _window_residuals(system, state, dt, kind)
-        out = {}
-        for law in laws:
-            r1 = getattr(res[n_coarse], law)
-            r2 = getattr(res[n_fine], law)
-            ratio = r1 / r2 if r2 > 0 else math.inf
-            out[law] = ratio
-            if not (3.6 < ratio < 4.4):
-                all_ok = False
-        return out
 
-    pot_static = _bump_potential(center=math.pi / 2, coefficient=0.3)
-    r_static = _ratio_set(
+def check_continuity_convergence():
+    pot_static = _bump_potential(coefficient=0.3)
+    r_static = _continuity_ratios(
         lambda g: System(g, CATALOG["dirichlet"].params, pot_static),
         kind=None, seed=23,
         laws=("charge", "energy", "emt_time", "emt_space"),
     )
-    rounded = {k: round(v, 2) for k, v in r_static.items()}
-    ratios_detail.append(f"charged static: {rounded}")
-
     pot_moving = ScalarPotential(
         profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
         time_factor=TimeFactor(kind="sinusoidal", amplitude=1.0, omega=1.3),
     )
-    r_moving = _ratio_set(
+    r_moving = _continuity_ratios(
         lambda g: System(g, CATALOG["robin_mit_plus"].params, pot_moving),
         kind="plus", seed=29,
         laws=("energy", "emt_time", "emt_space"),
     )
-    rounded = {k: round(v, 2) for k, v in r_moving.items()}
-    ratios_detail.append(f"neutral driven: {rounded}")
-
-    measured = min(list(r_static.values()) + list(r_moving.values()))
-    checks.append(
+    ratios = list(r_static.values()) + list(r_moving.values())
+    detail = "; ".join(
+        f"{label}: { {k: round(v, 2) for k, v in r.items()} }"
+        for label, r in (("charged static", r_static), ("neutral driven", r_moving))
+    )
+    return [
         CheckResult(
             name="continuity_second_order",
-            passed=all_ok,
-            measured=float(measured),
+            passed=all(3.6 < ratio < 4.4 for ratio in ratios),
+            measured=float(min(ratios)),
             tolerance=3.6,
-            detail="; ".join(ratios_detail),
+            detail=detail,
         )
-    )
-    return checks
+    ]
 
 
-def check_dual_path(n: int = 96, n_states: int = 100):
-    grid = Grid(0.0, math.pi, n)
-    pot = _bump_potential(center=math.pi / 2, coefficient=0.2)
+def check_dual_path():
+    grid = Grid(0.0, math.pi, 96)
+    pot = _bump_potential(coefficient=0.2)
     tags = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:1.0471975511965976")
     systems = [System(grid, CATALOG[t].params, pot) for t in tags]
     rng = np.random.default_rng(41)
     worst = 0.0
-    for k in range(n_states):
+    for k in range(100):
         system = systems[k % len(systems)]
         ms = system.modes()
         n_modes = int(rng.integers(2, 5))
@@ -675,12 +550,8 @@ def check_dual_path(n: int = 96, n_states: int = 100):
         for a, b in pairs:
             worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return [
-        CheckResult(
-            name="dual_path_observables",
-            passed=worst <= 1e-11,
-            measured=worst, tolerance=1e-11,
-            detail=f"{n_states} random on-shell states over {len(tags)} closures",
-        )
+        _at_most("dual_path_observables", worst, 1e-11,
+                 f"100 random on-shell states over {len(tags)} closures")
     ]
 
 

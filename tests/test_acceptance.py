@@ -3,7 +3,10 @@
 Each test drives one criterion through the verification machinery and prints
 one pass/fail line per named check (run with -s to stream them)."""
 
+import inspect
+
 from kfglab.verify import (
+    SUITES,
     check_bc_algebra,
     check_boundary_currents,
     check_conservation,
@@ -29,44 +32,51 @@ def _gate(checks):
 
 def test_criterion_1_bc_algebra():
     """Four confining solutions; unique balanced angle; Dirichlet unique; <10 s."""
-    _gate(check_bc_algebra(samples=100_000, tol=1e-6))
+    _gate(check_bc_algebra())
 
 
 def test_criterion_2_pseudo_self_adjointness():
     """tau_3 h^dag tau_3 = h to 1e-10 for all 12 catalog closures at n=128."""
-    _gate(check_pseudo_self_adjointness(n=128))
+    _gate(check_pseudo_self_adjointness())
 
 
 def test_criterion_3_spectral_dispersion():
     """Dirichlet/Neumann/periodic eigenvalues: second-order error ratios."""
-    _gate(check_spectra(n_coarse=128, n_fine=256))
+    _gate(check_spectra())
 
 
 def test_criterion_4_conservation():
     """Indefinite norm and energy bracket drift <= 1e-10 over 1e4 steps."""
-    _gate(check_conservation(steps=10_000))
+    _gate(check_conservation())
 
 
 def test_criterion_5_majorana_triviality():
     """rho, j, Im rho_E, Im j_E <= 1e-13 * scale; sector preserved to 1e-12."""
-    _gate(check_majorana_triviality(steps=10_000))
+    _gate(check_majorana_triviality())
 
 
 def test_criterion_6_boundary_currents():
     """j_E endpoint equality/vanishing and the tensor-current classification."""
-    _gate(check_boundary_currents(n=256))
+    _gate(check_boundary_currents())
 
 
 def test_criterion_7_positivity_and_splits():
     """Mean-energy positivity; splitting identities at 1e-8; J_E vs J~_E."""
-    _gate(check_positivity(n=128))
+    _gate(check_positivity())
 
 
 def test_criterion_8_continuity_convergence():
     """All four balance laws shrink by ~4x under simultaneous halving."""
-    _gate(check_continuity_convergence(n_coarse=128))
+    _gate(check_continuity_convergence())
 
 
 def test_criterion_9_dual_path():
     """One- vs two-component observables agree to 1e-11 on 100 random states."""
-    _gate(check_dual_path(n_states=100))
+    _gate(check_dual_path())
+
+
+def test_every_check_takes_no_arguments():
+    """Each check states its sizes, seeds and bound in its own body."""
+    for checks in SUITES.values():
+        for check in checks:
+            assert not inspect.signature(check).parameters, check.__name__
