@@ -40,17 +40,15 @@ from .bc import (
     u2_matrix,
 )
 from .operators import (
-    ClosureNotSelfAdjoint,
-    DiscreteHamiltonian,
     InvalidMode,
     KineticMatrix,
     ModeSet,
     NumericalFailure,
     SingularClosure,
     System,
-    assemble_fv_hamiltonian,
     assemble_kinetic,
     eigenmodes,
+    pseudo_hermiticity_defect,
     spectrum,
     synthesize_state,
 )

@@ -78,14 +78,9 @@ def _known_keys(d, section: str, keys: str) -> None:
 def units_from_config(cfg: dict) -> PhysicalUnits:
     d = cfg.get("units", {})
     _known_keys(d, "units", "hbar c mass lambda bc_length")
-    if "lambda" in d and "bc_length" in d:
-        raise ConfigError("the units section gives both lambda and bc_length; give one")
-    length = "bc_length" if "bc_length" in d else "lambda"
     try:
         return PhysicalUnits(
-            **{key: _finite(d.get(key, 1.0), f"units.{key}") for key in ("hbar", "c", "mass")},
-            bc_length=_finite(d.get(length, 1.0), f"units.{length}"),
-        )
+            **{key: _finite(d.get(key, 1.0), f"units.{key}") for key in ("hbar", "c", "mass")})
     except ValueError as exc:
         raise ConfigError(f"bad units section: {exc}") from exc
 
@@ -135,17 +130,26 @@ def potential_from_config(cfg: dict) -> ScalarPotential:
         raise ConfigError(f"bad potential section: {exc}") from exc
 
 
-def bc_from_config(cfg: dict, units: PhysicalUnits) -> BcParams:
+def bc_from_config(cfg: dict) -> BcParams:
+    """The boundary condition; lambda defaults to the units section's
+    `lambda`, or `bc_length`, its other spelling."""
     d = cfg.get("bc")
     if d is None:
         raise ConfigError("config is missing the bc section")
+    units = cfg.get("units", {})
+    if "lambda" in units and "bc_length" in units:
+        raise ConfigError("the units section gives both lambda and bc_length; give one")
+    key = "bc_length" if "bc_length" in units else "lambda"
+    lam = _finite(units.get(key, 1.0), f"units.{key}")
+    if not lam > 0.0:
+        raise ConfigError(f"bad units section: units.{key} must be positive, got {lam}")
     try:
         if isinstance(d, str):
-            return params_from_tag(d, lam=units.bc_length)
+            return params_from_tag(d, lam=lam)
         _known_keys(d, "bc", "m0 m1 m2 m3 mu lambda")
         return BcParams(
             **{key: _finite(d[key], f"bc.{key}") for key in ("m0", "m1", "m2", "m3", "mu")},
-            lam=_finite(d.get("lambda", units.bc_length), "bc.lambda"),
+            lam=_finite(d.get("lambda", lam), "bc.lambda"),
         )
     except (KeyError, TypeError, ValueError, InvalidParams) as exc:
         raise ConfigError(f"bad bc section: {exc}") from exc
@@ -177,11 +181,17 @@ def system_from_config(cfg: dict, evolution: EvolutionConfig | None = None) -> S
     S(a, t) != S(b, t), and a tabulated profile not of the grid's length
     are configuration errors, checked at the factor's extremes there.
     `evolution` is the config's evolution section, parsed here if not
-    given."""
+    given.  A top-level object under a name that is no section (a misspelt
+    `potental`, say) is a configuration error; scalar annotations pass."""
+    sections = "units grid potential bc majorana initial_state evolution t0 seed".split()
+    unknown = sorted(key for key, value in cfg.items()
+                     if isinstance(value, dict) and key not in sections)
+    if unknown:
+        raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
     units = units_from_config(cfg)
     grid = grid_from_config(cfg)
     potential = potential_from_config(cfg)
-    bc = bc_from_config(cfg, units)
+    bc = bc_from_config(cfg)
     t0 = t1 = t0_from_config(cfg)
     if evolution is None and "evolution" in cfg:
         evolution = evolution_from_config(cfg)
@@ -239,7 +249,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mode list: {exc}") from exc
         try:
-            return system.frozen(t0).synthesize(coeffs, t=t0, kind=kind)
+            return system.synthesize(coeffs, t=t0, kind=kind)
         except InvalidMode as exc:
             raise ConfigError(f"bad mode list: {exc}") from exc
     if "tabulated" in d:

@@ -41,15 +41,14 @@ class InvalidPotential(KfgLabError):
 
 @dataclass(frozen=True)
 class PhysicalUnits:
-    """Dimensional constants: hbar, c, particle mass, boundary length scale."""
+    """Dimensional constants: hbar, c, particle mass (lambda is `BcParams.lam`)."""
 
     hbar: float = 1.0
     c: float = 1.0
     mass: float = 1.0
-    bc_length: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "c", "mass", "bc_length"):
+        for name in ("hbar", "c", "mass"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
@@ -212,13 +211,6 @@ class ScalarPotential:
                 f"potential flagged nonnegative but min S = {s.min():.3e} at t = {t}"
             )
         return s
-
-    def frozen(self, t: float) -> "ScalarPotential":
-        """Static snapshot of the potential at one instant."""
-        return ScalarPotential(
-            profile=self.profile,
-            time_factor=TimeFactor(kind="constant", scale=self.time_factor.value(t)),
-        )
 
     def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.profile.sample(x) * self.time_factor.derivative(t)

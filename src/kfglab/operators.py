@@ -1,5 +1,5 @@
-"""Discrete spatial operator with boundary closure, the two-component
-Hamiltonian, and the stationary eigenproblem.
+"""Discrete spatial operator with boundary closure, the pseudo-Hermiticity
+of the two-component Hamiltonian, and the stationary eigenproblem.
 
 Discretization scheme
 ---------------------
@@ -66,10 +66,6 @@ PIN_CUTOFF = 1e-10
 
 class SingularClosure(KfgLabError):
     """The boundary closure cannot be eliminated on this grid/potential."""
-
-
-class ClosureNotSelfAdjoint(KfgLabError):
-    """Assembled Hamiltonian failed the pseudo-Hermiticity check."""
 
 
 class NumericalFailure(KfgLabError):
@@ -364,13 +360,18 @@ class Bands:
             bottom_left=s[-1] * self.bottom_left / s[0],
         )
 
-    def hermiticity_defect(self) -> float:
-        """Relative Frobenius norm of B - B^dag."""
+    def hermiticity_norms(self) -> tuple[float, float]:
+        """Frobenius norms of B - B^dag and of B."""
         corners = np.array([self.top_right, self.bottom_left])
         entries = np.concatenate([self.main, self.upper, self.lower, corners])
         # B^dag keeps the diagonal and swaps upper with lower and the corners
         adjoint = np.concatenate([self.main, self.lower, self.upper, corners[::-1]]).conj()
-        return float(np.linalg.norm(entries - adjoint) / max(np.linalg.norm(entries), 1e-300))
+        return float(np.linalg.norm(entries - adjoint)), float(np.linalg.norm(entries))
+
+    def hermiticity_defect(self) -> float:
+        """Relative Frobenius norm of B - B^dag."""
+        defect, norm = self.hermiticity_norms()
+        return defect / max(norm, 1e-300)
 
 
 TINY = np.finfo(np.float64).tiny  # the smallest normal float
@@ -566,10 +567,10 @@ class KineticMatrix:
 
     `kinetic_bands` is K_0, the potential-free operator in the Hermitian
     frame; `bands` is K = K_0 + diag on the unknowns, which the step, the
-    modes, the spectrum and the oracles read, and `at` moves it to time t in
-    O(n).  The dense `sym` (K, for the dense Hamiltonian and the test
-    oracles) and `l_dof` (W^(-1/2) K W^(1/2), whose eigenvectors are the
-    grid modes) are built on first read; no solver reads them.
+    modes, the spectrum and the pseudo-Hermiticity check read, and `at`
+    moves it to time t in O(n).  The dense `sym` (K) and `l_dof`
+    (W^(-1/2) K W^(1/2), whose eigenvectors are the grid modes) are built
+    on first read, only by the test oracles and the benchmark tracer.
     """
 
     closure: DiscreteClosure
@@ -638,53 +639,16 @@ def assemble_kinetic(
     )
 
 
-@dataclass(frozen=True)
-class DiscreteHamiltonian:
-    """2n x 2n first-order-in-time generator in the Hermitian representation.
-
-    Blockwise [[W + mc^2, W], [-W, -W - mc^2]] with W = (K - (mc^2)^2)/(2 mc^2),
-    i.e. the discrete p^2/2m + S.  Pseudo-Hermitian: tau_3 h^dag tau_3 = h.
-    """
-
-    kinetic: KineticMatrix
-    matrix: np.ndarray
-    pseudo_hermiticity_defect: float
-
-    @property
-    def n_dof(self) -> int:
-        return self.kinetic.n_dof
-
-
-def pseudo_hermiticity_defect(h: np.ndarray) -> float:
-    """Relative Frobenius defect of tau_3 h^dag tau_3 - h."""
-    m = h.shape[0] // 2
-    t3 = np.ones(2 * m)
-    t3[m:] = -1.0
-    twisted = t3[:, None] * h.conj().T * t3[None, :]
-    return float(np.linalg.norm(twisted - h) / max(np.linalg.norm(h), 1e-300))
-
-
-# the largest pseudo-Hermiticity defect `assemble_fv_hamiltonian` accepts
-PSEUDO_HERMITICITY_TOL = 1e-10
-
-
-def assemble_fv_hamiltonian(kinetic: KineticMatrix) -> DiscreteHamiltonian:
-    """Assemble the two-component Hamiltonian from the closed kinetic matrix."""
-    units = kinetic.units
-    mc2 = units.mc2
-    nd = kinetic.n_dof
-    w_block = (kinetic.sym - mc2**2 * np.eye(nd)) / (2.0 * mc2)
-    h = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
-    h[:nd, :nd] = w_block + mc2 * np.eye(nd)
-    h[:nd, nd:] = w_block
-    h[nd:, :nd] = -w_block
-    h[nd:, nd:] = -w_block - mc2 * np.eye(nd)
-    defect = pseudo_hermiticity_defect(h)
-    if defect > PSEUDO_HERMITICITY_TOL:
-        raise ClosureNotSelfAdjoint(
-            f"pseudo-Hermiticity defect {defect:.3e} exceeds {PSEUDO_HERMITICITY_TOL:.1e}"
-        )
-    return DiscreteHamiltonian(kinetic=kinetic, matrix=h, pseudo_hermiticity_defect=defect)
+def pseudo_hermiticity_defect(kinetic: KineticMatrix) -> float:
+    """Relative Frobenius defect of tau_3 h^dag tau_3 - h for the two-component
+    Hamiltonian h = [[W + mc^2, W], [-W, -W - mc^2]], W = (K - (mc^2)^2) /
+    (2 mc^2), in O(n) from K's bands: every block of the difference is
+    +-(W^dag - W), and ||h||_F^2 = (||K||_F^2 + m (mc^2)^4) / (mc^2)^2 for m
+    unknowns (parallelogram law), so the defect is ||K^dag - K||_F /
+    sqrt(||K||_F^2 + m (mc^2)^4)."""
+    defect, norm = kinetic.bands.hermiticity_norms()
+    mass = math.sqrt(kinetic.n_dof) * kinetic.units.mc2**2
+    return defect / max(math.hypot(norm, mass), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -1045,12 +1009,6 @@ class System:
     def potential_diagonal(self) -> PotentialDiagonal:
         return PotentialDiagonal(self.closure, self.potential, self.units)
 
-    def frozen(self, t: float) -> "System":
-        """This system with its potential frozen at time t (itself if static)."""
-        if self.is_static:
-            return self
-        return System(self.grid, self.bc, self.potential.frozen(t), self.units)
-
     def modes(self, count: int | None = None) -> ModeSet:
         """Every mode (count=None), or a set holding at least `count`
         positive modes (see `eigenmodes`).  A cached set is reused when it
@@ -1078,9 +1036,11 @@ class System:
         t: float = 0.0,
         kind: str = "plus",
     ) -> KfgState:
+        """`synthesize_state` at time t from the modes of K(t), cached if static."""
         if kind in ("plus", "minus") and self.closure.is_complex:
             raise NotMajoranaCompatible(
                 "complex boundary closure admits no strictly neutral states"
             )
         count = max([1] + [index + 1 for index, _, _ in coefficients])
-        return synthesize_state(self.modes(count), coefficients, t, kind, self.units)
+        modes = self.modes(count) if self.is_static else eigenmodes(self.kinetic(t), count)
+        return synthesize_state(modes, coefficients, t, kind, self.units)

@@ -1,10 +1,12 @@
 """Literal forms kept as test oracles.
 
-The literal two-component Cayley step maps the full-grid state (psi1, psi2)
-by (1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar) with the dense 2n x 2n
-generator h of `assemble_fv_hamiltonian`: O(n^3) per step, so only for
-small grids.  The package steps the algebraically identical wave form
-(`kfglab.evolution.CayleyPropagator`).  The dense modes solve the dense
+The dense 2n x 2n two-component Hamiltonian h (`assemble_fv_hamiltonian`)
+and its dense pseudo-Hermiticity defect check the O(n) defect that
+`kfglab.operators.pseudo_hermiticity_defect` reads off K's bands.  The
+literal two-component Cayley step maps the full-grid state (psi1, psi2)
+by (1 + i dt h / 2 hbar)^(-1) (1 - i dt h / 2 hbar) with that h: O(n^3)
+per step, so only for small grids.  The package steps the algebraically
+identical wave form (`kfglab.evolution.CayleyPropagator`).  The dense modes solve the dense
 Hermitian K (`KineticMatrix.sym`) with `scipy.linalg.eigh`, O(n^3); the
 package solves every mode set from the bands.  The field-integral summary
 sums the local densities that `global_summary` reads as quadratic forms.
@@ -13,6 +15,8 @@ summary's norm and energy read them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +27,6 @@ from kfglab.observables import GlobalSummary, Snapshot
 from kfglab.operators import (
     DEGENERACY_TOL,
     POSITIVITY_TOL,
-    DiscreteHamiltonian,
     KineticMatrix,
     ModeSet,
     System,
@@ -48,6 +51,40 @@ def dense_modes(kinetic: KineticMatrix) -> ModeSet:
         fields=closure.extend(gauge(fields)),
         diagnostics=tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep)),
     )
+
+
+@dataclass(frozen=True)
+class DiscreteHamiltonian:
+    """2n x 2n first-order-in-time generator in the Hermitian representation.
+
+    Blockwise [[W + mc^2, W], [-W, -W - mc^2]] with W = (K - (mc^2)^2)/(2 mc^2),
+    i.e. the discrete p^2/2m + S.  Pseudo-Hermitian: tau_3 h^dag tau_3 = h.
+    """
+
+    matrix: np.ndarray
+    pseudo_hermiticity_defect: float
+
+
+def dense_pseudo_hermiticity_defect(h: np.ndarray) -> float:
+    """Relative Frobenius defect of tau_3 h^dag tau_3 - h for a dense h."""
+    m = h.shape[0] // 2
+    t3 = np.ones(2 * m)
+    t3[m:] = -1.0
+    twisted = t3[:, None] * h.conj().T * t3[None, :]
+    return float(np.linalg.norm(twisted - h) / max(np.linalg.norm(h), 1e-300))
+
+
+def assemble_fv_hamiltonian(kinetic: KineticMatrix) -> DiscreteHamiltonian:
+    """The dense two-component Hamiltonian of the closed kinetic matrix."""
+    mc2 = kinetic.units.mc2
+    nd = kinetic.n_dof
+    w_block = (kinetic.sym - mc2**2 * np.eye(nd)) / (2.0 * mc2)
+    h = np.zeros((2 * nd, 2 * nd), dtype=np.complex128)
+    h[:nd, :nd] = w_block + mc2 * np.eye(nd)
+    h[:nd, nd:] = w_block
+    h[nd:, :nd] = -w_block
+    h[nd:, nd:] = -w_block - mc2 * np.eye(nd)
+    return DiscreteHamiltonian(h, dense_pseudo_hermiticity_defect(h))
 
 
 def _cayley_matrices(h: np.ndarray, dt: float, hbar: float):

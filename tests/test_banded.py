@@ -418,11 +418,11 @@ def test_driven_run_builds_bands_once_per_system(monkeypatch):
     st0 = wave_to_state(packet_wave(system), system, 0.0)
     list(evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2)))
     assert len(calls) == 1
-    # from modes, the system frozen at t0 is a second System with its own bands
+    # from modes, the start state reads the same System's bands at t0
     system = make_system("robin_mit_plus", driven=True)
-    st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.5)], kind="none")
+    st0 = system.synthesize([(0, 1.0, 0.5)], kind="none")
     list(evolve(st0, system, EvolutionConfig(dt=DT, steps=4, record_every=2)))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_driven_run_looks_up_lapack_and_builds_the_band_once(monkeypatch):
@@ -498,7 +498,7 @@ def test_driven_identifying_closure_checks_every_midpoint():
         time_factor=TimeFactor(kind="sinusoidal", amplitude=1.0, omega=2.0),
     )
     system = System(Grid(0.0, math.pi, N), CATALOG["periodic"].params, lopsided)
-    st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.0)], kind="plus")
+    st0 = system.synthesize([(0, 1.0, 0.0)], kind="plus")
     with pytest.raises(SingularClosure):
         list(evolve(st0, system, EvolutionConfig(dt=DT, steps=3), majorana="plus"))
 
@@ -620,7 +620,7 @@ def test_neutral_banded_run_steps_one_row(tag, driven, start, kind, monkeypatch)
     pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
     system = System(Grid(0.0, math.pi, 256), CATALOG[tag].params, pot, UNITS)
     assert system.closure.n_dof > DENSE_STEP_MAX_DOF
-    st0 = system.frozen(0.0).synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.1, kind=start)
+    st0 = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.1, kind=start)
     advance = CayleyPropagator.advance
     shapes, steps = set(), []
 

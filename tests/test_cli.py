@@ -23,7 +23,7 @@ from kfglab.config import (
 )
 from kfglab.evolution import evolve
 from kfglab.observables import DENSITY_NAMES, local_fields
-from kfglab.operators import System
+from kfglab.operators import eigenmodes, synthesize_state
 from kfglab.verify import SUITE_NAMES, run_suite
 
 
@@ -388,6 +388,14 @@ class TestStrictSections:
         write_config(cfg, units={"lambda": 1.0, "bc_length": 2.0})
         TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "lambda and bc_length")
 
+    @pytest.mark.parametrize("key", ["lambda", "bc_length"])
+    @pytest.mark.parametrize("value,word", [(0.0, "positive"), (-0.5, "positive"),
+                                            (math.inf, "finite"), (math.nan, "finite")])
+    def test_units_lambda_must_be_positive_and_finite(self, tmp_path, capsys, key, value, word):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, units={key: value})
+        TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, f"units.{key}", word)
+
     def test_initial_state_with_modes_and_tabulated_is_config_error(self, tmp_path, capsys):
         psi = np.sin(np.linspace(0.0, math.pi, 64))
         cfg = tmp_path / "c.json"
@@ -405,6 +413,17 @@ class TestStrictSections:
         cfg = tmp_path / "c.json"
         write_config(cfg, initial_state="modes")
         TestBadNumbers.assert_config_error(cfg, tmp_path, capsys, "initial_state", "object")
+
+    @pytest.mark.parametrize("command", ["evolve", "spectrum", "classify"])
+    def test_misspelt_section_is_config_error(self, tmp_path, capsys, command):
+        # a section under a name the config does not read was dropped, so
+        # the run went on with a zero potential
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potental={"profile": {"kind": "constant", "value": 0.5}})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "potental" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_the_cayley_scheme_and_top_level_keys_are_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -555,9 +574,10 @@ class TestEvolve:
         data = write_config(cfg, potential=potential, t0=0.4)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         system = system_from_config(data)
-        frozen = System(system.grid, system.bc, system.potential.frozen(0.4), system.units)
-        assert frozen.is_static
-        expect = frozen.synthesize([(0, 1.0, 0.3), (2, 0.6, 1.1)], t=0.4, kind="plus")
+        assert not system.is_static
+        modes = eigenmodes(system.kinetic(0.4), 3)
+        expect = synthesize_state(modes, [(0, 1.0, 0.3), (2, 0.6, 1.1)], 0.4, "plus",
+                                  system.units)
         state = initial_state_from_config(data, system)
         assert np.array_equal(state.psi, expect.psi)
         assert np.array_equal(state.psi_t, expect.psi_t)

@@ -35,7 +35,7 @@ def complex_fields(n=16):
 class TestUnitsAndGrid:
     def test_natural_units_default(self):
         u = PhysicalUnits()
-        assert u.hbar == u.c == u.mass == u.bc_length == 1.0
+        assert u.hbar == u.c == u.mass == 1.0
         assert u.mc2 == 1.0
 
     def test_units_must_be_positive(self):
@@ -144,7 +144,7 @@ class TestStateConversions:
         assert np.max(np.abs(back.psi_t - psi_t)) <= 1e-13 * scale
 
     def test_round_trip_dimensional_units(self):
-        units = PhysicalUnits(hbar=2.0, c=3.0, mass=0.5, bc_length=1.5)
+        units = PhysicalUnits(hbar=2.0, c=3.0, mass=0.5)
         rng = np.random.default_rng(1)
         st0 = KfgState(
             rng.normal(size=12) + 1j * rng.normal(size=12),

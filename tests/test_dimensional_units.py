@@ -21,7 +21,8 @@ from kfglab.observables import (
 )
 from kfglab.evolution import EvolutionConfig, check_majorana_preservation, evolve
 
-UNITS = PhysicalUnits(hbar=2.0, c=3.0, mass=0.5, bc_length=1.5)
+UNITS = PhysicalUnits(hbar=2.0, c=3.0, mass=0.5)
+LAM = 1.5  # the boundary length scale of every closure here
 GRID = Grid(0.0, 2.0, 96)
 BUMP = ScalarPotential(
     profile=SpatialProfile(kind="quadratic", x0=1.0, coefficient=0.4), nonneg=True
@@ -29,7 +30,7 @@ BUMP = ScalarPotential(
 
 
 def _system(tag, potential=BUMP):
-    return System(GRID, params_from_tag(tag, lam=UNITS.bc_length), potential, UNITS)
+    return System(GRID, params_from_tag(tag, lam=LAM), potential, UNITS)
 
 
 def test_dispersion_with_constants():
@@ -87,7 +88,7 @@ def test_continuity_laws_second_order():
     res = {}
     for n in (96, 191):
         grid = Grid(0.0, 2.0, n)
-        system = System(grid, params_from_tag("dirichlet", lam=UNITS.bc_length),
+        system = System(grid, params_from_tag("dirichlet", lam=LAM),
                         BUMP, UNITS)
         st = system.synthesize([(0, 1.0, 0.4), (1, 0.7, 1.3)], t=0.0, kind="none")
         records = evolve(st, system,

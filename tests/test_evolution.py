@@ -19,9 +19,7 @@ from kfglab.core import (
     majorana_project,
 )
 from kfglab.bc import CATALOG, params_from_tag
-from kfglab.operators import (
-    Bands, KineticMatrix, NumericalFailure, System, assemble_fv_hamiltonian,
-)
+from kfglab.operators import Bands, KineticMatrix, NumericalFailure, System
 from kfglab.evolution import (
     CayleyPropagator,
     EvolutionConfig,
@@ -32,7 +30,7 @@ from kfglab.evolution import (
 )
 from kfglab.observables import global_summary
 from kfglab.verify import two_mode_neutral
-from oracles import propagator_matrix, step_cayley
+from oracles import assemble_fv_hamiltonian, propagator_matrix, step_cayley
 
 GRID = Grid(0.0, math.pi, 64)
 
@@ -100,9 +98,8 @@ class TestSnapshotGenerator:
                          if driven else TimeFactor()),
         )
         system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot)
-        synth = system.frozen(0.0)
-        plus = synth.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.0, kind="plus")
-        minus = synth.synthesize([(0, 0.7, 1.4), (2, 0.8, 0.2)], t=0.0, kind="minus")
+        plus = system.synthesize([(0, 1.0, 0.5), (1, 0.6, 1.1)], t=0.0, kind="plus")
+        minus = system.synthesize([(0, 0.7, 1.4), (2, 0.8, 0.2)], t=0.0, kind="minus")
         both = KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.0)
         config = EvolutionConfig(dt=2e-3, steps=40, record_every=7)
         runs = (evolve(both, system, config), evolve(plus, system, config, majorana="plus"),
@@ -279,12 +276,13 @@ class TestMajoranaPreservation:
     def test_blown_up_run_raises(self):
         # two quarantined E^2 < 0 modes grow from round-off until the stack is
         # NaN; the NaN deviations must not read as "preserved"
-        units = PhysicalUnits(mass=0.3, bc_length=0.05)
+        lam = 0.05
+        units = PhysicalUnits(mass=0.3)
         pot = ScalarPotential(
             profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
             nonneg=True,
         )
-        system = System(Grid(0.0, math.pi, 128), params_from_tag("robin_mit_minus", lam=0.05),
+        system = System(Grid(0.0, math.pi, 128), params_from_tag("robin_mit_minus", lam=lam),
                         pot, units)
         st0 = two_mode_neutral(system, seed=5)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="not finite"):

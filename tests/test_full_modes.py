@@ -107,14 +107,20 @@ def test_sets_without_pairs_are_untouched():
 def no_dense_eigh(monkeypatch):
     """`scipy.linalg.eigh`, as the package sees it, failing on a matrix of
     32 rows or more: every system below has at least 46 unknowns, and the
-    Rayleigh-Ritz step of the partial solve is k x k for a few modes."""
+    Rayleigh-Ritz step of the partial solve is k x k for a few modes.  No
+    dense operator is built either: `Bands.dense`, behind `KineticMatrix.sym`
+    and `l_dof`, fails on any bands."""
     dense_eigh = scipy.linalg.eigh
 
     def guarded(a, *args, **kwargs):
         assert len(a) < 32, f"dense eigh of a {len(a)}-row matrix"
         return dense_eigh(a, *args, **kwargs)
 
+    def dense(bands):
+        raise AssertionError(f"dense form of {len(bands.main)}-row bands")
+
     monkeypatch.setattr(operators.scipy.linalg, "eigh", guarded)
+    monkeypatch.setattr(operators.Bands, "dense", dense)
 
 
 def spectrum_config(path, tag, n):

@@ -1,12 +1,14 @@
 """Discrete operator assembly, spectra, and state synthesis."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kfglab.core import Grid, ScalarPotential, SpatialProfile, TimeFactor
+from kfglab.core import (NATURAL_UNITS, Grid, PhysicalUnits, ScalarPotential, SpatialProfile,
+                         TimeFactor)
 from kfglab.bc import BcParams, CATALOG, bc_realization, params_from_tag
 from kfglab.operators import (
     Bands,
@@ -14,15 +16,16 @@ from kfglab.operators import (
     KineticMatrix,
     SingularClosure,
     System,
-    assemble_fv_hamiltonian,
     assemble_kinetic,
     eigenmodes,
     pseudo_hermiticity_defect,
     synthesize_state,
 )
+from oracles import assemble_fv_hamiltonian, dense_pseudo_hermiticity_defect
 
 GRID = Grid(0.0, math.pi, 128)
 FREE = ScalarPotential()
+UNIT_SYSTEMS = (NATURAL_UNITS, PhysicalUnits(hbar=2.0, c=3.0, mass=0.5))
 
 
 def random_neutral_params():
@@ -117,8 +120,41 @@ class TestAssembly:
         for eps in (1e-4, 1e-6):
             bad = h.copy()
             bad[0, nd - 1] += eps  # one corner of the kinetic block only
-            defect = pseudo_hermiticity_defect(bad) * np.linalg.norm(bad)
+            defect = dense_pseudo_hermiticity_defect(bad) * np.linalg.norm(bad)
             assert 0.1 * eps < defect < 10.0 * eps
+
+    @pytest.mark.parametrize("units", UNIT_SYSTEMS, ids=["natural", "dimensional"])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_band_defect_matches_the_dense_hamiltonian_on_the_catalog(self, n, units):
+        grid = Grid(0.0, math.pi, n)
+        for tag, entry in CATALOG.items():
+            kin = assemble_kinetic(grid, FREE, bc_realization(entry.params), units)
+            fast = pseudo_hermiticity_defect(kin)
+            dense = assemble_fv_hamiltonian(kin).pseudo_hermiticity_defect
+            assert fast <= 1.3e-16 and dense <= 1.3e-16, (tag, fast, dense)
+
+    @pytest.mark.parametrize("units", UNIT_SYSTEMS, ids=["natural", "dimensional"])
+    @pytest.mark.parametrize("tag", ["dirichlet", "neumann", "periodic", "rotation:0.7",
+                                     "quasimixed+"])
+    def test_band_defect_matches_the_dense_hamiltonian_off_hermiticity(self, tag, units):
+        # a random term of relative size `size` on the upper band alone makes
+        # K non-Hermitian; the dense oracle's own cancellation error sets the
+        # absolute floor
+        kin = assemble_kinetic(Grid(0.0, math.pi, 64), FREE,
+                               bc_realization(params_from_tag(tag)), units)
+        bands = kin.kinetic_bands
+        rng = np.random.default_rng(7)
+        for size in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+            noise = rng.standard_normal(bands.upper.shape)
+            if np.iscomplexobj(bands.upper):
+                noise = noise + 1j * rng.standard_normal(bands.upper.shape)
+            noise *= size * np.linalg.norm(bands.upper) / np.linalg.norm(noise)
+            bad = dataclasses.replace(
+                kin, kinetic_bands=dataclasses.replace(bands, upper=bands.upper + noise))
+            fast = pseudo_hermiticity_defect(bad)
+            dense = assemble_fv_hamiltonian(bad).pseudo_hermiticity_defect
+            assert fast > 0.0
+            assert abs(fast - dense) <= 1e-15 + 1e-12 * dense, (size, fast, dense)
 
     def test_identifying_closure_requires_matched_potential(self):
         lopsided = ScalarPotential(

@@ -245,8 +245,9 @@ def test_a_count_that_splits_a_pair_grows_by_one(tag):
 def test_every_quarantined_mode_is_listed():
     # the count grows past the two negative E^2 of robin_mit_minus at a
     # small mass and length scale
-    units = PhysicalUnits(mass=0.3, bc_length=0.05)
-    params = CATALOG["robin_mit_minus"].params.with_lam(0.05)
+    lam = 0.05
+    units = PhysicalUnits(mass=0.3)
+    params = CATALOG["robin_mit_minus"].params.with_lam(lam)
     kin = System(Grid(0.0, math.pi, N), params, QUADRATIC, units).kinetic()
     dense = dense_modes(kin)
     assert len(dense.diagnostics) == 2

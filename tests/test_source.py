@@ -1,4 +1,6 @@
-"""Source hygiene of the package modules: every imported name is read."""
+"""Source hygiene of the package modules: every imported name is read, and
+every module-level definition is read somewhere in the package, the tests
+or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,10 @@ import pytest
 import kfglab
 
 MODULES = sorted(p for p in Path(kfglab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+# the re-exports of kfglab/__init__.py are not reads
+READERS = [*MODULES, *sorted(TESTS.glob("*.py")),
+           *sorted((TESTS.parent / "perfbench").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +42,49 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> list[str]:
+    """The module-level functions, classes and constants a module defines,
+    dunder names aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def reads(source: str) -> set[str]:
+    """Every name a module loads, every attribute it reads, and every string
+    that is an identifier: the CLI's handler table and the benchmark
+    tracer's hook list look definitions up by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_unread_definitions_are_found():
+    source = ("import x\nA = 1\nB: int = 2\n__all__ = []\n"
+              "def f():\n    return A\ndef g():\n    pass\nclass C:\n    pass\n"
+              "x.C\nx['g']\n")
+    assert [name for name in definitions(source) if name not in reads(source)] == ["B", "f"]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere() -> set[str]:
+    return set().union(*(reads(path.read_text(encoding="utf-8")) for path in READERS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_definition_is_read(path, read_anywhere):
+    assert [name for name in definitions(path.read_text(encoding="utf-8"))
+            if name not in read_anywhere] == []
