@@ -65,6 +65,21 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _finite_array(values: list, name: str) -> np.ndarray:
+    """`_finite` of every value, as a float array: one conversion and one
+    isfinite when every value is exactly an int or a float, else (or when
+    one is not finite) the checks one by one, for the same message."""
+    if {type(v) for v in values} <= {int, float}:
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
+    return np.array([_finite(v, name) for v in values])
+
+
 def _known_keys(d, section: str, keys: str) -> None:
     """The config section d; a key outside `keys` (a misspelt option such as
     `record_evry`) is a configuration error rather than silently ignored."""
@@ -263,7 +278,7 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
             values = td.get(key, [0.0] * n)
             if not isinstance(values, list) or len(values) != n:
                 raise ConfigError(f"tabulated state {key} needs one number per grid point ({n})")
-            parts.append(np.array([_finite(v, f"tabulated state {key}") for v in values]))
+            parts.append(_finite_array(values, f"tabulated state {key}"))
         re, im, t_re, t_im = parts
         return KfgState(psi=re + 1j * im, psi_t=t_re + 1j * t_im, t=t0)
     raise ConfigError("initial_state must contain 'modes' or 'tabulated'")

@@ -335,6 +335,12 @@ class Bands:
             return None
         return np.array([self.top_right, self.bottom_left])
 
+    @cached_property
+    def certified_shift(self) -> tuple[float, "_ShiftedBandsFactor"]:
+        """A shift below the spectrum and the factor that certifies it
+        (`_certified_shift`), searched once for these bands."""
+        return _certified_shift(self)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The matrix applied along the last axis of x."""
         out = self.main * x
@@ -679,29 +685,12 @@ def _below_spectrum(bands: Bands, sigma: float) -> _ShiftedBandsFactor | None:
     return factor if factor.positive_definite else None
 
 
-def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of Hermitian bands, ascending, in O(m k^2).
-
-    Tridiagonal bands go to bisection and inverse iteration (LAPACK ?stebz,
-    ?stein): 11 ms for three modes at m = 8190, where MRRR (?stemr) took
-    291 ms.  With corners, shift-invert Lanczos (ARPACK) runs below a shift
-    sigma certified to lie under the spectrum, with the O(m) factor of
-    K - sigma I (`_ShiftedBandsFactor`) as its inverse and its
-    `positive_definite` as the certificate.  The corners are a rank-2 term
-    with one negative eigenvalue, so by interlacing at most one eigenvalue
-    of K lies below the lowest one of its tridiagonal part T, and none below
-    lambda_0(T) - |corner|.  The first shift is lambda_0(T) - (lambda_1(T) -
-    lambda_0(T)); while K - sigma I is not positive definite the drop below
-    lambda_0(T) doubles.
-    """
-    if bands.tridiagonal:
-        try:
-            return scipy.linalg.eigh_tridiagonal(
-                bands.main, bands.lower, select="i", select_range=(0, k - 1),
-                lapack_driver="stebz",
-            )
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+def _certified_shift(bands: Bands) -> tuple[float, _ShiftedBandsFactor]:
+    """A shift sigma below the spectrum of Hermitian bands with corners, and
+    the factor of bands - sigma I that certifies it.  The first shift is
+    lambda_0(T) - (lambda_1(T) - lambda_0(T)) for the tridiagonal part T;
+    while bands - sigma I is not positive definite the drop below
+    lambda_0(T) doubles."""
     t0, t1 = scipy.linalg.eigvalsh_tridiagonal(
         bands.main.real, np.abs(bands.lower), select="i", select_range=(0, 1)
     )
@@ -715,6 +704,32 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
         if sigma == floor:
             raise NumericalFailure("no shift below the spectrum could be certified")
         drop *= 2.0
+    return sigma, factor
+
+
+def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of Hermitian bands, ascending, in O(m k^2).
+
+    Tridiagonal bands go to bisection and inverse iteration (LAPACK ?stebz,
+    ?stein): 11 ms for three modes at m = 8190, where MRRR (?stemr) took
+    291 ms.  With corners, shift-invert Lanczos (ARPACK) runs below a shift
+    sigma certified to lie under the spectrum, with the O(m) factor of
+    K - sigma I (`_ShiftedBandsFactor`) as its inverse and its
+    `positive_definite` as the certificate.  The corners are a rank-2 term
+    with one negative eigenvalue, so by interlacing at most one eigenvalue
+    of K lies below the lowest one of its tridiagonal part T, and none below
+    lambda_0(T) - |corner|.  The shift is certified once for the bands
+    (`Bands.certified_shift`), so a count that grows does not search again.
+    """
+    if bands.tridiagonal:
+        try:
+            return scipy.linalg.eigh_tridiagonal(
+                bands.main, bands.lower, select="i", select_range=(0, k - 1),
+                lapack_driver="stebz",
+            )
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    sigma, factor = bands.certified_shift
     m = len(bands.main)
     dtype = np.result_type(bands.lower, bands.bottom_left)
     inverse = scipy.sparse.linalg.LinearOperator(

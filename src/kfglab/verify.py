@@ -14,13 +14,21 @@ convergence of the four local balance laws, and agreement of the
 one-component and two-component observable pipelines.
 
 The checks take no arguments: each states its grid sizes, step counts,
-seeds and bound once, in its own body.
+seeds and bound once, in its own body.  The checks that run one closure
+after another (conservation, neutral-sector triviality, boundary currents)
+hand each closure's run to `_map`, which spreads the independent runs over
+the usable CPUs and gives the results of a loop in this process, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +82,7 @@ class VerifySuiteResult:
     suite: str
     checks: list[CheckResult]
     elapsed_s: float = 0.0
+    workers: int = 1  # processes the suite's checks ran on
 
     @property
     def passed(self) -> bool:
@@ -84,8 +93,97 @@ class VerifySuiteResult:
             "suite": self.suite,
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
+            "workers": self.workers,
             "checks": [c.as_dict() for c in self.checks],
         }
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The most processes one `_map` ran on since `run_suite` last reset it.
+_workers = 1
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], bit for bit, with the items dealt round-robin
+    over the usable CPUs.
+
+    This process computes the first share.  Each further CPU gets one child
+    made by fork: it inherits this process's memory (fn needs no pickling,
+    and a monkeypatched function stays patched), computes its share, sends
+    the results pickled through a pipe and leaves with os._exit.  An
+    exception raised in a child is raised again here with its type, its
+    traceback in the child as the cause.  Every child is reaped before the
+    map returns or raises; when it raises, the children still running are
+    killed first.  With one usable CPU, or without fork, the map runs in
+    this process.
+    """
+    global _workers
+    items = list(items)
+    processes = min(_usable_cpus(), len(items)) if hasattr(os, "fork") else 1
+    _workers = max(_workers, processes)
+    if processes < 2:
+        return [fn(x) for x in items]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in range(1, processes):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_share(fn, items[share::processes], write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        out = list(items)
+        out[::processes] = [fn(x) for x in items[::processes]]
+        for share, (pid, reader) in enumerate(children, start=1):
+            data = reader.read()
+            if not data:
+                raise ChildProcessError(f"verify worker {pid} ended without a result")
+            ok, value, trace = pickle.loads(data)
+            if not ok:
+                raise value from ChildProcessError(f"in verify worker {pid}:\n{trace}")
+            out[share::processes] = value
+        return out
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, share: list, write: int):
+    """A child's part of `_map`: the results of its share, or the exception
+    one raised, pickled into the pipe `write`; then os._exit, so that no
+    code of the parent's stack runs and no inherited buffer is flushed."""
+    try:
+        try:
+            payload = (True, [fn(x) for x in share], "")
+        except BaseException as exc:
+            payload = (False, exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(payload)
+        except Exception as exc:  # a result or an exception that does not pickle
+            failure = ChildProcessError(f"cannot send {payload[1]!r}: {exc}")
+            data = pickle.dumps((False, failure, payload[2]))
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 MAJORANA_TAGS = tuple(tag for tag, e in CATALOG.items() if abs(e.params.m2) < 1e-12)
@@ -259,18 +357,17 @@ def check_conservation():
     pot = _bump_potential()
     steps = 10_000
     config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 10)
-    worst_norm = 0.0
-    worst_energy = 0.0
-    for tag in MAJORANA_TAGS:
+
+    def drifts(tag: str) -> tuple[float, float]:
         system = System(grid, CATALOG[tag].params, pot)
         state = charged_state(system, seed=11)
         summaries = [global_summary(rec.state, system) for rec in evolve(state, system, config)]
         n0 = summaries[0].norm
         e0 = summaries[0].energy_mean.real
-        nd = max(abs(s.norm - n0) for s in summaries) / abs(n0)
-        ed = max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0)
-        worst_norm = max(worst_norm, nd)
-        worst_energy = max(worst_energy, ed)
+        return (max(abs(s.norm - n0) for s in summaries) / abs(n0),
+                max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0))
+
+    worst_norm, worst_energy = (max(0.0, *d) for d in zip(*_map(drifts, MAJORANA_TAGS)))
     return [
         _at_most("indefinite_norm_conservation", worst_norm, 1e-10,
                  f"worst relative drift over {steps} steps, all neutral-capable closures"),
@@ -284,8 +381,10 @@ def check_majorana_triviality():
     pot = _bump_potential()
     steps = 10_000
     config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 5)
-    worst_rho = worst_j = worst_im_rho = worst_im_j = 0.0
-    for tag in ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0"):
+
+    def sector_defects(tag: str) -> tuple[float, float, float, float]:
+        """The worst |rho|, |j|, |Im rho_E| and |Im j_E| over scale of one closure."""
+        worst_rho = worst_j = worst_im_rho = worst_im_j = 0.0
         system = System(grid, CATALOG[tag].params, pot)
         u = system.units
         # the step acts on the real and imaginary parts of a real closure's
@@ -309,16 +408,24 @@ def check_majorana_triviality():
                 worst_j = max(worst_j, float(np.max(np.abs(fl.j))) / j_scale)
                 worst_im_rho = max(worst_im_rho, float(np.max(np.abs(fl.rho_E.imag))) / re_scale)
                 worst_im_j = max(worst_im_j, float(np.max(np.abs(fl.j_E.imag))) / je_scale)
+        return worst_rho, worst_j, worst_im_rho, worst_im_j
+
+    tags = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0")
+    worst_rho, worst_j, worst_im_rho, worst_im_j = (
+        max(0.0, *d) for d in zip(*_map(sector_defects, tags)))
     grid2 = Grid(0.0, math.pi, 48)
-    worst_dev = 0.0
-    for tag in ("dirichlet", "periodic", "robin_mit_minus"):
+
+    def preservation(run: tuple[str, str]) -> float:
+        tag, kind = run
         system = System(grid2, CATALOG[tag].params, pot)
-        for kind in ("plus", "minus"):
-            state = two_mode_neutral(system, seed=5)
-            if kind == "minus":
-                state = KfgState(1j * state.psi, 1j * state.psi_t, state.t)
-            dev = check_majorana_preservation(state, system, dt=2e-3, steps=1000, kind=kind)
-            worst_dev = max(worst_dev, dev)
+        state = two_mode_neutral(system, seed=5)
+        if kind == "minus":
+            state = KfgState(1j * state.psi, 1j * state.psi_t, state.t)
+        return check_majorana_preservation(state, system, dt=2e-3, steps=1000, kind=kind)
+
+    runs = [(tag, kind) for tag in ("dirichlet", "periodic", "robin_mit_minus")
+            for kind in ("plus", "minus")]
+    worst_dev = max(0.0, *_map(preservation, runs))
     return [
         _at_most("neutral_charge_density_trivial", worst_rho, 1e-13,
                  "max |rho| / scale at every recorded step"),
@@ -342,17 +449,12 @@ PERMEABLE_TAGS = ("periodic", "antiperiodic", "rotation:1.0471975511965976", "ro
 def check_boundary_currents():
     grid = Grid(0.0, math.pi, 256)
     pot = ScalarPotential()
-    worst_eq = 0.0
-    worst_confining = 0.0
-    min_permeable = math.inf
-    tilde_match = True
-    tilde_detail = []
-    for tag in MAJORANA_TAGS:
-        entry = CATALOG[tag]
-        system = System(grid, entry.params, pot)
-        rep = classify(entry.params)
-        je_a_max = 0.0
-        tilde_gap = 0.0
+
+    def end_currents(tag: str) -> tuple[float, float, float]:
+        """The worst |j_E(a) - j_E(b)| and |j_E(a)| over the j_E scale, and
+        the worst |cT10(b) - cT10(a)| over its scale, of one closure."""
+        system = System(grid, CATALOG[tag].params, pot)
+        worst_eq = je_a_max = tilde_gap = 0.0
         # probe several distinct-energy mode pairs: eigensolver gauge freedom
         # inside degenerate subspaces can align the boundary data of any one
         # pair and hide an open channel
@@ -379,6 +481,17 @@ def check_boundary_currents():
                 worst_eq = max(worst_eq, abs(je_a - je_b) / s)
                 je_a_max = max(je_a_max, abs(je_a) / s)
                 tilde_gap = max(tilde_gap, abs(diff) / st)
+        return worst_eq, je_a_max, tilde_gap
+
+    worst_eq = 0.0
+    worst_confining = 0.0
+    min_permeable = math.inf
+    tilde_match = True
+    tilde_detail = []
+    for tag, (eq, je_a_max, tilde_gap) in zip(MAJORANA_TAGS, _map(end_currents, MAJORANA_TAGS)):
+        entry = CATALOG[tag]
+        rep = classify(entry.params)
+        worst_eq = max(worst_eq, eq)
         if rep.confining:
             worst_confining = max(worst_confining, je_a_max)
         elif tag in PERMEABLE_TAGS:
@@ -573,12 +686,14 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> VerifySuiteResult:
+    global _workers
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    _workers = 1
     t0 = time.perf_counter()
     checks = [check for suite_check in SUITES[name] for check in suite_check()]
     return VerifySuiteResult(
-        suite=name, checks=checks, elapsed_s=time.perf_counter() - t0
+        suite=name, checks=checks, elapsed_s=time.perf_counter() - t0, workers=_workers
     )
 
 

@@ -17,6 +17,7 @@ import kfglab.observables
 from kfglab.cli import _write_csv, main
 from kfglab.config import (
     ConfigError,
+    _finite_array,
     evolution_from_config,
     initial_state_from_config,
     system_from_config,
@@ -334,6 +335,31 @@ class TestBadNumbers:
         write_config(cfg, majorana="none", initial_state={"tabulated": {"psi_re": psi}})
         self.assert_config_error(cfg, tmp_path, capsys, "tabulated state psi_re",
                                  "must be a number")
+
+    @pytest.mark.parametrize("entry,reason", [
+        (True, "must be a number"),
+        ("0.5", "must be a number"),
+        (math.nan, "must be finite"),
+        (-math.inf, "must be finite"),
+        (10**400, "must be finite"),  # an integer beyond the float range
+    ])
+    def test_tabulated_entry_checked_in_bulk_keeps_its_message(self, tmp_path, capsys,
+                                                               entry, reason):
+        # every other entry an int or a float: the bulk check falls back to
+        # the check of each entry, which names the bad one
+        psi = np.sin(np.linspace(0.0, math.pi, 64)).tolist()
+        psi[0], psi[-1] = 0, 1
+        psi[40] = entry
+        cfg = tmp_path / "c.json"
+        write_config(cfg, majorana="none", initial_state={"tabulated": {"psi_t_re": psi,
+                                                                        "psi_re": psi}})
+        self.assert_config_error(cfg, tmp_path, capsys, "tabulated state psi_re", reason)
+
+    def test_tabulated_entries_checked_in_bulk_keep_their_bits(self):
+        values = [0, -3, 2**53 + 1, 2**64 + 2049, -(10**300), 0.1, 1e308, 5e-324, -0.0]
+        bulk = _finite_array(values, "x")
+        assert bulk.dtype == np.float64
+        assert bulk.tobytes() == np.array([float(v) for v in values]).tobytes()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,23 @@ def test_spectrum_and_modes_never_diagonalize_the_dense_k(tag, tmp_path, no_dens
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_verify_suites_never_diagonalize_the_dense_k(suite, no_dense_eigh):
     assert run_suite(suite).passed
+
+
+def test_a_dense_solve_in_a_verify_worker_fails_the_suite(no_dense_eigh, monkeypatch):
+    # the suites' per-closure runs go to forked children, which inherit the
+    # guard: a dense solve of every mode there fails the suite here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    banded = operators._all_eigenpairs
+
+    def dense_in_a_child(bands):
+        if os.getpid() == parent:
+            return banded(bands)
+        return scipy.linalg.eigh(bands.dense())
+
+    monkeypatch.setattr(operators, "_all_eigenpairs", dense_in_a_child)
+    with pytest.raises(AssertionError, match="dense form of"):
+        run_suite("boundary_currents")
 
 
 @pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])

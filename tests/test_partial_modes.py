@@ -150,6 +150,42 @@ def test_index_beyond_the_positive_modes_raises(monkeypatch):
     assert seen and all(2 * k < m for k in seen)
 
 
+def test_a_growing_count_certifies_its_shift_once(monkeypatch):
+    # on rotation:2.1:- the count of 3 meets the quarantined mode, so the set
+    # is solved twice, with k = 3 and 4 (plus one for the corners)
+    kin = System(Grid(0.0, math.pi, 512), params_from_tag("rotation:2.1:-"), QUADRATIC).kinetic()
+    certified, solved = [], []
+    certify, lowest = operators._below_spectrum, operators._lowest_eigenpairs
+
+    def recorded_certify(bands, sigma):
+        factor = certify(bands, sigma)
+        certified.append(factor is not None)
+        return factor
+
+    def recorded_lowest(bands, k):
+        solved.append(k)
+        return lowest(bands, k)
+
+    monkeypatch.setattr(operators, "_below_spectrum", recorded_certify)
+    monkeypatch.setattr(operators, "_lowest_eigenpairs", recorded_lowest)
+    modes = eigenmodes(dataclasses.replace(kin), count=3)
+    assert solved == [4, 5] and len(modes.diagnostics) == 1
+    # one search: the shifts that failed, then the one certified
+    assert certified.count(True) == 1 and certified[-1] and len(certified) > 1
+    searched = len(certified)
+
+    def search_again(bands, k):
+        vars(bands).pop("certified_shift", None)
+        return lowest(bands, k)
+
+    monkeypatch.setattr(operators, "_lowest_eigenpairs", search_again)
+    again = eigenmodes(dataclasses.replace(kin), count=3)
+    assert len(certified) == 3 * searched
+    assert np.array_equal(again.energies, modes.energies)
+    assert np.array_equal(again.fields, modes.fields)
+    assert again.diagnostics == modes.diagnostics
+
+
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("tag", ["dirichlet", "robin_mit_plus", "periodic", "quasimixed+"])
 def test_a_count_takes_the_partial_path_on_small_grids(tag, n, monkeypatch):

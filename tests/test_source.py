@@ -88,3 +88,36 @@ def read_anywhere() -> set[str]:
 def test_every_definition_is_read(path, read_anywhere):
     assert [name for name in definitions(path.read_text(encoding="utf-8"))
             if name not in read_anywhere] == []
+
+
+def fork_sites(source: str) -> list[str]:
+    """The function around each `os.fork()` call of a module, or
+    "<module>" at module level."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "fork" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "os"):
+                sites.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_fork_sites_are_found():
+    source = ("import os\nos.fork()\ndef f():\n    if os.fork() == 0:\n"
+              "        pass\n    def g():\n        return os.fork\n")
+    assert fork_sites(source) == ["<module>", "f"]
+
+
+def test_only_the_verify_map_forks():
+    package = sorted(Path(kfglab.__file__).parent.glob("*.py"))
+    sites = [(path.name, where) for path in package
+             for where in fork_sites(path.read_text(encoding="utf-8"))]
+    assert sites == [("verify.py", "_map")]
