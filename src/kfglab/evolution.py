@@ -23,7 +23,7 @@ generator at the step midpoint, keeping second order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,11 +359,45 @@ def evolve(
     other run steps the full stack, so a start off its sector still reports
     its deviation.
     """
-    prop = CayleyPropagator(system, config.dt)
-    z = state_to_wave(state0, system)
-    t0 = state0.t
+    for (record,) in evolve_stacked((state0,), system, config, majorana):
+        yield record
 
-    def snapshot(step_index: int, x: np.ndarray, zz: np.ndarray) -> TrajectoryRecord:
+
+def evolve_stacked(
+    states: Sequence[KfgState],
+    system: System,
+    config: EvolutionConfig,
+    majorana: str | None = None,
+) -> Iterator[tuple[TrajectoryRecord, ...]]:
+    """`evolve` of several states on one system, stepped as one stack:
+    at each record, a tuple of one record per state, in the order of
+    `states`.
+
+    Each state is packed as `evolve` packs it alone, the packs are stacked
+    row after row, and each record interval is one `advance` of the whole
+    stack, so a dense step reads its matrix once a step for every state.
+    A state's record is rebuilt from its own rows and carries its own time,
+    t0 + k dt from its own start t0; at step 0 it holds the state's own z,
+    as in `evolve`.  The banded step gives each row the same bits in any
+    stack.  The dense step's BLAS product picks its kernel by the row count,
+    so there a state's records equal those of its run alone only where its
+    rows get the same bits in the larger stack: the two-row packs of a real
+    closure, stacked by two, do with the BLAS the tests run on.  The steps
+    of a driven system are timed from one start, so its states must share
+    their start time.
+    """
+    if not states:
+        raise ValueError("no state to evolve")
+    starts = [state.t for state in states]
+    if not system.is_static and len(set(starts)) > 1:
+        raise ValueError(f"a driven stack needs one start time, got {starts}")
+    prop = CayleyPropagator(system, config.dt)
+    waves = [state_to_wave(state, system) for state in states]
+    packs = [prop.pack(z, majorana) for z in waves]
+    ends = np.cumsum([len(x) for x in packs]).tolist()
+    rows = [slice(end - len(x), end) for x, end in zip(packs, ends)]
+
+    def snapshot(t0: float, step_index: int, x: np.ndarray, zz: np.ndarray) -> TrajectoryRecord:
         t = t0 + step_index * config.dt
         if not np.all(np.isfinite(zz)):
             raise NumericalFailure(f"the state is not finite at t = {t:.6g}")
@@ -374,12 +408,13 @@ def evolve(
             state = majorana_project(state, majorana)
         return TrajectoryRecord(t=t, state=state, majorana_deviation=dev)
 
-    x = prop.pack(z, majorana)
-    yield snapshot(0, x, z)
+    yield tuple(snapshot(t0, 0, x, z) for t0, x, z in zip(starts, packs, waves))
+    x = np.concatenate(packs)
     for first in range(0, config.steps, config.record_every):
         k = min(first + config.record_every, config.steps)
-        x = prop.advance(x, t0, k - first, first)
-        yield snapshot(k, x, prop.unpack(x, majorana))
+        x = prop.advance(x, starts[0], k - first, first)
+        yield tuple(snapshot(t0, k, x[own], prop.unpack(x[own], majorana))
+                    for t0, own in zip(starts, rows))
 
 
 def check_majorana_preservation(

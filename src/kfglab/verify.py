@@ -15,10 +15,14 @@ one-component and two-component observable pipelines.
 
 The checks take no arguments: each states its grid sizes, step counts,
 seeds and bound once, in its own body.  The checks that run one closure
-after another (conservation, neutral-sector triviality, boundary currents)
-hand each closure's run to `_map`, which spreads the independent runs over
-the usable CPUs and gives the results of a loop in this process, bit for
-bit.
+or one state after another hand each run to `_map`, which spreads the
+independent runs over the usable CPUs and gives the results of a loop in
+this process, bit for bit.  The conservation suite steps each closure once:
+the charged state of the conservation check and, on five closures, the
+plus + minus state of the neutral-sector check ride in one stack
+(`evolve_stacked`), and one map covers those ten runs and the six
+sector-preservation runs.  `check_conservation` and
+`check_majorana_triviality` each take their results from that one pass.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .observables import (
     local_fields,
     two_component_fields,
 )
-from .evolution import EvolutionConfig, check_majorana_preservation, evolve
+from .evolution import EvolutionConfig, check_majorana_preservation, evolve, evolve_stacked
 
 
 @dataclass(frozen=True)
@@ -352,71 +356,78 @@ def check_spectra():
 # --------------------------------------------------------------------------
 
 
-def check_conservation():
+_CONSERVATION_NAMES = ("indefinite_norm_conservation", "energy_bracket_conservation")
+SECTOR_TAGS = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0")
+
+
+def _plus_minus_state(system: System) -> KfgState:
+    """A plus-sector and a minus-sector two-mode state, summed: the step acts
+    on the real and imaginary parts of a real closure's state apart, so one
+    run of plus + minus carries both sectors' runs."""
+    i, jdx = _nondegenerate_pair(system.modes())
+    plus, minus = (
+        system.synthesize([(i, 1.0, rng.uniform(0, 2)), (jdx, 0.7, rng.uniform(0, 2))],
+                          t=0.3, kind=kind)
+        for kind, rng in (("plus", np.random.default_rng(3)), ("minus", np.random.default_rng(4)))
+    )
+    return KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.3)
+
+
+def _sector_defects(snap: Snapshot) -> tuple[float, float, float, float]:
+    """|rho|, |j|, |Im rho_E| and |Im j_E| of a neutral snapshot, each over
+    its scale."""
+    u = snap.system.units
+    fl = snap.fields
+    rho_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.e_psi))) / u.mc2, 1e-300)
+    j_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.cp_psi))) / (u.mass * u.c), 1e-300)
+    re_scale = max(float(np.max(np.abs(fl.rho_E))), 1e-300)
+    je_scale = max(float(np.max(np.abs(fl.j_E))), 1e-300)
+    return (float(np.max(np.abs(fl.rho))) / rho_scale,
+            float(np.max(np.abs(fl.j))) / j_scale,
+            float(np.max(np.abs(fl.rho_E.imag))) / re_scale,
+            float(np.max(np.abs(fl.j_E.imag))) / je_scale)
+
+
+def _conservation_checks() -> list[CheckResult]:
+    """The results of `check_conservation` and of `check_majorana_triviality`,
+    in that order, from one map over all their runs.
+
+    Each closure at n = 64 is run once, 10^4 steps of a charged state.  On
+    the SECTOR_TAGS closures a plus + minus state rides in the same stack
+    (`evolve_stacked`): the step reads its matrix once for both states, and
+    each state's records equal those of its own run.  The charged state is
+    summarized every 1000 steps and the neutral one every 2000.  The six
+    un-projected sector-preservation runs at n = 48 go through the same map.
+    """
     grid = Grid(0.0, math.pi, 64)
     pot = _bump_potential()
     steps = 10_000
     config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 10)
 
-    def drifts(tag: str) -> tuple[float, float]:
+    def closure_run(tag: str) -> tuple[tuple[float, float], tuple[float, ...] | None]:
+        """The relative norm and energy drifts of the charged state, and the
+        worst sector defects of the neutral state (None without one)."""
         system = System(grid, CATALOG[tag].params, pot)
-        state = charged_state(system, seed=11)
-        summaries = [global_summary(rec.state, system) for rec in evolve(state, system, config)]
+        states = [charged_state(system, seed=11)]
+        if tag in SECTOR_TAGS:
+            states.append(_plus_minus_state(system))
+        summaries = []
+        worst = [0.0] * 4
+        for index, records in enumerate(evolve_stacked(states, system, config)):
+            summaries.append(global_summary(records[0].state, system))
+            if len(records) == 2 and index % 2 == 0:  # every 2000 steps
+                for kind in ("plus", "minus"):
+                    snap = Snapshot(majorana_project(records[1].state, kind), system)
+                    worst = [max(w, d) for w, d in zip(worst, _sector_defects(snap))]
         n0 = summaries[0].norm
         e0 = summaries[0].energy_mean.real
-        return (max(abs(s.norm - n0) for s in summaries) / abs(n0),
-                max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0))
+        drifts = (max(abs(s.norm - n0) for s in summaries) / abs(n0),
+                  max(abs(s.energy_mean.real - e0) for s in summaries) / abs(e0))
+        return drifts, (tuple(worst) if len(states) == 2 else None)
 
-    worst_norm, worst_energy = (max(0.0, *d) for d in zip(*_map(drifts, MAJORANA_TAGS)))
-    return [
-        _at_most("indefinite_norm_conservation", worst_norm, 1e-10,
-                 f"worst relative drift over {steps} steps, all neutral-capable closures"),
-        _at_most("energy_bracket_conservation", worst_energy, 1e-10,
-                 f"worst relative drift over {steps} steps"),
-    ]
-
-
-def check_majorana_triviality():
-    grid = Grid(0.0, math.pi, 64)
-    pot = _bump_potential()
-    steps = 10_000
-    config = EvolutionConfig(dt=2e-3, steps=steps, record_every=steps // 5)
-
-    def sector_defects(tag: str) -> tuple[float, float, float, float]:
-        """The worst |rho|, |j|, |Im rho_E| and |Im j_E| over scale of one closure."""
-        worst_rho = worst_j = worst_im_rho = worst_im_j = 0.0
-        system = System(grid, CATALOG[tag].params, pot)
-        u = system.units
-        # the step acts on the real and imaginary parts of a real closure's
-        # state apart, so one run of plus + minus carries both sectors' runs
-        i, jdx = _nondegenerate_pair(system.modes())
-        plus, minus = (
-            system.synthesize([(i, 1.0, rng.uniform(0, 2)), (jdx, 0.7, rng.uniform(0, 2))],
-                              t=0.3, kind=kind)
-            for kind, rng in (("plus", np.random.default_rng(3)), ("minus", np.random.default_rng(4)))
-        )
-        state = KfgState(plus.psi + minus.psi, plus.psi_t + minus.psi_t, t=0.3)
-        for rec in evolve(state, system, config):
-            for kind in ("plus", "minus"):
-                snap = Snapshot(majorana_project(rec.state, kind), system)
-                fl = snap.fields
-                rho_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.e_psi))) / u.mc2, 1e-300)
-                j_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.cp_psi))) / (u.mass * u.c), 1e-300)
-                re_scale = max(float(np.max(np.abs(fl.rho_E))), 1e-300)
-                je_scale = max(float(np.max(np.abs(fl.j_E))), 1e-300)
-                worst_rho = max(worst_rho, float(np.max(np.abs(fl.rho))) / rho_scale)
-                worst_j = max(worst_j, float(np.max(np.abs(fl.j))) / j_scale)
-                worst_im_rho = max(worst_im_rho, float(np.max(np.abs(fl.rho_E.imag))) / re_scale)
-                worst_im_j = max(worst_im_j, float(np.max(np.abs(fl.j_E.imag))) / je_scale)
-        return worst_rho, worst_j, worst_im_rho, worst_im_j
-
-    tags = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0")
-    worst_rho, worst_j, worst_im_rho, worst_im_j = (
-        max(0.0, *d) for d in zip(*_map(sector_defects, tags)))
     grid2 = Grid(0.0, math.pi, 48)
 
-    def preservation(run: tuple[str, str]) -> float:
-        tag, kind = run
+    def preservation(tag: str, kind: str) -> float:
         system = System(grid2, CATALOG[tag].params, pot)
         state = two_mode_neutral(system, seed=5)
         if kind == "minus":
@@ -425,8 +436,29 @@ def check_majorana_triviality():
 
     runs = [(tag, kind) for tag in ("dirichlet", "periodic", "robin_mit_minus")
             for kind in ("plus", "minus")]
-    worst_dev = max(0.0, *_map(preservation, runs))
+
+    def run(item: tuple[str, str | None]):
+        tag, kind = item
+        return closure_run(tag) if kind is None else preservation(tag, kind)
+
+    # `_map` deals the items round-robin, so their order sets each process's
+    # share: the two-state closure runs first (about 52 ms each on a 2-vCPU
+    # host, one BLAS thread), then the one-state ones (about 41 ms) and the
+    # six short runs (about 5 ms); on two CPUs each process gets three short
+    # runs and their long ones differ by one two-state run for a one-state run
+    items = [(tag, None) for tag in sorted(MAJORANA_TAGS, key=lambda tag: tag not in SECTOR_TAGS)]
+    items += runs
+    results = dict(zip(items, _map(run, items)))
+    drifts = [results[tag, None][0] for tag in MAJORANA_TAGS]
+    worst_norm, worst_energy = (max(0.0, *d) for d in zip(*drifts))
+    defects = [results[tag, None][1] for tag in SECTOR_TAGS]
+    worst_rho, worst_j, worst_im_rho, worst_im_j = (max(0.0, *d) for d in zip(*defects))
+    worst_dev = max(0.0, *(results[item] for item in runs))
     return [
+        _at_most("indefinite_norm_conservation", worst_norm, 1e-10,
+                 f"worst relative drift over {steps} steps, all neutral-capable closures"),
+        _at_most("energy_bracket_conservation", worst_energy, 1e-10,
+                 f"worst relative drift over {steps} steps"),
         _at_most("neutral_charge_density_trivial", worst_rho, 1e-13,
                  "max |rho| / scale at every recorded step"),
         _at_most("neutral_charge_current_trivial", worst_j, 1e-13,
@@ -436,6 +468,14 @@ def check_majorana_triviality():
         _at_most("neutral_sector_preserved", worst_dev, 1e-12,
                  "raw pairing deviation over 1000 un-projected steps"),
     ]
+
+
+def check_conservation():
+    return [c for c in _conservation_checks() if c.name in _CONSERVATION_NAMES]
+
+
+def check_majorana_triviality():
+    return [c for c in _conservation_checks() if c.name not in _CONSERVATION_NAMES]
 
 
 # --------------------------------------------------------------------------
@@ -638,17 +678,23 @@ def check_dual_path():
     tags = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:1.0471975511965976")
     systems = [System(grid, CATALOG[t].params, pot) for t in tags]
     rng = np.random.default_rng(41)
-    worst = 0.0
+    draws = []
     for k in range(100):
         system = systems[k % len(systems)]
-        ms = system.modes()
+        ms = system.modes()  # solved here, so the map's children inherit them
         n_modes = int(rng.integers(2, 5))
         kind = "plus" if (k % 3 == 0) else "none"
         coeffs = [
             (int(idx), float(rng.uniform(0.3, 1.0)), float(rng.uniform(0, 2 * math.pi)))
             for idx in rng.choice(min(ms.count, 8), size=n_modes, replace=False)
         ]
-        state = system.synthesize(coeffs, t=float(rng.uniform(0, 2)), kind=kind)
+        draws.append((system, coeffs, float(rng.uniform(0, 2)), kind))
+
+    def gaps(draw) -> list[float]:
+        """max |one-component - two-component| of rho, j, rho_E and j_E,
+        over their common scale, for one drawn state."""
+        system, coeffs, t, kind = draw
+        state = system.synthesize(coeffs, t=t, kind=kind)
         fl = local_fields(state, system)
         fv = kfg_to_fv(state, system.units)
         rho2, j2, rho_e2, j_e2 = two_component_fields(fv, system)
@@ -659,8 +705,12 @@ def check_dual_path():
             max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))) for a, b in pairs
         )
         scale = max(scale, 1e-300)
-        for a, b in pairs:
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+        return [float(np.max(np.abs(a - b))) / scale for a, b in pairs]
+
+    worst = 0.0
+    for values in _map(gaps, draws):
+        for value in values:
+            worst = max(worst, value)
     return [
         _at_most("dual_path_observables", worst, 1e-11,
                  f"100 random on-shell states over {len(tags)} closures")
@@ -674,9 +724,7 @@ def check_dual_path():
 
 SUITES = {
     "bc_algebra": (check_bc_algebra,),
-    "conservation": (
-        check_pseudo_self_adjointness, check_conservation, check_majorana_triviality,
-    ),
+    "conservation": (check_pseudo_self_adjointness, _conservation_checks),
     "boundary_currents": (check_boundary_currents,),
     "positivity": (check_positivity,),
     "decompositions": (check_dual_path,),

@@ -718,6 +718,17 @@ class TestEnumerateAndVerify:
         with pytest.raises(ConfigError, match="nope"):
             run_suite("nope")
 
+    def test_conservation_suite_prints_its_checks_in_order(self, capsys):
+        assert main(["verify", "--suite", "conservation"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("suite conservation: PASS (")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            f"  [PASS] {name}" for name in (
+                "pseudo_self_adjointness_all_catalog", "indefinite_norm_conservation",
+                "energy_bracket_conservation", "neutral_charge_density_trivial",
+                "neutral_charge_current_trivial", "neutral_energy_density_real",
+                "neutral_energy_current_real", "neutral_sector_preserved")]
+
     def test_single_suite_runs(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "positivity", "--out", str(tmp_path)])
         assert rc == 0

@@ -21,15 +21,18 @@ from kfglab.core import (
 from kfglab.bc import CATALOG, params_from_tag
 from kfglab.operators import Bands, KineticMatrix, NumericalFailure, System
 from kfglab.evolution import (
+    DENSE_STEP_MAX_DOF,
     CayleyPropagator,
     EvolutionConfig,
     check_majorana_preservation,
     evolve,
+    evolve_stacked,
     state_to_wave,
     wave_to_state,
 )
 from kfglab.observables import global_summary
-from kfglab.verify import two_mode_neutral
+from kfglab.verify import (MAJORANA_TAGS, _bump_potential, _plus_minus_state,
+                           charged_state, two_mode_neutral)
 from oracles import assemble_fv_hamiltonian, propagator_matrix, step_cayley
 
 GRID = Grid(0.0, math.pi, 64)
@@ -110,6 +113,57 @@ class TestSnapshotGenerator:
                 assert part.t == own.t
                 assert np.array_equal(part.psi, own.state.psi), (kind, rec.t)
                 assert np.array_equal(part.psi_t, own.state.psi_t), (kind, rec.t)
+
+
+class TestStackedRuns:
+    @pytest.mark.parametrize("tag, n", [*[(tag, 64) for tag in MAJORANA_TAGS],
+                                        ("dirichlet", 256), ("periodic", 256)])
+    def test_each_state_of_a_stack_gets_the_records_of_its_own_run(self, tag, n):
+        # the conservation suite's charged and plus + minus states, stepped
+        # in one stack, against two separate runs, byte for byte (signed
+        # zeros count): at n = 64 the dense step's product must give a row
+        # the same bits in a 4-row stack as in a 2-row one
+        system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, _bump_potential())
+        assert (system.closure.n_dof <= DENSE_STEP_MAX_DOF) == (n == 64)
+        states = (charged_state(system, seed=11), _plus_minus_state(system))
+        assert states[0].t != states[1].t
+        config = EvolutionConfig(dt=2e-3, steps=2000, record_every=500)
+        stacked = list(evolve_stacked(states, system, config))
+        assert len(stacked) == 5
+        for index, state in enumerate(states):
+            for records, own in zip(stacked, evolve(state, system, config), strict=True):
+                rec = records[index]
+                assert rec.t == own.t and rec.majorana_deviation is own.majorana_deviation
+                assert rec.state.psi.tobytes() == own.state.psi.tobytes(), (index, own.t)
+                assert rec.state.psi_t.tobytes() == own.state.psi_t.tobytes(), (index, own.t)
+
+    def test_neutral_one_row_packs_stack_on_the_banded_step(self):
+        system = System(Grid(0.0, math.pi, 256), CATALOG["dirichlet"].params)
+        states = [system.synthesize([(0, 1.0, 0.5), (k, 0.6, 1.1)], t=0.2 * k, kind="plus")
+                  for k in (1, 2)]
+        config = EvolutionConfig(dt=2e-3, steps=30, record_every=7)
+        stacked = list(evolve_stacked(states, system, config, majorana="plus"))
+        for index, state in enumerate(states):
+            own = list(evolve(state, system, config, majorana="plus"))
+            assert [r[index].t for r in stacked] == [r.t for r in own]
+            assert [r[index].majorana_deviation for r in stacked] == [0.0] * len(own)
+            for records, rec in zip(stacked, own, strict=True):
+                assert records[index].state.psi.tobytes() == rec.state.psi.tobytes()
+                assert records[index].state.psi_t.tobytes() == rec.state.psi_t.tobytes()
+
+    def test_a_driven_stack_needs_one_start_time(self):
+        pot = ScalarPotential(
+            profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
+            time_factor=TimeFactor(kind="sinusoidal", amplitude=0.5, omega=2.0, offset=1.0),
+        )
+        system = System(GRID, CATALOG["dirichlet"].params, pot)
+        early, late = (system.synthesize([(0, 1.0, 0.0)], t=t) for t in (0.0, 0.1))
+        config = EvolutionConfig(dt=1e-3, steps=2)
+        with pytest.raises(ValueError, match="one start time"):
+            next(evolve_stacked((early, late), system, config))
+        assert len(list(evolve_stacked((early, early), system, config))) == 3
+        with pytest.raises(ValueError, match="no state"):
+            next(evolve_stacked((), system, config))
 
 
 class TestStepExamples:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from kfglab import cli, verify
+from kfglab import cli, evolution, verify
 from kfglab.operators import NumericalFailure
 from kfglab.verify import SUITE_NAMES, _map, run_suite
 
@@ -134,7 +134,30 @@ def test_suites_give_the_same_checks_on_one_and_on_two_cpus(suite, cpus):
     assert [c for c in one.checks if c.name != "bc_algebra_runtime"] == [
         c for c in two.checks if c.name != "bc_algebra_runtime"]
     assert one.workers == 1
-    assert two.workers == (2 if suite in ("conservation", "boundary_currents") else 1)
+    assert two.workers == (
+        2 if suite in ("conservation", "boundary_currents", "decompositions") else 1)
+
+
+def test_the_conservation_suite_runs_each_closure_once_in_one_map(cpus, forks, monkeypatch):
+    grids = []
+    init = evolution.CayleyPropagator.__init__
+
+    def counted(self, system, dt):
+        grids.append(system.grid.n)
+        init(self, system, dt)
+
+    monkeypatch.setattr(evolution.CayleyPropagator, "__init__", counted)
+    cpus(1)
+    assert run_suite("conservation").passed
+    # one propagator per closure run: the ten closures at n = 64, each
+    # stepping its charged state (and its neutral one) in one stack, and the
+    # six sector-preservation runs at n = 48
+    assert sorted(grids) == [48] * 6 + [64] * 10
+    assert not forks
+    cpus(2)
+    assert run_suite("conservation").workers == 2
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("count", [1, 2])
