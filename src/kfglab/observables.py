@@ -56,22 +56,35 @@ class ObservableFields:
         return {name: getattr(self, name) for name in DENSITY_NAMES}
 
 
+def _j(u, psi, cp_psi, cp_psi_star):
+    return (np.conj(psi) * cp_psi - cp_psi_star * psi) / (2.0 * u.mass * u.c)
+
+
+def _j_E(u, psi, e_psi, cp_psi_star, d_e_psi):
+    cp_e_psi = -1j * u.hbar * u.c * d_e_psi
+    return (np.conj(psi) * cp_e_psi - cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
+
+
+def _ct10(u, e_psi, e_psi_star, cp_psi, cp_psi_star):
+    return -(e_psi_star * cp_psi + cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
+
+
 def _currents(u, psi, d_psi, e_psi, e_psi_star, d_e_psi):
     """(j, j_E, c T^10), pointwise: on whole fields or on end values."""
     cp_psi = -1j * u.hbar * u.c * d_psi
     cp_psi_star = -1j * u.hbar * u.c * np.conj(d_psi)
-    cp_e_psi = -1j * u.hbar * u.c * d_e_psi
-    j = (np.conj(psi) * cp_psi - cp_psi_star * psi) / (2.0 * u.mass * u.c)
-    j_e = (np.conj(psi) * cp_e_psi - cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
-    ct10 = -(e_psi_star * cp_psi + cp_psi_star * e_psi) / (2.0 * u.mass * u.c)
-    return j, j_e, ct10
+    return (_j(u, psi, cp_psi, cp_psi_star), _j_E(u, psi, e_psi, cp_psi_star, d_e_psi),
+            _ct10(u, e_psi, e_psi_star, cp_psi, cp_psi_star))
 
 
 class Snapshot:
     """One derivation per snapshot: psi, E psi, E psi* = -(E psi)* (applied to
-    the conjugate) and the ghost-consistent x-derivatives of psi and E psi;
-    c p psi, E^2 psi, S, rho, rho_E, the local fields, the global summary and
-    the end currents when first read."""
+    the conjugate) and the ghost-consistent x-derivatives of psi and E psi.
+    Everything else is built when first read and kept: c p psi, E^2 psi, S,
+    each local field (rho, j, rho_E, j_E, rho_tilde_E, T00, cT10, T11,
+    T01_check) on its own, the end currents and the global summary.  A
+    reader pays only for the fields it reads; `fields` assembles all nine
+    with the same bits."""
 
     def __init__(self, state: KfgState, system: System):
         u = system.units
@@ -88,9 +101,24 @@ class Snapshot:
         return -1j * u.hbar * u.c * self.d_psi
 
     @cached_property
+    def cp_psi_star(self) -> np.ndarray:
+        """c p applied to psi*."""
+        u = self.system.units
+        return -1j * u.hbar * u.c * np.conj(self.d_psi)
+
+    @cached_property
     def e2_psi(self) -> np.ndarray:
         """E^2 psi at the snapshot's time (`System.e2_apply`'s bits)."""
         return self.system.e2_apply(self.psi, self.state.t)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """S(x, t): the profile `System.potential_diagonal` sampled once,
+        times f(t), after its guards; the bits of `ScalarPotential.sample`."""
+        diagonal, t = self.system.potential_diagonal, self.state.t
+        f = diagonal.time_factor.value(t)
+        diagonal.check(f, t)
+        return diagonal.profile * f
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -99,15 +127,56 @@ class Snapshot:
         return (np.conj(self.psi) * self.e_psi - self.e_psi_star * self.psi) / (2.0 * mc2)
 
     @cached_property
+    def j(self) -> np.ndarray:
+        """Charge current."""
+        return _j(self.system.units, self.psi, self.cp_psi, self.cp_psi_star)
+
+    @cached_property
     def rho_E(self) -> np.ndarray:
         """Proper energy density; the field and the summary's bracket read these bits."""
         mc2 = self.system.units.mc2
         return (np.conj(self.psi) * self.e2_psi - self.e_psi_star * self.e_psi) / (2.0 * mc2)
 
     @cached_property
-    def s(self) -> np.ndarray:
-        return np.asarray(self.system.potential.sample(self.system.grid.x, self.state.t),
-                          dtype=float)
+    def j_E(self) -> np.ndarray:
+        """Proper energy current."""
+        return _j_E(self.system.units, self.psi, self.e_psi, self.cp_psi_star, self.d_e_psi)
+
+    @cached_property
+    def rho_tilde_E(self) -> np.ndarray:
+        mc2 = self.system.units.mc2
+        return (np.conj(self.psi) * self.e2_psi + np.conj(self.e2_psi) * self.psi) / (2.0 * mc2)
+
+    @cached_property
+    def _mass_pot(self) -> np.ndarray:
+        """((mc^2)^2 + 2 mc^2 S) |psi|^2, the part T00 and T11 share."""
+        mc2 = self.system.units.mc2
+        return (mc2**2 + 2.0 * mc2 * self.s) * (np.conj(self.psi) * self.psi)
+
+    @cached_property
+    def T00(self) -> np.ndarray:
+        mc2 = self.system.units.mc2
+        return (-self.e_psi_star * self.e_psi - self.cp_psi_star * self.cp_psi
+                + self._mass_pot) / (2.0 * mc2)
+
+    @cached_property
+    def cT10(self) -> np.ndarray:
+        """Energy-momentum-tensor energy current c T^10."""
+        return _ct10(self.system.units, self.e_psi, self.e_psi_star, self.cp_psi,
+                     self.cp_psi_star)
+
+    @cached_property
+    def T11(self) -> np.ndarray:
+        mc2 = self.system.units.mc2
+        return (self.e_psi_star * self.e_psi + self.cp_psi_star * self.cp_psi
+                + self._mass_pot) / (2.0 * mc2)
+
+    @cached_property
+    def T01_check(self) -> np.ndarray:
+        u = self.system.units
+        psi_t = self.state.psi_t
+        return -(u.hbar**2 / (2.0 * u.mass)) * (
+            psi_t * np.conj(self.d_psi) + np.conj(psi_t) * self.d_psi)
 
     @cached_property
     def ends(self) -> tuple:
@@ -145,25 +214,8 @@ class Snapshot:
     @cached_property
     def fields(self) -> ObservableFields:
         """Every local density and current."""
-        state, u = self.state, self.system.units
-        mc2 = u.mc2
-        psi, d_psi, e_psi, e_psi_star = self.psi, self.d_psi, self.e_psi, self.e_psi_star
-        e2_psi, cp_psi = self.e2_psi, self.cp_psi
-        j, j_e, ct10 = _currents(u, psi, d_psi, e_psi, e_psi_star, self.d_e_psi)
-        cp_psi_star = -1j * u.hbar * u.c * np.conj(d_psi)
-        abs2 = np.conj(psi) * psi
-        rho_tilde = (np.conj(psi) * e2_psi + np.conj(e2_psi) * psi) / (2.0 * mc2)
-        mass_pot = (mc2**2 + 2.0 * mc2 * self.s) * abs2
-        t00 = (-e_psi_star * e_psi - cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
-        t11 = (e_psi_star * e_psi + cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2)
-        t01 = (
-            -(u.hbar**2 / (2.0 * u.mass))
-            * (state.psi_t * np.conj(d_psi) + np.conj(state.psi_t) * d_psi)
-        )
-        return ObservableFields(
-            t=state.t, rho=self.rho, j=j, rho_E=self.rho_E, j_E=j_e, rho_tilde_E=rho_tilde,
-            T00=t00, cT10=ct10, T11=t11, T01_check=t01,
-        )
+        return ObservableFields(t=self.state.t, **{name: getattr(self, name)
+                                                   for name in DENSITY_NAMES})
 
 
 def local_fields(state: KfgState, system: System) -> ObservableFields:
@@ -380,8 +432,12 @@ def _summarize(snap: Snapshot) -> GlobalSummary:
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
     j_a, j_b, je_a, je_b, jt_a, jt_b = snap.ends
-
-    summary = GlobalSummary(
+    # the values of `GlobalSummary.as_row`
+    row = (state.t, norm, energy_mean.real, momentum_mean.real, j_e_total.real, jt_total,
+           j_a, j_b, je_a.real, je_b.real, jt_a, jt_b, surf, energy_split, current_split)
+    if not all(map(math.isfinite, row)):
+        raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
+    return GlobalSummary(
         t=state.t,
         norm=norm,
         energy_mean=energy_mean,
@@ -399,9 +455,6 @@ def _summarize(snap: Snapshot) -> GlobalSummary:
         current_split_residual=float(current_split),
         positivity=(float(surf), kinetic, mass_term, tderiv, pot_term),
     )
-    if not all(map(math.isfinite, summary.as_row().values())):
-        raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
-    return summary
 
 
 def global_summary(state: KfgState, system: System) -> GlobalSummary:
@@ -459,13 +512,13 @@ def continuity_residuals(states: list[KfgState], system: System) -> ContinuityRe
     dt = float(dts[0])
     dx = system.grid.dx
     grid_x = system.grid.x
-    all_fields = [local_fields(s, system) for s in states]
+    snaps = [Snapshot(s, system) for s in states]
     sl = slice(EDGE_SKIP, system.grid.n - EDGE_SKIP)
 
     worst = {"charge": 0.0, "energy": 0.0, "emt_time": 0.0, "emt_space": 0.0}
     c = system.units.c
     for k in range(1, len(states) - 1):
-        fm, f0, fp = all_fields[k - 1], all_fields[k], all_fields[k + 1]
+        fm, f0, fp = snaps[k - 1], snaps[k], snaps[k + 1]
         st = states[k]
         s_t = system.potential.time_derivative(grid_x, st.t)
         s_x = system.potential.space_derivative(grid_x, st.t)
@@ -500,7 +553,7 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
     mc2 = u.mc2
     dx = system.grid.dx
     snap = Snapshot(state, system)
-    fields, psi, e_psi = snap.fields, snap.psi, snap.e_psi
+    psi, e_psi = snap.psi, snap.e_psi
     psi_t = state.psi_t
     psi_tt = -snap.e2_psi / u.hbar**2
 
@@ -513,22 +566,22 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
     ) / (2.0 * mc2)
     e_rho = 1j * u.hbar * rho_dot
 
-    time_split = fields.rho_E - (
-        -(1j / (2.0 * mc2)) * e_im_psi_epsi + 0.5 * e_rho + fields.rho_tilde_E
+    time_split = snap.rho_E - (
+        -(1j / (2.0 * mc2)) * e_im_psi_epsi + 0.5 * e_rho + snap.rho_tilde_E
     )
 
     g = np.imag(np.conj(psi) * snap.cp_psi)
     cp_g = -1j * u.hbar * u.c * _density_gradient(g, dx)
-    space_split = fields.rho_E - (
-        (1j / (2.0 * mc2)) * cp_g + 0.5 * e_rho + fields.T00
+    space_split = snap.rho_E - (
+        (1j / (2.0 * mc2)) * cp_g + 0.5 * e_rho + snap.T00
     )
 
     im_psi_epsi = np.imag(psi * e_psi)  # unconjugated; neutral-sector identity
-    current_split = fields.j_E - (
-        (u.hbar / (2.0 * u.mass)) * _density_gradient(im_psi_epsi, dx) + fields.cT10
+    current_split = snap.j_E - (
+        (u.hbar / (2.0 * u.mass)) * _density_gradient(im_psi_epsi, dx) + snap.cT10
     )
 
-    scale = max(float(np.max(np.abs(fields.rho_E))), 1e-300)
+    scale = max(float(np.max(np.abs(snap.rho_E))), 1e-300)
     return {
         "time_split": float(np.max(np.abs(time_split))),
         "space_split": float(np.max(np.abs(space_split))),

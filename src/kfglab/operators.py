@@ -899,6 +899,15 @@ def spectrum(kinetic: KineticMatrix) -> tuple[np.ndarray, tuple]:
     return np.sqrt(vals[keep]), diagnostics
 
 
+# Below this many unknowns a count on bands with corners solves every mode:
+# shift-invert ARPACK has a fixed cost of about 1 ms there.  Every mode
+# against 5 modes took 0.87 / 1.04 ms on periodic at 111 unknowns and
+# 1.15 / 1.07 at 127; 2.10 / 1.70 ms on quasiperiodic+ at 111 (best of 15,
+# one BLAS thread, quadratic potential).  Tridiagonal bands take the
+# partial solve (`?stebz`) at every size.
+CORNER_PARTIAL_MIN_DOF = 112
+
+
 def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     """Stationary modes of the closed kinetic operator, solved from its bands.
 
@@ -916,7 +925,9 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     The quarantine and the degenerate pairs compare against one scale, the
     infinity norm of the bands (`_mode_scale`), known in O(m) before any
     solve, so a partial set decides as the every-mode set and `spectrum`
-    do.
+    do.  Bands with corners and fewer than CORNER_PARTIAL_MIN_DOF unknowns
+    solve every mode and keep the leading rows a partial solve would give,
+    bit for bit those of the every-mode set.
     """
     if count is not None and count < 1:
         raise ValueError("count must be at least 1")
@@ -925,8 +936,12 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
     k = m if count is None else count
     extra = 0 if bands.tridiagonal else 1  # a tridiagonal K has simple eigenvalues
     scale = _mode_scale(bands)
+    every = _all_eigenpairs(bands) if extra and 2 * k < m < CORNER_PARTIAL_MIN_DOF else None
     while 2 * k < m:
-        vals, vecs = _lowest_eigenpairs(bands, k + extra)
+        if every is None:
+            vals, vecs = _lowest_eigenpairs(bands, k + extra)
+        else:
+            vals, vecs = every[0][:k + extra], every[1][:, :k + extra]
         positive = np.count_nonzero(_quarantine(vals[:k], scale)[0])
         if positive < count:
             k += count - positive
@@ -936,7 +951,7 @@ def eigenmodes(kinetic: KineticMatrix, count: int | None = None) -> ModeSet:
         vals, vecs = vals[:k], vecs[:, :k]
         break
     else:  # every mode
-        vals, vecs = _all_eigenpairs(bands)
+        vals, vecs = _all_eigenpairs(bands) if every is None else every
     keep, diagnostics = _quarantine(vals, scale)
     closure = kinetic.closure
     e2 = vals[keep]

@@ -23,6 +23,11 @@ plus + minus state of the neutral-sector check ride in one stack
 (`evolve_stacked`), and one map covers those ten runs and the six
 sector-preservation runs.  `check_conservation` and
 `check_majorana_triviality` each take their results from that one pass.
+
+Each check solves and derives only what it reads: it asks for the modes it
+uses (`System.modes(count)`, or `eigenmodes(kinetic, count)` on a driven
+system), never for every mode, and reads the local fields it needs from a
+`Snapshot` one at a time, never the whole field set.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .observables import (
     Snapshot,
     continuity_residuals,
     global_summary,
-    local_fields,
     two_component_fields,
 )
 from .evolution import EvolutionConfig, check_majorana_preservation, evolve, evolve_stacked
@@ -201,9 +205,14 @@ def _at_least(name: str, measured: float, tolerance: float, detail: str) -> Chec
     return CheckResult(name, measured >= tolerance, measured, tolerance, detail)
 
 
+# The lowest modes a two-mode state or a random draw picks from, and so the
+# count those checks solve for.
+PICK_MODES = 8
+
+
 def _nondegenerate_pair(ms: ModeSet) -> tuple[int, int]:
     """Lowest pair of modes with distinct energies."""
-    for j in range(1, min(8, ms.count)):
+    for j in range(1, min(PICK_MODES, ms.count)):
         if ms.energies[j] - ms.energies[0] > 1e-8:
             return 0, j
     raise RuntimeError("no nondegenerate mode pair found")
@@ -212,7 +221,7 @@ def _nondegenerate_pair(ms: ModeSet) -> tuple[int, int]:
 def two_mode_neutral(system: System, seed: int, t: float | None = None) -> KfgState:
     """Generic two-mode strictly neutral state (random phases and time)."""
     rng = np.random.default_rng(seed)
-    i, j = _nondegenerate_pair(system.modes())
+    i, j = _nondegenerate_pair(system.modes(PICK_MODES))
     phases = rng.uniform(0.3, 2.8, size=2)
     tt = float(rng.uniform(0.4, 1.9)) if t is None else t
     return system.synthesize([(i, 1.0, phases[0]), (j, 0.8, phases[1])], t=tt, kind="plus")
@@ -223,7 +232,7 @@ def charged_state(system: System, seed: int) -> KfgState:
     rng = np.random.default_rng(seed)
     coeffs = [
         (idx, float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.0, 2 * math.pi)))
-        for idx in range(min(3, system.modes().count))
+        for idx in range(min(3, system.modes(3).count))
     ]
     return system.synthesize(coeffs, t=float(rng.uniform(0.2, 0.9)), kind="none")
 
@@ -325,7 +334,7 @@ def check_pseudo_self_adjointness():
 def _dispersion_errors(tag: str, n: int) -> np.ndarray:
     """|E^2 - exact| of the five lowest modes after the exact constant mode."""
     length = math.pi if tag != "periodic" else 2 * math.pi
-    ms = System(Grid(0.0, length, n), CATALOG[tag].params).modes()
+    ms = System(Grid(0.0, length, n), CATALOG[tag].params).modes(6)
     if tag == "periodic":
         exact = [1.0 + (2 * math.pi * k / length) ** 2 for k in (1, 1, 2, 2, 3)]
     else:
@@ -364,7 +373,7 @@ def _plus_minus_state(system: System) -> KfgState:
     """A plus-sector and a minus-sector two-mode state, summed: the step acts
     on the real and imaginary parts of a real closure's state apart, so one
     run of plus + minus carries both sectors' runs."""
-    i, jdx = _nondegenerate_pair(system.modes())
+    i, jdx = _nondegenerate_pair(system.modes(PICK_MODES))
     plus, minus = (
         system.synthesize([(i, 1.0, rng.uniform(0, 2)), (jdx, 0.7, rng.uniform(0, 2))],
                           t=0.3, kind=kind)
@@ -377,15 +386,14 @@ def _sector_defects(snap: Snapshot) -> tuple[float, float, float, float]:
     """|rho|, |j|, |Im rho_E| and |Im j_E| of a neutral snapshot, each over
     its scale."""
     u = snap.system.units
-    fl = snap.fields
     rho_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.e_psi))) / u.mc2, 1e-300)
     j_scale = max(float(np.max(np.abs(np.conj(snap.psi) * snap.cp_psi))) / (u.mass * u.c), 1e-300)
-    re_scale = max(float(np.max(np.abs(fl.rho_E))), 1e-300)
-    je_scale = max(float(np.max(np.abs(fl.j_E))), 1e-300)
-    return (float(np.max(np.abs(fl.rho))) / rho_scale,
-            float(np.max(np.abs(fl.j))) / j_scale,
-            float(np.max(np.abs(fl.rho_E.imag))) / re_scale,
-            float(np.max(np.abs(fl.j_E.imag))) / je_scale)
+    re_scale = max(float(np.max(np.abs(snap.rho_E))), 1e-300)
+    je_scale = max(float(np.max(np.abs(snap.j_E))), 1e-300)
+    return (float(np.max(np.abs(snap.rho))) / rho_scale,
+            float(np.max(np.abs(snap.j))) / j_scale,
+            float(np.max(np.abs(snap.rho_E.imag))) / re_scale,
+            float(np.max(np.abs(snap.j_E.imag))) / je_scale)
 
 
 def _conservation_checks() -> list[CheckResult]:
@@ -408,9 +416,9 @@ def _conservation_checks() -> list[CheckResult]:
         """The relative norm and energy drifts of the charged state, and the
         worst sector defects of the neutral state (None without one)."""
         system = System(grid, CATALOG[tag].params, pot)
-        states = [charged_state(system, seed=11)]
-        if tag in SECTOR_TAGS:
-            states.append(_plus_minus_state(system))
+        # the neutral state first: its eight modes serve the charged state's three
+        neutral = [_plus_minus_state(system)] if tag in SECTOR_TAGS else []
+        states = [charged_state(system, seed=11)] + neutral
         summaries = []
         worst = [0.0] * 4
         for index, records in enumerate(evolve_stacked(states, system, config)):
@@ -498,7 +506,7 @@ def check_boundary_currents():
         # probe several distinct-energy mode pairs: eigensolver gauge freedom
         # inside degenerate subspaces can align the boundary data of any one
         # pair and hide an open channel
-        ms = system.modes()
+        ms = system.modes(5)
         pairs = [
             (i, j)
             for i in range(min(4, ms.count))
@@ -513,11 +521,10 @@ def check_boundary_currents():
                     [(i, 1.0, phases[0]), (j, 0.8, phases[1])], t=t_probe, kind="plus"
                 )
                 snap = Snapshot(probe, system)
-                fl = snap.fields
                 _, _, je_a, je_b, jt_a, jt_b = snap.ends
                 diff = jt_b - jt_a
-                s = max(float(np.max(np.abs(fl.j_E))), 1e-300)
-                st = max(float(np.max(np.abs(fl.cT10))), 1e-300)
+                s = max(float(np.max(np.abs(snap.j_E))), 1e-300)
+                st = max(float(np.max(np.abs(snap.cT10))), 1e-300)
                 worst_eq = max(worst_eq, abs(je_a - je_b) / s)
                 je_a_max = max(je_a_max, abs(je_a) / s)
                 tilde_gap = max(tilde_gap, abs(diff) / st)
@@ -586,8 +593,8 @@ def check_positivity():
     gap = 0.0
     for t_probe in (0.4, 0.9, 1.5):
         snap = Snapshot(two_mode_neutral(system, seed=21, t=t_probe), system)
-        summ, fl = snap.summary, snap.fields
-        scale = max(grid.length * float(np.max(np.abs(fl.cT10))), 1e-300)
+        summ = snap.summary
+        scale = max(grid.length * float(np.max(np.abs(snap.cT10))), 1e-300)
         gap = max(gap, abs(summ.J_E.real - summ.J_tilde_E) / scale)
     return [
         CheckResult(
@@ -624,7 +631,7 @@ def _continuity_ratios(make_system, kind: str | None, seed: int, laws) -> dict[s
     for n in (128, 255):
         grid = Grid(0.0, math.pi, n)
         system = make_system(grid)
-        modes = eigenmodes(system.kinetic(0.0))
+        modes = eigenmodes(system.kinetic(0.0), PICK_MODES)
         i, j = _nondegenerate_pair(modes)
         rng = np.random.default_rng(seed)
         coeffs = [(i, 1.0, rng.uniform(0, 2)), (j, 0.7, rng.uniform(0, 2))]
@@ -681,12 +688,12 @@ def check_dual_path():
     draws = []
     for k in range(100):
         system = systems[k % len(systems)]
-        ms = system.modes()  # solved here, so the map's children inherit them
+        ms = system.modes(PICK_MODES)  # solved here, so the map's children inherit them
         n_modes = int(rng.integers(2, 5))
         kind = "plus" if (k % 3 == 0) else "none"
         coeffs = [
             (int(idx), float(rng.uniform(0.3, 1.0)), float(rng.uniform(0, 2 * math.pi)))
-            for idx in rng.choice(min(ms.count, 8), size=n_modes, replace=False)
+            for idx in rng.choice(min(ms.count, PICK_MODES), size=n_modes, replace=False)
         ]
         draws.append((system, coeffs, float(rng.uniform(0, 2)), kind))
 
@@ -695,10 +702,10 @@ def check_dual_path():
         over their common scale, for one drawn state."""
         system, coeffs, t, kind = draw
         state = system.synthesize(coeffs, t=t, kind=kind)
-        fl = local_fields(state, system)
+        snap = Snapshot(state, system)
         fv = kfg_to_fv(state, system.units)
         rho2, j2, rho_e2, j_e2 = two_component_fields(fv, system)
-        pairs = ((fl.rho, rho2), (fl.j, j2), (fl.rho_E, rho_e2), (fl.j_E, j_e2))
+        pairs = ((snap.rho, rho2), (snap.j, j2), (snap.rho_E, rho_e2), (snap.j_E, j_e2))
         # common physical scale: a neutral state's rho/j are exactly zero on
         # one path and round-off on the other, so per-field scales degenerate
         scale = max(

@@ -10,6 +10,9 @@ identical wave form (`kfglab.evolution.CayleyPropagator`).  The dense modes solv
 Hermitian K (`KineticMatrix.sym`) with `scipy.linalg.eigh`, O(n^3); the
 package solves every mode set from the bands.  The field-integral summary
 sums the local densities that `global_summary` reads as quadratic forms.
+The literal fields build all nine local fields in one pass from a fresh
+sample of S, in the operation order of the definitions, against which the
+snapshot's one-at-a-time fields are compared bit for bit.
 The two brackets and the Dirac norm are integrated on their own, as the
 summary's norm and energy read them.
 """
@@ -23,7 +26,7 @@ import scipy.linalg
 
 from kfglab.core import FvState, KfgState, PhysicalUnits, kfg_to_fv
 from kfglab.evolution import SingularPropagator
-from kfglab.observables import GlobalSummary, Snapshot
+from kfglab.observables import GlobalSummary, ObservableFields, Snapshot
 from kfglab.operators import (
     DEGENERACY_TOL,
     POSITIVITY_TOL,
@@ -135,6 +138,32 @@ def pairing_deviation(z: np.ndarray, kind: str, units: PhysicalUnits) -> float:
     part = weighted.imag if kind == "plus" else weighted.real
     scale = float(max(np.max(np.abs(weighted)), 1e-300))
     return float(np.max(np.abs(part))) / scale
+
+
+def literal_fields(state: KfgState, system: System) -> ObservableFields:
+    """All nine local fields in one pass, each from its definition."""
+    u = system.units
+    mc2, cp = u.mc2, -1j * u.hbar * u.c
+    psi, psi_t = state.psi, state.psi_t
+    e_psi, e_psi_star = 1j * u.hbar * psi_t, 1j * u.hbar * np.conj(psi_t)
+    d_psi = system.dx1(psi)
+    e2_psi = system.e2_apply(psi, state.t)
+    cp_psi, cp_psi_star, cp_e_psi = cp * d_psi, cp * np.conj(d_psi), cp * system.dx1(e_psi)
+    s = np.asarray(system.potential.sample(system.grid.x, state.t), dtype=float)
+    mass_pot = (mc2**2 + 2.0 * mc2 * s) * (np.conj(psi) * psi)
+    two_mc = 2.0 * u.mass * u.c
+    return ObservableFields(
+        t=state.t,
+        rho=(np.conj(psi) * e_psi - e_psi_star * psi) / (2.0 * mc2),
+        j=(np.conj(psi) * cp_psi - cp_psi_star * psi) / two_mc,
+        rho_E=(np.conj(psi) * e2_psi - e_psi_star * e_psi) / (2.0 * mc2),
+        j_E=(np.conj(psi) * cp_e_psi - cp_psi_star * e_psi) / two_mc,
+        rho_tilde_E=(np.conj(psi) * e2_psi + np.conj(e2_psi) * psi) / (2.0 * mc2),
+        T00=(-e_psi_star * e_psi - cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2),
+        cT10=-(e_psi_star * cp_psi + cp_psi_star * e_psi) / two_mc,
+        T11=(e_psi_star * e_psi + cp_psi_star * cp_psi + mass_pot) / (2.0 * mc2),
+        T01_check=-(u.hbar**2 / (2.0 * u.mass)) * (psi_t * np.conj(d_psi) + np.conj(psi_t) * d_psi),
+    )
 
 
 def field_integral_summary(state: KfgState, system: System) -> GlobalSummary:

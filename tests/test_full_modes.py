@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kfglab import cli, operators
+from kfglab import cli, operators, verify
 from kfglab.bc import CATALOG
 from kfglab.core import Grid, ScalarPotential, SpatialProfile
+from kfglab.observables import Snapshot
 from kfglab.operators import (
     DEGENERACY_TOL,
     System,
@@ -159,16 +160,41 @@ def test_a_dense_solve_in_a_verify_worker_fails_the_suite(no_dense_eigh, monkeyp
     # guard: a dense solve of every mode there fails the suite here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
-    banded = operators._all_eigenpairs
+    banded = operators._lowest_eigenpairs
 
-    def dense_in_a_child(bands):
+    def dense_in_a_child(bands, k):
         if os.getpid() == parent:
-            return banded(bands)
-        return scipy.linalg.eigh(bands.dense())
+            return banded(bands, k)
+        vals, vecs = scipy.linalg.eigh(bands.dense())
+        return vals[:k], vecs[:, :k]
 
-    monkeypatch.setattr(operators, "_all_eigenpairs", dense_in_a_child)
+    monkeypatch.setattr(operators, "_lowest_eigenpairs", dense_in_a_child)
     with pytest.raises(AssertionError, match="dense form of"):
         run_suite("boundary_currents")
+
+
+@pytest.mark.parametrize("suite", ["boundary_currents", "convergence", "positivity"])
+def test_verify_solves_and_derives_only_what_its_checks_read(suite, monkeypatch):
+    # these suites solve K on 126 to 255 unknowns and read at most eight
+    # modes: no solve of every mode there, and no snapshot builds all nine
+    # local fields where a check reads two to eight of them.  A raise in a
+    # forked worker fails the suite here.
+    solve = operators.eigenmodes
+
+    def sized(kinetic, count=None):
+        modes = solve(kinetic, count)
+        every = modes.count + len(modes.diagnostics) == kinetic.n_dof
+        assert not (every and kinetic.n_dof >= 128), (
+            f"every mode of {kinetic.n_dof} unknowns (count={count})")
+        return modes
+
+    def no_fields(snap):
+        raise AssertionError("a check built Snapshot.fields")
+
+    monkeypatch.setattr(operators, "eigenmodes", sized)
+    monkeypatch.setattr(verify, "eigenmodes", sized)
+    monkeypatch.setattr(Snapshot, "fields", property(no_fields))
+    assert run_suite(suite).passed
 
 
 @pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])

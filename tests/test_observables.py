@@ -16,6 +16,7 @@ from kfglab.core import (
 from kfglab.bc import CATALOG, params_from_tag
 from kfglab.operators import DiscreteClosure, NumericalFailure, System
 from kfglab.observables import (
+    DENSITY_NAMES,
     Snapshot,
     boundary_Ej,
     boundary_j,
@@ -29,11 +30,18 @@ from kfglab.observables import (
     two_component_fields,
 )
 from kfglab.evolution import EvolutionConfig, evolve
-from oracles import dirac_norm, energy_bracket, field_integral_summary, indefinite_norm
+from oracles import (
+    dirac_norm, energy_bracket, field_integral_summary, indefinite_norm, literal_fields,
+)
 
 GRID = Grid(0.0, math.pi, 96)
 BUMP = ScalarPotential(
     profile=SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3),
+    nonneg=True,
+)
+DRIVEN = ScalarPotential(
+    profile=BUMP.profile,
+    time_factor=TimeFactor(kind="sinusoidal", amplitude=0.5, omega=1.3, offset=1.0),
     nonneg=True,
 )
 
@@ -95,6 +103,27 @@ class TestLocalFields:
             expect = 0.5 * ms.energies[2] ** 2 * ms.fields[2] ** 2
             assert np.max(np.abs(fl.rho_E.real - expect)) < 1e-11
             assert np.max(np.abs(fl.j_E)) < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 257])
+    @pytest.mark.parametrize("tag", CATALOG)
+    def test_each_field_read_alone_has_the_bits_of_the_field_set(self, tag, n):
+        grid = Grid(0.0, math.pi, n)
+        for potential in (BUMP, DRIVEN):
+            system = System(grid, CATALOG[tag].params, potential)
+            states = [charged(system, seed=31, t=0.7)]
+            if not system.closure.is_complex:
+                states.append(neutral_state(system, seed=32, t=0.7))
+            for state in states:
+                fields = Snapshot(state, system).fields
+                literal = literal_fields(state, system)
+                for name in DENSITY_NAMES:
+                    alone = getattr(Snapshot(state, system), name)
+                    assert alone.tobytes() == getattr(fields, name).tobytes(), name
+                    assert alone.tobytes() == getattr(literal, name).tobytes(), name
+                # S from the profile the system sampled once, with the bits
+                # of a fresh sample
+                want = potential.sample(grid.x, state.t)
+                assert Snapshot(state, system).s.tobytes() == want.tobytes()
 
 
 class TestTwoComponentPath:
@@ -275,26 +304,31 @@ class TestGlobalSummary:
         assert [type(v) for v in got] == [type(v) for v in public]
 
     def test_one_derivation_per_snapshot(self, monkeypatch):
-        # psi and E psi are differentiated once each, and S is sampled once
-        # for both the potential piece and E^2 psi
-        counts = {"dx1": 0, "sample": 0}
+        # psi and E psi are differentiated once each; S is never sampled
+        # again: the potential piece and E^2 psi read the profile that the
+        # system sampled once
+        counts = dict.fromkeys(
+            ("DiscreteClosure.dx1", "ScalarPotential.sample", "SpatialProfile.sample"), 0)
 
         def counting(cls, name):
             original = getattr(cls, name)
+            key = f"{cls.__name__}.{name}"
 
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[key] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(cls, name, wrapper)
 
         counting(DiscreteClosure, "dx1")
         counting(ScalarPotential, "sample")
+        counting(SpatialProfile, "sample")
         system = System(GRID, CATALOG["robin_mit_plus"].params, BUMP)
         st0 = charged(system, seed=18)
-        counts.update(dx1=0, sample=0)
+        counts.update(dict.fromkeys(counts, 0))
         global_summary(st0, system)
-        assert counts == {"dx1": 2, "sample": 1}
+        assert counts == {"DiscreteClosure.dx1": 2, "ScalarPotential.sample": 0,
+                          "SpatialProfile.sample": 0}
 
     def test_summary_never_builds_the_fields(self, monkeypatch):
         def no_fields(snap):

@@ -13,15 +13,17 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from kfglab import operators
-from kfglab.bc import CATALOG, BcParams, params_from_tag
+from kfglab.bc import CATALOG, BcParams, bc_realization, params_from_tag
 from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile
 from kfglab.evolution import DENSE_STEP_MAX_DOF
 from kfglab.operators import (
+    CORNER_PARTIAL_MIN_DOF,
     DEGENERACY_TOL,
     PIN_CUTOFF,
     SLAVED_CUTOFF,
     InvalidMode,
     System,
+    build_closure,
     eigenmodes,
     gauge,
     spectrum,
@@ -186,8 +188,10 @@ def test_a_growing_count_certifies_its_shift_once(monkeypatch):
     assert again.diagnostics == modes.diagnostics
 
 
-@pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("tag", ["dirichlet", "robin_mit_plus", "periodic", "quasimixed+"])
+@pytest.mark.parametrize("tag,n", [
+    *((tag, n) for tag in ("dirichlet", "robin_mit_plus") for n in (64, 128)),
+    ("periodic", 128), ("quasimixed+", 128),
+])
 def test_a_count_takes_the_partial_path_on_small_grids(tag, n, monkeypatch):
     kin = System(Grid(0.0, math.pi, n), CATALOG[tag].params, QUADRATIC).kinetic()
     every = eigenmodes(dataclasses.replace(kin))
@@ -199,6 +203,42 @@ def test_a_count_takes_the_partial_path_on_small_grids(tag, n, monkeypatch):
     partial = eigenmodes(dataclasses.replace(kin), count=3)
     assert partial.count == 3
     assert_agree(every, partial, 1e-9)
+
+
+def corner_grid(tag: str, m: int) -> Grid:
+    """The grid on which closure `tag` has m unknowns."""
+    for n in (m, m + 1, m + 2):
+        if build_closure(Grid(0.0, math.pi, n), bc_realization(params_from_tag(tag))).n_dof == m:
+            return Grid(0.0, math.pi, n)
+    raise AssertionError(f"no grid gives {tag} {m} unknowns")
+
+
+# rotation:2.1:- has one negative E^2, listed by both sets
+@pytest.mark.parametrize("tag", ["periodic", "rotation:2.1:-", "quasiperiodic+", "quasimixed+"])
+def test_small_corner_bands_keep_the_leading_rows_of_every_mode(tag, monkeypatch):
+    solved = []
+    lowest = operators._lowest_eigenpairs
+
+    def recorded(bands, k):
+        solved.append(k)
+        return lowest(bands, k)
+
+    monkeypatch.setattr(operators, "_lowest_eigenpairs", recorded)
+    for m in (48, CORNER_PARTIAL_MIN_DOF - 1):
+        kin = System(corner_grid(tag, m), params_from_tag(tag), QUADRATIC).kinetic()
+        assert kin.bands.corners is not None and kin.n_dof == m
+        every = eigenmodes(dataclasses.replace(kin))
+        for count in (1, 3, 5, 8):
+            got = eigenmodes(dataclasses.replace(kin), count)
+            # the rows a partial solve would keep: a pair is never split
+            assert got.count in (count, count + 1)
+            assert got.energies.tobytes() == every.energies[:got.count].tobytes()
+            assert got.fields.tobytes() == every.fields[:got.count].tobytes()
+            assert got.diagnostics == every.diagnostics
+    assert solved == []
+    kin = System(corner_grid(tag, CORNER_PARTIAL_MIN_DOF), params_from_tag(tag),
+                 QUADRATIC).kinetic()
+    assert eigenmodes(kin, 3).count >= 3 and solved
 
 
 @pytest.mark.parametrize("tag", list(CATALOG))
