@@ -15,7 +15,6 @@ from .core import (
     ScalarPotential,
     SpatialProfile,
     TimeFactor,
-    fv_to_kfg,
     kfg_to_fv,
     majorana_project,
 )
@@ -35,9 +34,7 @@ from .bc import (
     classify,
     enumerate_confining_solutions,
     m_matrix,
-    majorana_restrict,
     params_from_tag,
-    u2_matrix,
 )
 from .operators import (
     InvalidMode,
@@ -56,12 +53,7 @@ from .observables import (
     GlobalSummary,
     InsufficientData,
     ObservableFields,
-    boundary_Ej,
-    boundary_j,
-    boundary_j_E,
-    boundary_jtilde_E,
     continuity_residuals,
-    decomposition_checks,
     global_summary,
     local_fields,
     two_component_fields,
@@ -69,7 +61,6 @@ from .observables import (
 from .evolution import (
     CayleyPropagator,
     EvolutionConfig,
-    SingularPropagator,
     TrajectoryRecord,
     check_majorana_preservation,
     evolve,

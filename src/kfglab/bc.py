@@ -37,7 +37,6 @@ ALG_TOL = 1e-10          # tolerance for all algebraic condition checks
 NORM_TOL = 1e-12
 
 TAU1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-SYMPLECTIC_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class InvalidParams(KfgLabError):
@@ -165,38 +164,6 @@ class SeparatedBc:
 
 
 BcRealization = CoupledBc | SeparatedBc
-
-
-def u2_matrix(params: BcParams) -> np.ndarray:
-    """The 2x2 unitary encoding the boundary closure in scattering form."""
-    phase = params.cos_mu + 1j * params.sin_mu
-    u = phase * np.array(
-        [
-            [params.m0 - 1j * params.m3, -params.m2 - 1j * params.m1],
-            [params.m2 - 1j * params.m1, params.m0 + 1j * params.m3],
-        ]
-    )
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-    if defect > 1e-12:
-        raise InvalidParams(f"unitarity defect {defect:.3e}")
-    return u
-
-
-def majorana_restrict(params: BcParams) -> BcParams:
-    """Force m2 = 0 (the strictly neutral sector) and renormalize.
-
-    Raises NotMajoranaCompatible for pure-m2 closures (the quasiperiodic and
-    quasimixed families), which admit no real solutions.
-    """
-    rest = params.m0**2 + params.m1**2 + params.m3**2
-    if rest < NORM_TOL:
-        raise NotMajoranaCompatible(
-            "boundary condition is purely complex (m0 = m1 = m3 = 0)"
-        )
-    r = math.sqrt(rest)
-    return replace(
-        params, m0=params.m0 / r, m1=params.m1 / r, m2=0.0, m3=params.m3 / r
-    )
 
 
 def _separated_pair(c1: tuple[float, float], c2: tuple[float, float]) -> tuple[float, float]:

@@ -15,7 +15,8 @@ Conventions used throughout the package:
 
 Two equivalent state representations are provided: the one-component
 (psi, d psi/dt) pair and the two-component first-order-in-time form
-Psi = (psi1, psi2) with psi1 + psi2 = psi and psi1 - psi2 = E psi / mc^2.
+Psi = (psi1, psi2) with psi1 + psi2 = psi and psi1 - psi2 = E psi / mc^2;
+`kfg_to_fv` maps the first to the second.
 """
 
 from __future__ import annotations
@@ -194,7 +195,11 @@ class TimeFactor:
 
 @dataclass(frozen=True)
 class ScalarPotential:
-    """Real Lorentz scalar interaction S(x, t) = profile(x) * factor(t)."""
+    """Real Lorentz scalar interaction S(x, t) = profile(x) * factor(t).
+
+    `nonneg` declares S >= 0.  `operators.PotentialDiagonal.check`, which
+    every path that reads S goes through, raises InvalidPotential where a
+    flagged S dips below -1e-14."""
 
     profile: SpatialProfile = field(default_factory=SpatialProfile)
     time_factor: TimeFactor = field(default_factory=TimeFactor)
@@ -203,14 +208,6 @@ class ScalarPotential:
     @property
     def is_static(self) -> bool:
         return self.time_factor.is_constant
-
-    def sample(self, x: np.ndarray, t: float) -> np.ndarray:
-        s = self.profile.sample(x) * self.time_factor.value(t)
-        if self.nonneg and np.any(s < -1e-14):
-            raise InvalidPotential(
-                f"potential flagged nonnegative but min S = {s.min():.3e} at t = {t}"
-            )
-        return s
 
     def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.profile.sample(x) * self.time_factor.derivative(t)
@@ -248,24 +245,6 @@ class KfgState:
     def n(self) -> int:
         return len(self.psi)
 
-    def e_psi(self, units: PhysicalUnits = NATURAL_UNITS) -> np.ndarray:
-        """E psi = i*hbar*psi_t."""
-        return 1j * units.hbar * self.psi_t
-
-    def scale(self) -> float:
-        """Characteristic field magnitude (for relative tolerances)."""
-        return float(max(np.max(np.abs(self.psi)), np.max(np.abs(self.psi_t)), 1e-300))
-
-    def majorana_deviation(self, kind: str) -> float:
-        """Distance from the reality (plus) / pure-imaginarity (minus) condition."""
-        if kind == "plus":
-            dev = max(np.max(np.abs(self.psi.imag)), np.max(np.abs(self.psi_t.imag)))
-        elif kind == "minus":
-            dev = max(np.max(np.abs(self.psi.real)), np.max(np.abs(self.psi_t.real)))
-        else:
-            raise ValueError("kind must be 'plus' or 'minus'")
-        return float(dev)
-
 
 @dataclass(frozen=True)
 class FvState:
@@ -281,34 +260,19 @@ class FvState:
         object.__setattr__(self, "psi1", psi1)
         object.__setattr__(self, "psi2", psi2)
 
-    @property
-    def n(self) -> int:
-        return len(self.psi1)
-
-    def majorana_deviation(self, kind: str = "plus") -> float:
-        """Max-norm violation of Psi = +/- tau_1 Psi* (component swap + conjugation)."""
-        sign = {"plus": 1.0, "minus": -1.0}[kind]
-        return float(np.max(np.abs(self.psi2 - sign * np.conj(self.psi1))))
-
 
 def kfg_to_fv(state: KfgState, units: PhysicalUnits = NATURAL_UNITS) -> FvState:
     """Map (psi, psi_t) to the two-component form.
 
-    psi1 = (psi + E psi / mc^2)/2 and psi2 = (psi - E psi / mc^2)/2.
+    psi1 = (psi + E psi / mc^2)/2 and psi2 = (psi - E psi / mc^2)/2,
+    with E psi = i hbar psi_t.
     """
-    e_over_mc2 = state.e_psi(units) / units.mc2
+    e_over_mc2 = 1j * units.hbar * state.psi_t / units.mc2
     return FvState(
         psi1=0.5 * (state.psi + e_over_mc2),
         psi2=0.5 * (state.psi - e_over_mc2),
         t=state.t,
     )
-
-
-def fv_to_kfg(state: FvState, units: PhysicalUnits = NATURAL_UNITS) -> KfgState:
-    """Inverse map: psi = psi1 + psi2, psi_t = mc^2 (psi1 - psi2)/(i hbar)."""
-    psi = state.psi1 + state.psi2
-    psi_t = units.mc2 * (state.psi1 - state.psi2) / (1j * units.hbar)
-    return KfgState(psi=psi, psi_t=psi_t, t=state.t)
 
 
 def majorana_project(state: KfgState, kind: str) -> KfgState:

@@ -32,14 +32,10 @@ import scipy.linalg.blas
 from .core import KfgState, PhysicalUnits, majorana_project
 from .operators import (
     NumericalFailure,
-    SingularFactor,
     System,
     _flush_subnormals,
     _ShiftedBandsFactor,
 )
-
-# the implicit half of the Cayley step is not invertible
-SingularPropagator = SingularFactor
 
 # The dense/banded switch of the static step, in unknowns: at or below it
 # a static run steps with the dense 2m x 2m step matrix, one BLAS product,

@@ -1,5 +1,5 @@
-"""Local observables, boundary evaluations, global integrals, and the
-identity/continuity checks that machine-verify the conservation structure.
+"""Local observables, endpoint currents, global integrals, and the
+continuity residuals that machine-verify the conservation structure.
 
 Quadrature conventions
 ----------------------
@@ -52,9 +52,6 @@ class ObservableFields:
     T11: np.ndarray
     T01_check: np.ndarray
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in DENSITY_NAMES}
-
 
 def _j(u, psi, cp_psi, cp_psi_star):
     return (np.conj(psi) * cp_psi - cp_psi_star * psi) / (2.0 * u.mass * u.c)
@@ -84,7 +81,9 @@ class Snapshot:
     each local field (rho, j, rho_E, j_E, rho_tilde_E, T00, cT10, T11,
     T01_check) on its own, the end currents and the global summary.  A
     reader pays only for the fields it reads; `fields` assembles all nine
-    with the same bits."""
+    with the same bits.  `ends` is the one endpoint derivation: the
+    summary's six end currents, and with them the trajectory columns
+    j_a ... jtildeE_b, are read from it."""
 
     def __init__(self, state: KfgState, system: System):
         u = system.units
@@ -181,9 +180,17 @@ class Snapshot:
     @cached_property
     def ends(self) -> tuple:
         """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b): the pointwise
-        densities on the end values, with the endpoint-coupling closed forms
-        at a where they are regular; see `boundary_j`, `boundary_j_E` and
-        `boundary_jtilde_E`."""
+        densities on the end values.  At a, the charge current takes the
+        endpoint-coupling closed form while m0 + cos(mu) is regular, and the
+        proper energy current does too while the closure is also real
+        (m2 = 0).
+
+        Pseudo self-adjointness makes j and j_E equal at the two ends; both
+        j values vanish for strictly neutral states, and both j_E values
+        vanish exactly when the closure is confining (m1 = 0 in the neutral
+        sector).  The tensor current c T^10 has no equality contract: its
+        two ends agree only on closures that preserve the tau_1 bilinear
+        form."""
         u, p = self.system.units, self.system.bc
         psi, e_psi = self.psi, self.e_psi
         (j_a, je_a, jt_a), (j_b, je_b, jt_b) = (
@@ -263,73 +270,6 @@ def two_component_fields(
            - (np.conj(up) * d_udp + np.conj(um) * d_udm))
     )
     return rho, j, rho_e, j_e
-
-
-# --------------------------------------------------------------------------
-# boundary evaluations
-# --------------------------------------------------------------------------
-
-
-def endpoint_data(system: System, field: np.ndarray):
-    """(f_a, f_b, f_x(a), f_x(b)) with ghost-consistent endpoint derivatives."""
-    field = np.asarray(field, dtype=np.complex128)
-    d1 = system.closure.dx1(field)
-    return field[0], field[-1], d1[0], d1[-1]
-
-
-def boundary_j(state: KfgState, system: System) -> tuple[float, float]:
-    """Charge current at the two endpoints.
-
-    The a-end uses the closed-form endpoint-coupling expression when its
-    denominator m0 + cos(mu) is regular (direct stencil otherwise); the
-    b-end always uses the direct stencil.  Pseudo self-adjointness makes the
-    two equal; both vanish for strictly neutral states.
-    """
-    return Snapshot(state, system).ends[:2]
-
-
-def boundary_j_E(state: KfgState, system: System) -> tuple[complex, complex]:
-    """Proper energy current at the two endpoints (formula at a, direct at b).
-
-    Equal at the two ends for every pseudo self-adjoint closure; zero at both
-    ends exactly when the closure is confining (m1 = 0 in the neutral sector).
-    """
-    return Snapshot(state, system).ends[2:4]
-
-
-def boundary_jtilde_E(state: KfgState, system: System) -> tuple[float, float, float]:
-    """Energy-momentum-tensor current at the endpoints and their difference.
-
-    No equality contract: the difference vanishes only for closures that
-    preserve the tau_1 bilinear form (Dirichlet/Neumann/mixed/periodic/
-    antiperiodic), which is the datum this evaluation exists to expose.
-    """
-    a_val, b_val = Snapshot(state, system).ends[4:]
-    return a_val, b_val, b_val - a_val
-
-
-def boundary_Ej(state: KfgState, system: System) -> complex:
-    """Half the time derivative of the charge current at x = a.
-
-    Purely imaginary; vanishes identically for strictly neutral states.
-    Uses the endpoint-coupling expression when regular, otherwise the direct
-    time derivative of the stencil current.
-    """
-    u = system.units
-    p = system.bc
-    psi_a, psi_b, dpsi_a, _ = endpoint_data(system, state.psi)
-    psit_a, psit_b, dpsit_a, _ = endpoint_data(system, state.psi_t)
-    denom = p.m0 + p.cos_mu
-    if abs(denom) > 1e-10:
-        q = (p.m1 + 1j * p.m2) / denom
-        return complex(
-            -(1j * u.hbar**2 / (2.0 * u.mass * p.lam))
-            * np.imag(q * (np.conj(psit_a) * psi_b + np.conj(psi_a) * psit_b))
-        )
-    return complex(
-        (1j * u.hbar**2 / (2.0 * u.mass))
-        * np.imag(np.conj(psit_a) * dpsi_a + np.conj(psi_a) * dpsit_a)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +405,7 @@ def global_summary(state: KfgState, system: System) -> GlobalSummary:
 
 
 # --------------------------------------------------------------------------
-# continuity equations and pointwise decompositions
+# continuity equations
 # --------------------------------------------------------------------------
 
 
@@ -540,51 +480,3 @@ def continuity_residuals(states: list[KfgState], system: System) -> ContinuityRe
         worst["emt_time"] = max(worst["emt_time"], float(np.max(np.abs(r_emt_t[sl]))))
         worst["emt_space"] = max(worst["emt_space"], float(np.max(np.abs(r_emt_x[sl]))))
     return ContinuityResiduals(**worst)
-
-
-def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
-    """Pointwise residuals of the density/current splitting identities.
-
-    Time derivatives are taken on shell (psi_tt from the wave equation), so
-    the purely temporal split is exact to round-off while the splits
-    involving spatial gradients of densities carry the stencil error.
-    """
-    u = system.units
-    mc2 = u.mc2
-    dx = system.grid.dx
-    snap = Snapshot(state, system)
-    psi, e_psi = snap.psi, snap.e_psi
-    psi_t = state.psi_t
-    psi_tt = -snap.e2_psi / u.hbar**2
-
-    # E applied to Im(psi* E psi), on shell
-    f_dot = np.imag(np.conj(psi_t) * e_psi + np.conj(psi) * (1j * u.hbar * psi_tt))
-    e_im_psi_epsi = 1j * u.hbar * f_dot
-    # E applied to rho, on shell
-    rho_dot = (
-        1j * u.hbar * (np.conj(psi) * psi_tt - np.conj(psi_tt) * psi)
-    ) / (2.0 * mc2)
-    e_rho = 1j * u.hbar * rho_dot
-
-    time_split = snap.rho_E - (
-        -(1j / (2.0 * mc2)) * e_im_psi_epsi + 0.5 * e_rho + snap.rho_tilde_E
-    )
-
-    g = np.imag(np.conj(psi) * snap.cp_psi)
-    cp_g = -1j * u.hbar * u.c * _density_gradient(g, dx)
-    space_split = snap.rho_E - (
-        (1j / (2.0 * mc2)) * cp_g + 0.5 * e_rho + snap.T00
-    )
-
-    im_psi_epsi = np.imag(psi * e_psi)  # unconjugated; neutral-sector identity
-    current_split = snap.j_E - (
-        (u.hbar / (2.0 * u.mass)) * _density_gradient(im_psi_epsi, dx) + snap.cT10
-    )
-
-    scale = max(float(np.max(np.abs(snap.rho_E))), 1e-300)
-    return {
-        "time_split": float(np.max(np.abs(time_split))),
-        "space_split": float(np.max(np.abs(space_split))),
-        "current_split": float(np.max(np.abs(current_split))),
-        "scale": scale,
-    }

@@ -204,7 +204,6 @@ def build_closure(grid: Grid, realization: BcRealization) -> DiscreteClosure:
 
     m = realization.matrix
     m11, m12, m21, m22 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    det = m11 * m22 - m12 * m21
     is_complex = not realization.is_real
     scale = 2.0 * dx / lam
     if abs(m12) > SLAVED_CUTOFF * (1.0 + np.max(np.abs(m))):
@@ -215,7 +214,7 @@ def build_closure(grid: Grid, realization: BcRealization) -> DiscreteClosure:
         )
         gb = GhostMap(
             indices=(0, n - 2, n - 1),
-            coefs=np.array([-scale * det / m12, 1.0, scale * m22 / m12]),
+            coefs=np.array([-scale * realization.det / m12, 1.0, scale * m22 / m12]),
         )
         return DiscreteClosure(
             grid=grid, dof=slice(0, n), pinned=(), slaved=None,

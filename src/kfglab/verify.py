@@ -21,8 +21,8 @@ this process, bit for bit.  The conservation suite steps each closure once:
 the charged state of the conservation check and, on five closures, the
 plus + minus state of the neutral-sector check ride in one stack
 (`evolve_stacked`), and one map covers those ten runs and the six
-sector-preservation runs.  `check_conservation` and
-`check_majorana_triviality` each take their results from that one pass.
+sector-preservation runs, and `_conservation_checks` returns all seven
+of its checks from that one pass.
 
 Each check solves and derives only what it reads: it asks for the modes it
 uses (`System.modes(count)`, or `eigenmodes(kinetic, count)` on a driven
@@ -365,7 +365,6 @@ def check_spectra():
 # --------------------------------------------------------------------------
 
 
-_CONSERVATION_NAMES = ("indefinite_norm_conservation", "energy_bracket_conservation")
 SECTOR_TAGS = ("dirichlet", "neumann", "robin_mit_plus", "periodic", "rotation:0.0")
 
 
@@ -397,8 +396,8 @@ def _sector_defects(snap: Snapshot) -> tuple[float, float, float, float]:
 
 
 def _conservation_checks() -> list[CheckResult]:
-    """The results of `check_conservation` and of `check_majorana_triviality`,
-    in that order, from one map over all their runs.
+    """The two conservation checks and the five neutral-sector checks, in
+    that order, from one map over all their runs.
 
     Each closure at n = 64 is run once, 10^4 steps of a charged state.  On
     the SECTOR_TAGS closures a plus + minus state rides in the same stack
@@ -476,14 +475,6 @@ def _conservation_checks() -> list[CheckResult]:
         _at_most("neutral_sector_preserved", worst_dev, 1e-12,
                  "raw pairing deviation over 1000 un-projected steps"),
     ]
-
-
-def check_conservation():
-    return [c for c in _conservation_checks() if c.name in _CONSERVATION_NAMES]
-
-
-def check_majorana_triviality():
-    return [c for c in _conservation_checks() if c.name not in _CONSERVATION_NAMES]
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Literal forms kept as test oracles.
+"""Literal and reference forms kept as test oracles.
+
+Nothing in `kfglab` reads these: each is either a slow literal form that a
+fast package path is compared against, or a reference form of the
+boundary algebra, the state maps or the observables that only the tests
+compare against.  `tests/test_source.py` keeps it that way: a package
+definition that only the tests read fails there, and moves here.
 
 The dense 2n x 2n two-component Hamiltonian h (`assemble_fv_hamiltonian`)
 and its dense pseudo-Hermiticity defect check the O(n) defect that
@@ -15,23 +21,31 @@ sample of S, in the operation order of the definitions, against which the
 snapshot's one-at-a-time fields are compared bit for bit.
 The two brackets and the Dirac norm are integrated on their own, as the
 summary's norm and energy read them.
+
+Reference forms: the scattering-form U(2) matrix of a closure and its
+neutral-sector restriction; the inverse two-component map; the field scale
+and the neutral-sector deviations of a state; the endpoint data with
+ghost-consistent derivatives and the half rate of the charge current at a;
+and the pointwise splitting residuals of rho_E and j_E.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from kfglab.core import FvState, KfgState, PhysicalUnits, kfg_to_fv
-from kfglab.evolution import SingularPropagator
-from kfglab.observables import GlobalSummary, ObservableFields, Snapshot
+from kfglab.bc import NORM_TOL, BcParams, InvalidParams, NotMajoranaCompatible
+from kfglab.core import NATURAL_UNITS, FvState, KfgState, PhysicalUnits, kfg_to_fv
+from kfglab.observables import GlobalSummary, ObservableFields, Snapshot, _density_gradient
 from kfglab.operators import (
     DEGENERACY_TOL,
     POSITIVITY_TOL,
     KineticMatrix,
     ModeSet,
+    SingularFactor,
     System,
     canonical_pairs,
     gauge,
@@ -104,7 +118,7 @@ def propagator_matrix(
     try:
         return scipy.linalg.solve(a_plus, a_minus)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularPropagator(str(exc)) from exc
+        raise SingularFactor(str(exc)) from exc
 
 
 def step_cayley(
@@ -121,7 +135,7 @@ def step_cayley(
     try:
         out = scipy.linalg.solve(a_plus, a_minus @ vec)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularPropagator(str(exc)) from exc
+        raise SingularFactor(str(exc)) from exc
     m = cl.n_dof
     return FvState(
         psi1=cl.extend(out[:m] / sqw),
@@ -149,7 +163,8 @@ def literal_fields(state: KfgState, system: System) -> ObservableFields:
     d_psi = system.dx1(psi)
     e2_psi = system.e2_apply(psi, state.t)
     cp_psi, cp_psi_star, cp_e_psi = cp * d_psi, cp * np.conj(d_psi), cp * system.dx1(e_psi)
-    s = np.asarray(system.potential.sample(system.grid.x, state.t), dtype=float)
+    pot = system.potential
+    s = np.asarray(pot.profile.sample(system.grid.x) * pot.time_factor.value(state.t), dtype=float)
     mass_pot = (mc2**2 + 2.0 * mc2 * s) * (np.conj(psi) * psi)
     two_mc = 2.0 * u.mass * u.c
     return ObservableFields(
@@ -241,3 +256,143 @@ def dirac_norm(state: KfgState, system: System) -> float:
     fv = kfg_to_fv(state, system.units)
     dens = (np.conj(fv.psi1) * fv.psi1 + np.conj(fv.psi2) * fv.psi2).real
     return system.grid.integrate(dens).real
+
+
+def u2_matrix(params: BcParams) -> np.ndarray:
+    """The 2x2 unitary encoding the boundary closure in scattering form."""
+    phase = params.cos_mu + 1j * params.sin_mu
+    u = phase * np.array(
+        [
+            [params.m0 - 1j * params.m3, -params.m2 - 1j * params.m1],
+            [params.m2 - 1j * params.m1, params.m0 + 1j * params.m3],
+        ]
+    )
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
+    if defect > 1e-12:
+        raise InvalidParams(f"unitarity defect {defect:.3e}")
+    return u
+
+
+def majorana_restrict(params: BcParams) -> BcParams:
+    """Force m2 = 0 (the strictly neutral sector) and renormalize.
+
+    Raises NotMajoranaCompatible for pure-m2 closures (the quasiperiodic and
+    quasimixed families), which admit no real solutions.
+    """
+    rest = params.m0**2 + params.m1**2 + params.m3**2
+    if rest < NORM_TOL:
+        raise NotMajoranaCompatible(
+            "boundary condition is purely complex (m0 = m1 = m3 = 0)"
+        )
+    r = math.sqrt(rest)
+    return replace(
+        params, m0=params.m0 / r, m1=params.m1 / r, m2=0.0, m3=params.m3 / r
+    )
+
+
+def fv_to_kfg(state: FvState, units: PhysicalUnits = NATURAL_UNITS) -> KfgState:
+    """Inverse of `kfg_to_fv`: psi = psi1 + psi2, psi_t = mc^2 (psi1 - psi2)/(i hbar)."""
+    psi = state.psi1 + state.psi2
+    psi_t = units.mc2 * (state.psi1 - state.psi2) / (1j * units.hbar)
+    return KfgState(psi=psi, psi_t=psi_t, t=state.t)
+
+
+def field_scale(state: KfgState) -> float:
+    """Characteristic field magnitude (for relative tolerances)."""
+    return float(max(np.max(np.abs(state.psi)), np.max(np.abs(state.psi_t)), 1e-300))
+
+
+def majorana_deviation(state: KfgState, kind: str) -> float:
+    """Distance from the reality (plus) / pure-imaginarity (minus) condition."""
+    if kind == "plus":
+        dev = max(np.max(np.abs(state.psi.imag)), np.max(np.abs(state.psi_t.imag)))
+    elif kind == "minus":
+        dev = max(np.max(np.abs(state.psi.real)), np.max(np.abs(state.psi_t.real)))
+    else:
+        raise ValueError("kind must be 'plus' or 'minus'")
+    return float(dev)
+
+
+def fv_majorana_deviation(state: FvState, kind: str = "plus") -> float:
+    """Max-norm violation of Psi = +/- tau_1 Psi* (component swap + conjugation)."""
+    sign = {"plus": 1.0, "minus": -1.0}[kind]
+    return float(np.max(np.abs(state.psi2 - sign * np.conj(state.psi1))))
+
+
+def endpoint_data(system: System, field: np.ndarray):
+    """(f_a, f_b, f_x(a), f_x(b)) with ghost-consistent endpoint derivatives."""
+    field = np.asarray(field, dtype=np.complex128)
+    d1 = system.closure.dx1(field)
+    return field[0], field[-1], d1[0], d1[-1]
+
+
+def boundary_Ej(state: KfgState, system: System) -> complex:
+    """Half the time derivative of the charge current at x = a.
+
+    Purely imaginary; vanishes identically for strictly neutral states.
+    Uses the endpoint-coupling expression when regular, otherwise the direct
+    time derivative of the stencil current.
+    """
+    u = system.units
+    p = system.bc
+    psi_a, psi_b, dpsi_a, _ = endpoint_data(system, state.psi)
+    psit_a, psit_b, dpsit_a, _ = endpoint_data(system, state.psi_t)
+    denom = p.m0 + p.cos_mu
+    if abs(denom) > 1e-10:
+        q = (p.m1 + 1j * p.m2) / denom
+        return complex(
+            -(1j * u.hbar**2 / (2.0 * u.mass * p.lam))
+            * np.imag(q * (np.conj(psit_a) * psi_b + np.conj(psi_a) * psit_b))
+        )
+    return complex(
+        (1j * u.hbar**2 / (2.0 * u.mass))
+        * np.imag(np.conj(psit_a) * dpsi_a + np.conj(psi_a) * dpsit_a)
+    )
+
+
+def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
+    """Pointwise residuals of the density/current splitting identities.
+
+    Time derivatives are taken on shell (psi_tt from the wave equation), so
+    the purely temporal split is exact to round-off while the splits
+    involving spatial gradients of densities carry the stencil error.
+    """
+    u = system.units
+    mc2 = u.mc2
+    dx = system.grid.dx
+    snap = Snapshot(state, system)
+    psi, e_psi = snap.psi, snap.e_psi
+    psi_t = state.psi_t
+    psi_tt = -snap.e2_psi / u.hbar**2
+
+    # E applied to Im(psi* E psi), on shell
+    f_dot = np.imag(np.conj(psi_t) * e_psi + np.conj(psi) * (1j * u.hbar * psi_tt))
+    e_im_psi_epsi = 1j * u.hbar * f_dot
+    # E applied to rho, on shell
+    rho_dot = (
+        1j * u.hbar * (np.conj(psi) * psi_tt - np.conj(psi_tt) * psi)
+    ) / (2.0 * mc2)
+    e_rho = 1j * u.hbar * rho_dot
+
+    time_split = snap.rho_E - (
+        -(1j / (2.0 * mc2)) * e_im_psi_epsi + 0.5 * e_rho + snap.rho_tilde_E
+    )
+
+    g = np.imag(np.conj(psi) * snap.cp_psi)
+    cp_g = -1j * u.hbar * u.c * _density_gradient(g, dx)
+    space_split = snap.rho_E - (
+        (1j / (2.0 * mc2)) * cp_g + 0.5 * e_rho + snap.T00
+    )
+
+    im_psi_epsi = np.imag(psi * e_psi)  # unconjugated; neutral-sector identity
+    current_split = snap.j_E - (
+        (u.hbar / (2.0 * u.mass)) * _density_gradient(im_psi_epsi, dx) + snap.cT10
+    )
+
+    scale = max(float(np.max(np.abs(snap.rho_E))), 1e-300)
+    return {
+        "time_split": float(np.max(np.abs(time_split))),
+        "space_split": float(np.max(np.abs(space_split))),
+        "current_split": float(np.max(np.abs(current_split))),
+        "scale": scale,
+    }

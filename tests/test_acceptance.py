@@ -5,14 +5,15 @@ one pass/fail line per named check (run with -s to stream them)."""
 
 import inspect
 
+import pytest
+
 from kfglab.verify import (
     SUITES,
+    _conservation_checks,
     check_bc_algebra,
     check_boundary_currents,
-    check_conservation,
     check_continuity_convergence,
     check_dual_path,
-    check_majorana_triviality,
     check_positivity,
     check_pseudo_self_adjointness,
     check_spectra,
@@ -45,14 +46,23 @@ def test_criterion_3_spectral_dispersion():
     _gate(check_spectra())
 
 
-def test_criterion_4_conservation():
+CONSERVATION_NAMES = ("indefinite_norm_conservation", "energy_bracket_conservation")
+
+
+@pytest.fixture(scope="module")
+def conservation_checks():
+    """The conservation suite's one pass, shared by criteria 4 and 5."""
+    return _conservation_checks()
+
+
+def test_criterion_4_conservation(conservation_checks):
     """Indefinite norm and energy bracket drift <= 1e-10 over 1e4 steps."""
-    _gate(check_conservation())
+    _gate([c for c in conservation_checks if c.name in CONSERVATION_NAMES])
 
 
-def test_criterion_5_majorana_triviality():
+def test_criterion_5_majorana_triviality(conservation_checks):
     """rho, j, Im rho_E, Im j_E <= 1e-13 * scale; sector preserved to 1e-12."""
-    _gate(check_majorana_triviality())
+    _gate([c for c in conservation_checks if c.name not in CONSERVATION_NAMES])
 
 
 def test_criterion_6_boundary_currents():

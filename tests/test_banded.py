@@ -25,7 +25,6 @@ from kfglab.evolution import (
     DENSE_STEP_MAX_DOF,
     CayleyPropagator,
     EvolutionConfig,
-    SingularPropagator,
     check_majorana_preservation,
     evolve,
     state_to_wave,
@@ -36,6 +35,7 @@ from kfglab.operators import (
     Bands,
     GhostMap,
     SingularClosure,
+    SingularFactor,
     System,
     build_closure,
     closure_bands,
@@ -460,10 +460,11 @@ def test_driven_step_diagonal_is_the_assembled_one(tag):
     system = make_system(tag, driven=True)
     prop = CayleyPropagator(system, DT)
     x = prop.pack(packet_wave(system))
-    mc2, x_grid = system.units.mc2, system.grid.x
+    mc2, x_grid, pot = system.units.mc2, system.grid.x, system.potential
     for k in range(3):
         x = prop.advance(x, k * DT)
-        diag = mc2**2 + 2.0 * mc2 * system.potential.sample(x_grid, (k + 0.5) * DT)
+        s = pot.profile.sample(x_grid) * pot.time_factor.value((k + 0.5) * DT)
+        diag = mc2**2 + 2.0 * mc2 * s
         want = system.kinetic(0.0).kinetic_bands.main + diag[system.closure.dof]
         assert prop._band[1].tobytes() == want.tobytes()
 
@@ -510,7 +511,7 @@ def test_singular_factor_raises(main, corner):
     # on the first and last unknowns
     m = 12
     bands = Bands(np.full(m, main), np.zeros(m - 1), np.zeros(m - 1), corner, corner)
-    with pytest.raises(SingularPropagator):
+    with pytest.raises(SingularFactor):
         _ShiftedBandsFactor(bands, 0.5)
 
 

@@ -18,10 +18,12 @@ from kfglab.core import (
     ScalarPotential,
     SpatialProfile,
     TimeFactor,
-    fv_to_kfg,
     kfg_to_fv,
     majorana_project,
 )
+from kfglab.bc import CATALOG
+from kfglab.operators import System
+from oracles import fv_majorana_deviation, fv_to_kfg, majorana_deviation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -93,11 +95,13 @@ class TestPotential:
         assert not driven.is_static
 
     def test_nonneg_flag_enforced(self):
+        # the one guard: every path that reads S goes through the diagonal
         pot = ScalarPotential(
             profile=SpatialProfile(kind="constant", value=-1.0), nonneg=True
         )
+        diagonal = System(Grid(0.0, 1.0, 8), CATALOG["dirichlet"].params, pot).potential_diagonal
         with pytest.raises(InvalidPotential):
-            pot.sample(np.linspace(0, 1, 8), 0.0)
+            diagonal.check(pot.time_factor.value(0.0), 0.0)
 
 
 class TestStateConversions:
@@ -173,14 +177,14 @@ class TestMajoranaProjection:
         st0 = KfgState((1 + 2j) * u, (1 + 2j) * u)
         out = majorana_project(st0, "plus")
         assert np.allclose(out.psi, u)
-        assert out.majorana_deviation("plus") == 0.0
+        assert majorana_deviation(out, "plus") == 0.0
 
     def test_minus_keeps_imaginary_part(self):
         u = np.linspace(0, 1, 9)
         st0 = KfgState((1 + 2j) * u, np.zeros(9))
         out = majorana_project(st0, "minus")
         assert np.allclose(out.psi, 2j * u)
-        assert out.majorana_deviation("minus") == 0.0
+        assert majorana_deviation(out, "minus") == 0.0
 
     def test_real_state_unchanged(self):
         u = np.linspace(0, 1, 9) + 0j
@@ -203,4 +207,4 @@ class TestMajoranaProjection:
         # a plus-projected state obeys Psi = tau_1 Psi* in the two-component form
         st0 = majorana_project(KfgState(psi, 0.5 * psi), "plus")
         fv = kfg_to_fv(st0)
-        assert fv.majorana_deviation("plus") <= 1e-15 * max(1.0, np.max(np.abs(psi)))
+        assert fv_majorana_deviation(fv, "plus") <= 1e-15 * max(1.0, np.max(np.abs(psi)))

@@ -15,7 +15,6 @@ from kfglab.core import (
     SpatialProfile,
     TimeFactor,
     kfg_to_fv,
-    fv_to_kfg,
     majorana_project,
 )
 from kfglab.bc import CATALOG, params_from_tag
@@ -33,7 +32,8 @@ from kfglab.evolution import (
 from kfglab.observables import global_summary
 from kfglab.verify import (MAJORANA_TAGS, _bump_potential, _plus_minus_state,
                            charged_state, two_mode_neutral)
-from oracles import assemble_fv_hamiltonian, propagator_matrix, step_cayley
+from oracles import (assemble_fv_hamiltonian, field_scale, fv_to_kfg, majorana_deviation,
+                     propagator_matrix, step_cayley)
 
 GRID = Grid(0.0, math.pi, 64)
 
@@ -200,7 +200,7 @@ class TestStepExamples:
         end = records[-1].state
         err = max(
             np.max(np.abs(end.psi - st0.psi)), np.max(np.abs(end.psi_t - st0.psi_t))
-        ) / st0.scale()
+        ) / field_scale(st0)
         assert err < 1e-4
 
     def test_second_order_in_dt(self):
@@ -361,7 +361,7 @@ class TestMajoranaPreservation:
         for rec in records:
             assert rec.majorana_deviation is not None
             assert rec.majorana_deviation <= 1e-14
-            assert rec.state.majorana_deviation("plus") == 0.0
+            assert majorana_deviation(rec.state, "plus") == 0.0
         assert max(r.majorana_deviation for r in records) <= 1e-14
 
 

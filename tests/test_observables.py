@@ -18,20 +18,15 @@ from kfglab.operators import DiscreteClosure, NumericalFailure, System
 from kfglab.observables import (
     DENSITY_NAMES,
     Snapshot,
-    boundary_Ej,
-    boundary_j,
-    boundary_j_E,
-    boundary_jtilde_E,
     continuity_residuals,
-    decomposition_checks,
-    endpoint_data,
     global_summary,
     local_fields,
     two_component_fields,
 )
 from kfglab.evolution import EvolutionConfig, evolve
 from oracles import (
-    dirac_norm, energy_bracket, field_integral_summary, indefinite_norm, literal_fields,
+    boundary_Ej, decomposition_checks, dirac_norm, endpoint_data, energy_bracket,
+    field_integral_summary, indefinite_norm, literal_fields,
 )
 
 GRID = Grid(0.0, math.pi, 96)
@@ -122,7 +117,7 @@ class TestLocalFields:
                     assert alone.tobytes() == getattr(literal, name).tobytes(), name
                 # S from the profile the system sampled once, with the bits
                 # of a fresh sample
-                want = potential.sample(grid.x, state.t)
+                want = potential.profile.sample(grid.x) * potential.time_factor.value(state.t)
                 assert Snapshot(state, system).s.tobytes() == want.tobytes()
 
 
@@ -159,25 +154,25 @@ class TestTwoComponentPath:
 class TestBoundaryCurrents:
     def test_charge_current_equal_ends_permeable(self):
         system = System(Grid(0.0, 2 * math.pi, 96), CATALOG["periodic"].params)
-        j_a, j_b = boundary_j(charged(system, seed=3), system)
+        j_a, j_b = Snapshot(charged(system, seed=3), system).ends[:2]
         assert j_a == pytest.approx(j_b, abs=1e-14)
         assert abs(j_a) > 1e-4
 
     def test_charge_current_zero_for_neutral_and_dirichlet(self):
         system = System(GRID, CATALOG["periodic"].params)
-        j_a, j_b = boundary_j(neutral_state(system), system)
+        j_a, j_b = Snapshot(neutral_state(system), system).ends[:2]
         assert j_a == 0.0 and j_b == 0.0
         sysd = System(GRID, CATALOG["dirichlet"].params)
-        j_a, j_b = boundary_j(charged(sysd, seed=2), sysd)
+        j_a, j_b = Snapshot(charged(sysd, seed=2), sysd).ends[:2]
         assert abs(j_a) < 1e-15 and abs(j_b) < 1e-15
 
     def test_energy_current_formula_matches_direct(self):
         system = System(GRID, params_from_tag("rotation:0.7"))
         st0 = neutral_state(system, seed=8)
-        je_a, je_b = boundary_j_E(st0, system)  # formula at a, direct at b
+        je_a, je_b = Snapshot(st0, system).ends[2:4]  # formula at a, direct at b
         # direct evaluation at a for comparison
         u = system.units
-        e_field = st0.e_psi(u)
+        e_field = 1j * u.hbar * st0.psi_t
         psi_a, _, dpsi_a, _ = endpoint_data(system, st0.psi)
         epsi_a, _, depsi_a, _ = endpoint_data(system, e_field)
         direct_a = (
@@ -189,22 +184,22 @@ class TestBoundaryCurrents:
 
     def test_energy_current_confining_vs_permeable(self):
         confining = System(GRID, CATALOG["robin_mit_plus"].params)
-        je_a, je_b = boundary_j_E(neutral_state(confining, seed=4), confining)
+        je_a, je_b = Snapshot(neutral_state(confining, seed=4), confining).ends[2:4]
         assert abs(je_a) < 1e-14 and abs(je_b) < 1e-14
         permeable = System(GRID, CATALOG["rotation:0.0"].params)
         st0 = neutral_state(permeable, seed=4)
-        je_a, je_b = boundary_j_E(st0, permeable)
+        je_a, je_b = Snapshot(st0, permeable).ends[2:4]
         assert je_a == pytest.approx(je_b, abs=1e-14)
         fl = local_fields(st0, permeable)
         assert abs(je_a) > 1e-3 * np.max(np.abs(fl.j_E))
 
     def test_tensor_current_examples(self):
         sysd = System(GRID, CATALOG["dirichlet"].params)
-        a, b, diff = boundary_jtilde_E(neutral_state(sysd), sysd)
-        assert a == 0.0 and b == 0.0 and diff == 0.0
+        a, b = Snapshot(neutral_state(sysd), sysd).ends[4:]
+        assert a == 0.0 and b == 0.0 and b - a == 0.0
         sysv = System(GRID, CATALOG["robin_mit_plus"].params)
-        a, b, diff = boundary_jtilde_E(neutral_state(sysv, seed=6), sysv)
-        assert abs(a) > 1e-6 and abs(b) > 1e-6 and abs(diff) > 1e-6
+        a, b = Snapshot(neutral_state(sysv, seed=6), sysv).ends[4:]
+        assert abs(a) > 1e-6 and abs(b) > 1e-6 and abs(b - a) > 1e-6
         sysp = System(GRID, CATALOG["periodic"].params)
         # modes 1 and 2 are the free ring's degenerate pair: the probe mixes
         # both members with their own phases, so that no basis of the pair
@@ -214,9 +209,9 @@ class TestBoundaryCurrents:
             [(k, amp, rng.uniform(0, 2)) for k, amp in ((0, 1.0), (1, 0.8), (2, 0.6))],
             t=0.83, kind="plus",
         )
-        a, b, diff = boundary_jtilde_E(probe, sysp)
+        a, b = Snapshot(probe, sysp).ends[4:]
         assert abs(a) > 1e-6
-        assert diff == pytest.approx(0.0, abs=1e-14)
+        assert b - a == pytest.approx(0.0, abs=1e-14)
 
     def test_half_current_rate_neutral_zero(self):
         for tag in ("dirichlet", "periodic", "rotation:0.7"):
@@ -250,9 +245,7 @@ class TestBoundaryCurrents:
         system = System(GRID, params_from_tag(tag), BUMP)
         st0 = make(system, seed=16)
         fl = local_fields(st0, system)
-        _, j_b = boundary_j(st0, system)
-        _, je_b = boundary_j_E(st0, system)
-        jt_a, jt_b, _ = boundary_jtilde_E(st0, system)
+        _, j_b, _, je_b, jt_a, jt_b = Snapshot(st0, system).ends
         for got, field, i in ((j_b, fl.j, -1), (je_b, fl.j_E, -1),
                               (jt_a, fl.cT10, 0), (jt_b, fl.cT10, -1)):
             scale = max(float(np.max(np.abs(field))), 1e-300)
@@ -292,13 +285,12 @@ class TestGlobalSummary:
     @pytest.mark.parametrize(
         "tag", ["dirichlet", "robin_mit_plus", "periodic", "rotation:0.0", "quasimixed+"]
     )
-    def test_boundary_values_equal_the_public_functions(self, tag):
+    def test_boundary_values_equal_a_fresh_snapshots_ends(self, tag):
         # the summary reuses its own derivatives of psi and E psi
         system = System(GRID, CATALOG[tag].params, BUMP)
         st0 = charged(system, seed=15)
         summ = global_summary(st0, system)
-        public = (*boundary_j(st0, system), *boundary_j_E(st0, system),
-                  *boundary_jtilde_E(st0, system)[:2])
+        public = Snapshot(st0, system).ends
         got = (summ.j_a, summ.j_b, summ.jE_a, summ.jE_b, summ.jtildeE_a, summ.jtildeE_b)
         assert [complex(v) for v in got] == [complex(v) for v in public]
         assert [type(v) for v in got] == [type(v) for v in public]
@@ -307,8 +299,7 @@ class TestGlobalSummary:
         # psi and E psi are differentiated once each; S is never sampled
         # again: the potential piece and E^2 psi read the profile that the
         # system sampled once
-        counts = dict.fromkeys(
-            ("DiscreteClosure.dx1", "ScalarPotential.sample", "SpatialProfile.sample"), 0)
+        counts = dict.fromkeys(("DiscreteClosure.dx1", "SpatialProfile.sample"), 0)
 
         def counting(cls, name):
             original = getattr(cls, name)
@@ -321,14 +312,12 @@ class TestGlobalSummary:
             monkeypatch.setattr(cls, name, wrapper)
 
         counting(DiscreteClosure, "dx1")
-        counting(ScalarPotential, "sample")
         counting(SpatialProfile, "sample")
         system = System(GRID, CATALOG["robin_mit_plus"].params, BUMP)
         st0 = charged(system, seed=18)
         counts.update(dict.fromkeys(counts, 0))
         global_summary(st0, system)
-        assert counts == {"DiscreteClosure.dx1": 2, "ScalarPotential.sample": 0,
-                          "SpatialProfile.sample": 0}
+        assert counts == {"DiscreteClosure.dx1": 2, "SpatialProfile.sample": 0}
 
     def test_summary_never_builds_the_fields(self, monkeypatch):
         def no_fields(snap):

@@ -1,8 +1,11 @@
-"""Source hygiene of the package modules: every imported name is read, and
-every module-level definition is read somewhere in the package, the tests
-or the benchmark."""
+"""Source hygiene of the package modules: every imported name is read;
+every module-level definition is read by the package or the benchmark, so
+a form that only the tests compare against lives in `tests/oracles.py`,
+not in `kfglab`; and every identifier README.md names in backticks exists
+in the package, the tests or the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,9 +14,10 @@ import kfglab
 
 MODULES = sorted(p for p in Path(kfglab.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
-# the re-exports of kfglab/__init__.py are not reads
-READERS = [*MODULES, *sorted(TESTS.glob("*.py")),
-           *sorted((TESTS.parent / "perfbench").glob("*.py"))]
+BENCHMARK = sorted((TESTS.parent / "perfbench").glob("*.py"))
+# the re-exports of kfglab/__init__.py are not reads, and neither are the
+# tests': what only the tests read belongs in tests/oracles.py
+READERS = [*MODULES, *BENCHMARK]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,6 +92,58 @@ def read_anywhere() -> set[str]:
 def test_every_definition_is_read(path, read_anywhere):
     assert [name for name in definitions(path.read_text(encoding="utf-8"))
             if name not in read_anywhere] == []
+
+
+def defined_or_read(source: str) -> set[str]:
+    """Every name a module binds or loads and every attribute it reads or
+    assigns, the functions, classes and parameters it defines at any depth,
+    the modules it imports, and every identifier-like word of its strings:
+    file names, JSON literals and LAPACK routines are named there."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def backticked_names(markdown: str) -> set[str]:
+    """The last dotted part, of three or more characters, of every inline
+    code span that is a (dotted) identifier, optionally called with no
+    arguments; fenced blocks are skipped."""
+    text = re.sub(r"```.*?```", "", markdown, flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\(\))?", span):
+            last = span.removesuffix("()").rsplit(".", 1)[-1]
+            if len(last) >= 3:
+                names.add(last)
+    return names
+
+
+def test_backticked_names_are_found():
+    markdown = ("`Snapshot.ends` and `np.vdot()`, not `--out` or `x`;\n"
+                "```sh\n`fenced`\n```\n`a.b.c_d` `grid.n` `%.17g`\n")
+    assert backticked_names(markdown) == {"ends", "vdot", "c_d"}
+
+
+def test_readme_names_only_what_exists():
+    known = set().union(*(defined_or_read(path.read_text(encoding="utf-8"))
+                          for path in (*Path(kfglab.__file__).parent.glob("*.py"),
+                                       *TESTS.glob("*.py"), *BENCHMARK)))
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    assert sorted(backticked_names(readme) - known) == []
 
 
 def fork_sites(source: str) -> list[str]:
