@@ -38,16 +38,16 @@ from .operators import (
 )
 
 # The dense/banded switch of the static step, in unknowns: at or below it
-# a static run steps with the dense 2m x 2m step matrix, one BLAS product,
-# and the many short static runs of the verify suites sit at n <= 64.  A
-# neutral run's one-row banded step (see `CayleyPropagator.pack`), run from
-# record to record in one `advance` call, meets the dense two-row product
-# (its subnormal entries set to zero) at 88 unknowns on dirichlet, neumann
-# and robin_mit_plus and at 96 on periodic, and from 104 unknowns won all 15
-# interleaved rounds on each of the four (200 steps a round, one BLAS
-# thread, 2 shared vCPUs; dense/banded at 160 unknowns 3.1 on dirichlet,
-# 2.2 on periodic).  It stays above that crossover: a lower value changes
-# the output bytes of every static run with the unknowns it moves.
+# a static run steps with the dense 2m x 2m step matrix, one BLAS call a
+# step, and the many short static runs of the verify suites sit at n <= 64.
+# Against a neutral run's one-row banded step, run from record to record in
+# one `advance` call, the dense two-row step won all 15 interleaved rounds at
+# 88 unknowns on dirichlet, neumann, robin_mit_plus and periodic and lost at
+# least 14 of 15 from 112 (200 steps a round, one BLAS thread, 2 shared
+# vCPUs); between them its cost jumps with the size, 3.8-4.7 us a step at 96
+# and 104 (won 8-15 rounds) but 6.0-7.2 us at 92 and 100 (lost all 15),
+# against 4.5-5.5 us banded.  It stays above that crossover: a lower value
+# changes the output bytes of every static run with the unknowns it moves.
 DENSE_STEP_MAX_DOF = 160
 
 
@@ -127,16 +127,18 @@ class CayleyPropagator:
     `advance` runs any number of steps in one call, from record to record:
     the banded steps update one work copy of the stack in place, through
     buffers and handles bound once per call, so a step costs the solve,
-    the BLAS calls and four numpy operations.
+    the BLAS calls and four numpy operations.  A dense step is one BLAS call
+    (`_dense_steps`): at n = 64 a two-row step took 2.4-2.7 us and a
+    four-row one 3.3-3.8 us, against 3.3-3.5 and 4.4-4.9 us for `x @ P`.
 
     The step acts on a packed stack (`pack`) row by row: on a real closure
     the real (2, 2m) stack [Re z, Im z], which keeps a neutral sector to the
     bit, and on a complex closure z as one (1, 2m) row.  A neutral z on the
     banded step of a real closure packs as one real row, its nonzero part:
     the banded step gives each row the same bits alone as in a stack.  The
-    dense step does not (BLAS picks its kernel by the row count), so there
-    a neutral z keeps both rows.  A run packs once and steps the stack;
-    `unpack` gives z back.
+    dense step does not (one row takes ?gemv, and ?gemm picks its kernel by
+    the row count), so there a neutral z keeps both rows.  A run packs once
+    and steps the stack; `unpack` gives z back.
     """
 
     def __init__(self, system: System, dt: float):
@@ -161,6 +163,7 @@ class CayleyPropagator:
                 # (558 at n = 128), which made a step two to three times slower
                 self._dense = _flush_subnormals(
                     self._steps(np.eye(2 * system.closure.n_dof), 0.0, 1, 0))
+                self._gemm = scipy.linalg.blas.get_blas_funcs("gemm", dtype=self._dtype)
 
     def _move_to(self, t: float) -> None:
         """Factor M and fold the end responses for K at time t: built from
@@ -264,6 +267,26 @@ class CayleyPropagator:
                     gemv(-1.0, ends, y_row, 1.0, x_row, 0, m - 1, 0, 1, 0, 1)
         return x
 
+    def _dense_steps(self, x: np.ndarray, steps: int) -> np.ndarray:
+        """`steps` (at least one) products x @ P with the dense step matrix P,
+        each one positional call of ?gemv (one row) or ?gemm on transposed
+        views bound once: the routines numpy's matmul calls for these shapes,
+        so a step gives the bytes of `x @ P`.  The first step writes a new
+        array; later ones alternate between it and one more, allocating
+        nothing."""
+        gemv, gemm, p_t, one = self._gemv, self._gemm, self._dense.T, len(x) == 1
+        a = gemv(1.0, p_t, x[0]) if one else gemm(1.0, p_t, x.T)
+        b = np.empty_like(a) if steps > 1 else None
+        for _ in range(steps - 1):
+            # after b: offx, incx, offy, incy, trans, overwrite_y (?gemv);
+            # trans_a, trans_b, overwrite_c (?gemm)
+            if one:
+                gemv(1.0, p_t, a, 0.0, b, 0, 1, 0, 1, 0, 1)
+            else:
+                gemm(1.0, p_t, a, 0.0, b, 0, 0, 1)
+            a, b = b, a
+        return a[None, :] if one else a.T
+
     def pack(self, z: np.ndarray, kind: str | None = None) -> np.ndarray:
         """The stack the step acts on, for a 1-D wave vector z.
 
@@ -300,10 +323,13 @@ class CayleyPropagator:
         time and the number of steps already taken forms each step's time
         from the start, whichever call takes the step."""
         x = self.pack(z) if z.ndim == 1 else z
-        if self._dense is not None:
-            for _ in range(steps):
-                x = x @ self._dense
-        else:
+        if steps < 0:
+            raise ValueError(f"steps must be at least 0, got {steps}")
+        if self._real and x.dtype.kind == "c":
+            raise ValueError("a real closure steps the real stack of `pack`, not a complex one")
+        if self._dense is not None and steps:
+            x = self._dense_steps(x, steps)
+        else:  # no step gives the work copy of `_steps`
             x = self._steps(x, t, steps, first)
         return self.unpack(x) if z.ndim == 1 else x
 
@@ -375,10 +401,10 @@ def evolve_stacked(
     A state's record is rebuilt from its own rows and carries its own time,
     t0 + k dt from its own start t0; at step 0 it holds the state's own z,
     as in `evolve`.  The banded step gives each row the same bits in any
-    stack.  The dense step's BLAS product picks its kernel by the row count,
-    so there a state's records equal those of its run alone only where its
+    stack.  The dense step's ?gemm picks its kernel by the row count, so
+    there a state's records equal those of its run alone only where its
     rows get the same bits in the larger stack: the two-row packs of a real
-    closure, stacked by two, do with the BLAS the tests run on.  The steps
+    closure, stacked by two, do with the OpenBLAS scipy bundles.  The steps
     of a driven system are timed from one start, so its states must share
     their start time.
     """

@@ -688,6 +688,51 @@ def test_many_steps_in_one_call_match_single_steps(tag):
             assert x.tobytes() == start.tobytes() and got.dtype == x.dtype
 
 
+@pytest.mark.parametrize("tag", list(CATALOG))
+def test_dense_steps_give_the_bytes_of_the_matrix_product(tag):
+    # the dense step calls scipy's ?gemv (one row) or ?gemm (more rows),
+    # the routines numpy's matmul calls for these shapes.  numpy (OpenBLAS
+    # 0.3.31, ILP64) and scipy (OpenBLAS 0.3.30, LP64) bundle different
+    # copies of OpenBLAS, and every step kernel, banded or dense, runs on
+    # scipy's copy, so the bytes of `x @ P` pin that the two agree here
+    rng = np.random.default_rng(3)
+    for n in (24, 64):
+        system = System(Grid(0.0, math.pi, n), CATALOG[tag].params,
+                        ScalarPotential(profile=QUADRATIC))
+        prop = CayleyPropagator(system, DT)
+        dense = prop._dense
+        assert dense.flags.c_contiguous
+        one_row = prop.pack(packet_wave(system))[:1]
+        assert np.iscomplexobj(one_row) == system.closure.is_complex
+        for x in (one_row, rng.normal(size=(2, dense.shape[0])),
+                  rng.normal(size=(4, dense.shape[0]))):
+            want = x
+            for _ in range(50):
+                want = want @ dense
+            got = prop.advance(x, 0.1, 50)
+            assert got.shape == x.shape and got.tobytes() == want.tobytes(), (n, x.shape)
+
+
+@pytest.mark.parametrize("n", [64, 256], ids=["dense", "banded"])
+@pytest.mark.parametrize("tag", ["dirichlet", "quasimixed+"])
+def test_zero_steps_give_a_new_array_and_negative_steps_fail(tag, n):
+    system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, ScalarPotential(profile=QUADRATIC))
+    prop = CayleyPropagator(system, DT)
+    assert (prop._dense is None) == (n == 256)
+    z = packet_wave(system)
+    for x in (z, prop.pack(z)):
+        got = prop.advance(x, 0.1, 0)
+        assert got is not x and not np.shares_memory(got, x)
+        assert got.tobytes() == x.tobytes()
+        with pytest.raises(ValueError, match="at least 0"):
+            prop.advance(x, 0.1, -1)
+    # a real closure steps real stacks only: the banded step would drop the
+    # imaginary part
+    if not system.closure.is_complex:
+        with pytest.raises(ValueError, match="real stack"):
+            prop.advance(z[None, :], 0.1)
+
+
 @pytest.mark.parametrize("tag", ["robin_mit_plus", "quasimixed+"])
 def test_driven_intervals_time_each_step_from_the_start(tag):
     # intervals of 7 over 80 steps from t0 = 0.3: step k of the run starts at
