@@ -106,6 +106,16 @@ class BcParams:
         if self.sin_mu < -1e-15:
             raise InvalidParams("sin(mu) must be nonnegative for mu in [0, pi)")
 
+    @property
+    def majorana_compatible(self) -> bool:
+        """|m2| <= ALG_TOL, the one rule that admits strictly neutral states."""
+        return abs(self.m2) <= ALG_TOL
+
+    @property
+    def confining(self) -> bool:
+        """Majorana-compatible with |m1| <= ALG_TOL."""
+        return self.majorana_compatible and abs(self.m1) <= ALG_TOL
+
     def with_lam(self, lam: float) -> "BcParams":
         return replace(self, lam=lam)
 
@@ -114,7 +124,7 @@ class BcParams:
 class CoupledBc:
     """Endpoint-coupling closure [psi(b), lam psi_x(b)] = M [psi(a), lam psi_x(a)].
 
-    M is real with det M = 1 for Majorana-compatible parameters; for m2 != 0
+    M is real with det M = 1 for Majorana-compatible parameters; otherwise
     it is complex with a unit-modulus determinant.
     """
 
@@ -182,8 +192,9 @@ def _separated_pair(c1: tuple[float, float], c2: tuple[float, float]) -> tuple[f
 
 
 def bc_realization(params: BcParams) -> BcRealization:
-    """Concrete closure for any U(2) parameter point (complex coupling allowed)."""
-    w = params.m1 + 1j * params.m2
+    """Concrete closure for any U(2) parameter point (complex coupling
+    allowed); a Majorana-compatible point has m2 taken as 0."""
+    w = params.m1 + 1j * (0.0 if params.majorana_compatible else params.m2)
     c, s = params.cos_mu, params.sin_mu
     if abs(w) > ALG_TOL:
         mat = (
@@ -208,9 +219,9 @@ def bc_realization(params: BcParams) -> BcRealization:
 
 
 def m_matrix(params: BcParams) -> BcRealization:
-    """Closure for the Majorana-restricted family (requires m2 = 0)."""
-    if abs(params.m2) > ALG_TOL:
-        raise NotMajoranaCompatible(f"m2 = {params.m2} is not zero")
+    """Closure for the Majorana-restricted family (`majorana_compatible`)."""
+    if not params.majorana_compatible:
+        raise NotMajoranaCompatible(f"|m2| = {abs(params.m2)} exceeds ALG_TOL = {ALG_TOL}")
     return bc_realization(params)
 
 
@@ -240,7 +251,7 @@ def check_confining_conditions(params: BcParams) -> bool:
     True exactly for the Dirichlet, Neumann and two mixed closures: the
     zeros of the confining system on the unit circles.
     """
-    if abs(params.m1) > ALG_TOL or abs(params.m2) > ALG_TOL:
+    if not params.confining:
         raise WrongBranch("confining conditions apply only when m1 = m2 = 0")
     p = params
     return confining_system_residual(p.m0, p.m3, p.cos_mu, p.sin_mu) <= ALG_TOL
@@ -394,8 +405,8 @@ def match_catalog(params: BcParams) -> tuple[str | None, str | None]:
         if _params_close(params, q):
             return tag, "(xi)" if "periodic" in tag else "(xii)"
     if (
-        abs(params.m0) <= ALG_TOL
-        and abs(params.m2) <= ALG_TOL
+        params.majorana_compatible
+        and abs(params.m0) <= ALG_TOL
         and abs(params.m3) <= ALG_TOL
         and abs(abs(params.m1) - 1.0) <= ALG_TOL
     ):
@@ -439,15 +450,13 @@ def classify(params: BcParams) -> BcReport:
     """Fill every report field for one parameter point.
 
     The tau_1 and energy conditions are only meaningful in the Majorana
-    sector; for m2 != 0 they are reported as None.
+    sector; off it (|m2| > ALG_TOL) they are reported as None.
     """
-    majorana = abs(params.m2) <= ALG_TOL
-    confining = majorana and abs(params.m1) <= ALG_TOL
     tau1: bool | None = None
     energy: bool | None = None
     details: dict = {"m1": params.m1, "m2": params.m2}
-    if majorana:
-        if confining:
+    if params.majorana_compatible:
+        if params.confining:
             tau1 = check_confining_conditions(params)
         else:
             tau1 = check_tau1_condition(m_matrix(params))
@@ -455,8 +464,8 @@ def classify(params: BcParams) -> BcReport:
         details["endpoint_weight_defect"] = _energy_defect(params)
     tag, roman = match_catalog(params)
     return BcReport(
-        majorana_compatible=majorana,
-        confining=confining,
+        majorana_compatible=params.majorana_compatible,
+        confining=params.confining,
         tau1_condition=tau1,
         energy_condition=energy,
         named_match=tag,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .core import (
     TimeFactor,
 )
 from .bc import BcParams, InvalidParams, params_from_tag
-from .evolution import EvolutionConfig
+from .evolution import EvolutionConfig, step_scales
 from .operators import InvalidMode, SingularClosure, System
 
 
@@ -170,20 +169,6 @@ def bc_from_config(cfg: dict) -> BcParams:
         raise ConfigError(f"bad bc section: {exc}") from exc
 
 
-def _extreme_times(factor: TimeFactor, t0: float, t1: float) -> list[float]:
-    """Times at which the factor takes its least and its greatest value over
-    [t0, t1]: both ends and, for a sinusoidal factor, the first crest and
-    trough between them."""
-    times = [t0, t1]
-    if factor.kind == "sinusoidal" and factor.omega != 0.0:
-        lo, hi = sorted(factor.omega * t + factor.phase for t in times)
-        for crest in (0.5 * math.pi, 1.5 * math.pi):
-            theta = crest + 2.0 * math.pi * math.ceil((lo - crest) / (2.0 * math.pi))
-            if theta <= hi:
-                times.append((theta - factor.phase) / factor.omega)
-    return times
-
-
 def t0_from_config(cfg: dict) -> float:
     """The run's start time, at which modes and the spectrum are taken."""
     return _finite(cfg.get("t0", 0.0), "t0")
@@ -215,7 +200,7 @@ def system_from_config(cfg: dict, evolution: EvolutionConfig | None = None) -> S
     system = System(grid=grid, bc=bc, potential=potential, units=units)
     factor = potential.time_factor
     try:
-        for t in _extreme_times(factor, t0, t1):
+        for t in factor.extreme_times(t0, t1):
             system.potential_diagonal.check(factor.value(t), t)
     except InvalidPotential as exc:
         raise ConfigError(f"bad potential: {exc}") from exc
@@ -241,8 +226,8 @@ def initial_state_from_config(cfg: dict, system: System) -> KfgState:
     kind = majorana_from_config(cfg) or "none"
     if kind != "none" and system.closure.is_complex:
         raise ConfigError(
-            "a strictly neutral run is incompatible with a complex (m2 != 0) "
-            "boundary condition"
+            "a strictly neutral run is incompatible with a complex boundary "
+            "condition (|m2| > ALG_TOL)"
         )
     t0 = t0_from_config(cfg)
     if "modes" in d and "tabulated" in d:
@@ -292,10 +277,12 @@ def evolution_from_config(cfg: dict) -> EvolutionConfig:
     if d.get("scheme", "cayley") != "cayley":
         raise ConfigError(f"evolution.scheme must be 'cayley', got {d['scheme']!r}")
     try:
-        return EvolutionConfig(
+        evolution = EvolutionConfig(
             dt=_finite(d["dt"], "evolution.dt"),
             steps=_count(d["steps"], "evolution.steps"),
             record_every=_count(d.get("record_every", 1), "evolution.record_every"),
         )
+        step_scales(evolution.dt, units_from_config(cfg).hbar)
+        return evolution
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad evolution section: {exc}") from exc

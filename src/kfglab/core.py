@@ -53,6 +53,13 @@ class PhysicalUnits:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
+        try:  # the scales of K and the observables; ** raises where * gives inf
+            scales = ((self.hbar * self.c) ** 2, self.mc2**2)
+        except OverflowError:
+            scales = (math.inf,)
+        if not (all(map(math.isfinite, scales)) and self.mc2 > 0.0):
+            raise ValueError("(hbar c)^2 and (mc^2)^2 must be finite and mc^2 positive, got "
+                             f"hbar = {self.hbar}, c = {self.c}, mass = {self.mass}")
 
     @property
     def mc2(self) -> float:
@@ -77,6 +84,8 @@ class Grid:
             raise ValueError("grid requires b > a")
         if self.n < 8:
             raise ValueError("grid requires at least 8 points")
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise ValueError(f"dx^2 must be positive and finite, got dx = {self.dx}")
 
     @property
     def dx(self) -> float:
@@ -184,6 +193,19 @@ class TimeFactor:
         if self.kind == "sinusoidal":
             return self.amplitude * math.sin(self.omega * t + self.phase) + self.offset
         return self.offset + self.rate * t  # linear
+
+    def extreme_times(self, t0: float, t1: float) -> list[float]:
+        """Times at which the factor takes its least and its greatest value
+        over [t0, t1]: both ends and, for a sinusoidal factor, the first
+        crest and trough between them."""
+        times = [t0, t1]
+        if self.kind == "sinusoidal" and self.omega != 0.0:
+            lo, hi = sorted(self.omega * t + self.phase for t in times)
+            for crest in (0.5 * math.pi, 1.5 * math.pi):
+                theta = crest + 2.0 * math.pi * math.ceil((lo - crest) / (2.0 * math.pi))
+                if theta <= hi:
+                    times.append((theta - self.phase) / self.omega)
+        return times
 
     def derivative(self, t: float) -> float:
         if self.kind == "constant":

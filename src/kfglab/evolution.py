@@ -66,6 +66,20 @@ class EvolutionConfig:
             raise ValueError("record_every must be at least 1")
 
 
+def step_scales(dt: float, hbar: float) -> tuple[float, float, float]:
+    """(k/hbar)^2, 2k/hbar^2 and 2/k for k = dt/2, the scales of the Cayley
+    step; ValueError when one is not a finite float."""
+    k = 0.5 * dt
+    try:  # ** and / raise where * gives inf
+        scales = ((k / hbar) ** 2, 2.0 * k / hbar**2, 2.0 / k)
+    except (OverflowError, ZeroDivisionError):
+        scales = (math.inf,)
+    if not all(map(math.isfinite, scales)):
+        raise ValueError(f"dt = {dt} with hbar = {hbar} puts the step's scales "
+                         "(dt/2 hbar)^2, dt/hbar^2 and 4/dt out of the float range")
+    return scales
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     t: float
@@ -105,24 +119,24 @@ class CayleyPropagator:
 
     With k = dt/2 and M = I + k^2 K/hbar^2 the map (I - kA)^-1 (I + kA) is
     u = M^-1 (v + k w), v' = 2u - v, w' = w - 2 (k/hbar^2) K u, in O(m) per
-    step.  K = T + corners, with T tridiagonal, and the factor of M
-    (`_ShiftedBandsFactor`, LDL^H where M is positive definite) writes
-    M^-1 r = y - y[m-1] p - y[0] q with y = T'^-1 r, T' the tridiagonal
-    part of M.  Both corner terms are linear in y[m-1] and y[0], so they
-    fold into two end responses G = [2p, a(K p - top_right e_0)] and
-    H = [2q, a(K q - bottom_left e_(m-1))], a = -2k/hbar^2, built with the
-    factor, and a step is the tridiagonal solve for y, (v', w') =
-    (2y - v, w + a T y) with T y one BLAS ?gbmv per row on T's band storage,
-    and the rank-2 update (v', w') -= y[m-1] G + y[0] H, one BLAS ?gemv per
-    row.  A static run factors M and builds the band and G, H once.  A
-    driven run builds them at its first midpoint and keeps the LAPACK
-    handles, the band and the entries of K that do not move with t; each
-    later step rewrites the real part of the band's diagonal from the
-    profile sampled once (`System.potential_diagonal`, whose O(1) guards
-    check S >= 0 and S(a, t) = S(b, t) there, as `config.system_from_config`
-    does over a run's times), refactors M and rebuilds G and H.  A static
-    run with at most DENSE_STEP_MAX_DOF unknowns applies the dense step
-    matrix instead, whose row i is the banded step of unit vector i.
+    step.  The factor of M (`_ShiftedBandsFactor`, whose docstring derives
+    its corner correction) writes u through the solve y of M's tridiagonal
+    part and two correction rows p, q taken with y[m-1] and y[0].  With T
+    the tridiagonal part of K and a = -2k/hbar^2, these fold into two end
+    responses G = [2p, a(K p - top_right e_0)] and H = [2q, a(K q -
+    bottom_left e_(m-1))] (`_fold`), and a step is the tridiagonal solve
+    for y, (v', w') = (2y - v, w + a T y) with T y one BLAS ?gbmv per row
+    on T's band storage, and the rank-2 update (v', w') -= y[m-1] G +
+    y[0] H, one BLAS ?gemv per row.  A static run factors M and builds the
+    band and G, H once.  A driven run builds them at its first midpoint and
+    keeps the LAPACK handles, the band and the entries of K that do not
+    move with t; each later step rewrites the real part of the band's
+    diagonal from the profile sampled once (`System.potential_diagonal`,
+    whose O(1) guards check S >= 0 and S(a, t) = S(b, t) there, as
+    `config.system_from_config` does over a run's times), refactors M and
+    rebuilds G and H.  A static run with at most DENSE_STEP_MAX_DOF unknowns
+    applies the dense step matrix instead, whose row i is the banded step of
+    unit vector i.
 
     `advance` runs any number of steps in one call, from record to record:
     the banded steps update one work copy of the stack in place, through
@@ -144,11 +158,9 @@ class CayleyPropagator:
     def __init__(self, system: System, dt: float):
         self.system = system
         self.dt = dt
-        hbar = system.units.hbar
         self._k = 0.5 * dt
-        self._m_scale = (self._k / hbar) ** 2
-        self._w_scale = 2.0 * self._k / hbar**2
-        self._w_half = 2.0 / self._k  # w halves of H and G off the ends (`_fold`)
+        # M = I + (k/hbar)^2 K, K u times 2k/hbar^2, and 2/k for the w halves in `_fold`
+        self._m_scale, self._w_scale, self._w_half = step_scales(dt, system.units.hbar)
         # a real closure has real bands at every time
         self._real = not system.closure.is_complex
         self._dtype = np.float64 if self._real else np.complex128
@@ -186,50 +198,29 @@ class CayleyPropagator:
             main = band[1] = bands.main
             band[2, :-1] = bands.lower
             self._gbmv = scipy.linalg.blas.get_blas_funcs("gbmv", (band,))
-            self._factor = _ShiftedBandsFactor(bands, self._m_scale)
+            self._factor = _ShiftedBandsFactor(bands, self._m_scale, scales=(2.0, self._w_half))
             self._ends = self._end_columns = None
             if bands.corners is not None:
                 # the entries of K the fold reads that do not move with t
                 self._end_entries = (bands.upper[0].item(), bands.lower[-1].item(),
                                      *bands.corners.tolist())
-                self._ends = np.empty((4, m), dtype=band.dtype)
-                # the columns [H G] of a (2m, 2) array, as ?gemv reads them
+                # the factor's rows [2q; (2/k) q; 2p; (2/k) p], rewritten by
+                # each refactor, and as ?gemv reads them: the columns [H G]
+                self._ends = self._factor.rows
                 self._end_columns = self._ends.reshape(2, -1).T
         if self._ends is not None:
             self._fold(main)
 
     def _fold(self, main: np.ndarray) -> None:
-        """The end responses into `_ends`, rows [H; G] = [2q, a (K q -
-        bottom_left e_(m-1)); 2p, a (K p - top_right e_0)], from the
-        factor's unit solves z, [p; q] = corner_coef z^T, and K's diagonal
+        """The end responses [H; G] = [2q, a (K q - bottom_left e_(m-1)); 2p,
+        a (K p - top_right e_0)] in the factor's rows: M's tridiagonal part
+        annuls q and p off the ends, so a K [q; p] = (2/k) [q; p] there, and
+        the four end entries take K's band products here, with K's diagonal
         `main`."""
-        # q and p combine the unit solves z of the tridiagonal part I + c T
-        # of M, whose rows vanish away from the ends: there z + c T z = 0, so
-        # a K [q; p] = -(a/c) [q; p] = (2/k) [q; p], and only the four end
-        # entries take band products.  So the four rows [2q; (2/k) q; 2p;
-        # (2/k) p] are one product of z with the scaled coefficients, and
-        # lose the subnormal parts that a factor below one makes of z's
-        # smallest entries (108 on quasimixed+ at n = 8192), as in p and q
-        factor, ends = self._factor, self._ends
-        (p_0, p_1), (q_0, q_1) = factor.corner_coef
-        s = self._w_half
-        scaled = np.array([2.0 * q_0, 2.0 * q_1, s * q_0, s * q_1,
-                           2.0 * p_0, 2.0 * p_1, s * p_0, s * p_1]).reshape(4, 2)
-        z = factor.unit_solves
-        if z.dtype != ends.dtype:
-            # complex coefficients, real unit solves: the real and imaginary
-            # parts as real products, with the bits of the complex one and
-            # without casting z (7.5 -> 4.5 us on quasimixed+ at n = 256)
-            np.matmul(z, scaled.view(np.float64).reshape(4, 2, 2),
-                      out=ends.view(np.float64).reshape(4, -1, 2))
-        else:
-            np.matmul(scaled, z.T, out=ends)
-        _flush_subnormals(ends)
-        (q0, q1, q2, q3), (p0, p1, p2, p3) = zip(
-            *[(q_0 * z0 + q_1 * z1, p_0 * z0 + p_1 * z1) for z0, z1 in factor.unit_ends])
+        (q0, q1, q2, q3), (p0, p1, p2, p3) = self._factor.end_values
         d0, d1 = main[::len(main) - 1].tolist()
         u, l, top, bottom = self._end_entries
-        a = -self._w_scale
+        a, ends = -self._w_scale, self._ends
         ends[1, 0] = a * (d0 * q0 + u * q1 + top * q3)
         ends[1, -1] = a * (l * q2 + d1 * q3 + bottom * (q0 - 1.0))
         ends[3, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bc import ALG_TOL
 from .core import KfgLabError, KfgState, FvState
 from .operators import NumericalFailure, System
 
@@ -112,12 +113,8 @@ class Snapshot:
 
     @cached_property
     def s(self) -> np.ndarray:
-        """S(x, t): the profile `System.potential_diagonal` sampled once,
-        times f(t), after its guards; the bits of `ScalarPotential.sample`."""
-        diagonal, t = self.system.potential_diagonal, self.state.t
-        f = diagonal.time_factor.value(t)
-        diagonal.check(f, t)
-        return diagonal.profile * f
+        """S(x, t) at the snapshot's time (`PotentialDiagonal.s`)."""
+        return self.system.potential_diagonal.s(self.state.t)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -181,9 +178,9 @@ class Snapshot:
     def ends(self) -> tuple:
         """(j_a, j_b, jE_a, jE_b, jtildeE_a, jtildeE_b): the pointwise
         densities on the end values.  At a, the charge current takes the
-        endpoint-coupling closed form while m0 + cos(mu) is regular, and the
-        proper energy current does too while the closure is also real
-        (m2 = 0).
+        endpoint-coupling closed form while |m0 + cos(mu)| > ALG_TOL, and
+        the proper energy current does too on a Majorana-compatible point
+        (`BcParams.majorana_compatible`), whose closure is real.
 
         Pseudo self-adjointness makes j and j_E equal at the two ends; both
         j values vanish for strictly neutral states, and both j_E values
@@ -199,18 +196,18 @@ class Snapshot:
         )
         j_a, je_a = j_a.real, complex(je_a)
         denom = p.m0 + p.cos_mu
-        if abs(denom) > 1e-10:
-            q = (p.m1 + 1j * p.m2) / denom
+        if abs(denom) > ALG_TOL:
+            # m2 as the closure takes it (`bc_realization`)
+            q = (p.m1 + 1j * (0.0 if p.majorana_compatible else p.m2)) / denom
             j_a = float(
                 -(u.hbar / (u.mass * p.lam)) * np.imag(q * np.conj(psi[0]) * psi[-1])
             )
-        if abs(p.m2) <= 1e-10 and abs(denom) > 1e-10:
-            q = p.m1 / denom
-            je_a = complex(
-                (1j * u.hbar / (2.0 * u.mass * p.lam))
-                * q
-                * (np.conj(psi[0]) * e_psi[-1] - np.conj(psi[-1]) * e_psi[0])
-            )
+            if p.majorana_compatible:
+                je_a = complex(
+                    (1j * u.hbar / (2.0 * u.mass * p.lam))
+                    * (p.m1 / denom)
+                    * (np.conj(psi[0]) * e_psi[-1] - np.conj(psi[-1]) * e_psi[0])
+                )
         return j_a, j_b.real, je_a, complex(je_b), jt_a.real, jt_b.real
 
     @cached_property

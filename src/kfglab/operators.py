@@ -41,7 +41,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .core import (
     Grid,
@@ -285,12 +284,16 @@ class PotentialDiagonal:
                 raise SingularClosure(
                     "end-identifying boundary condition requires S(a, t) = S(b, t)")
 
-    def diag(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """The diagonal at time t on the full grid, into `out` if given,
-        after the guards; in place with the bits of mc2**2 + 2.0 * mc2 * p f."""
+    def s(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """S(x, t) = p f(t) on the full grid, into `out` if given, after the guards."""
         f = self.time_factor.value(t)
         self.check(f, t)
-        out = np.multiply(self.profile, f, out=out)
+        return np.multiply(self.profile, f, out=out)
+
+    def diag(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The diagonal at time t on the full grid, into `out` if given,
+        after the guards; in place with the bits of mc2**2 + 2.0 * mc2 * S."""
+        out = self.s(t, out)
         out *= 2.0 * self._mc2
         out += self._mc2**2
         return out
@@ -400,32 +403,41 @@ class _ShiftedBandsFactor:
     d + c Re(main) as its diagonal and c lower as its subdiagonal.  Its
     pivots carry the signs of T's eigenvalues (Sylvester's law of inertia),
     so it fails only when T is not positive definite; then LU ?gttrf
-    factors T instead.  The corners enter as a rank-2 Woodbury correction
-    M = T + U C U^T, with U = [e_0, e_(m-1)] and C = c [[0, top_right],
-    [bottom_left, 0]], built from the two unit solves `unit_solves` =
-    T^-1 U with whichever factor was built.
+    factors T instead.  `tri_solve(b, *tri_flags)` solves T in place for an
+    (m, r) array b, each column on its own, so its bits do not depend on r.
+    The corners enter as a rank-2 Woodbury correction (the cyclic
+    tridiagonal method, Press et al., Numerical Recipes 2.7): M = T + U C U^T
+    with U = [e_0, e_(m-1)] and C = c [[0, top_right], [bottom_left, 0]], so
+    M^-1 r = y - y[m-1] p - y[0] q with y = T^-1 r and [p; q] =
+    C (capacitance^-1)^T z^T, where z = T^-1 U are two unit solves with
+    whichever factor was built and the 2 x 2 capacitance I + C U^T z is
+    read from z's four end entries and inverted in closed form.  The factor
+    forms the rows [s q; s p] for the caller's `scales` (every s q, then
+    every s p; [q; p] without scales, as `solve` reads them) in one product
+    of z into `rows`, and q and p at the unknowns 0, 1, m-2 and m-1 into
+    `end_values`.
 
     `positive_definite` says whether M is: ?pttrf succeeded and, with
-    corners, the capacitance I + C U^T T^-1 U has a positive determinant.
-    Inertia is additive over the Schur complements of [[T, U], [U^H, -C^-1]]
+    corners, the capacitance has a positive determinant.  Inertia is
+    additive over the Schur complements of [[T, U], [U^H, -C^-1]]
     (Haynsworth, 1968), and det C < 0 gives C one eigenvalue of each sign,
     so a positive definite T leaves M positive definite exactly then.
 
     `refactor(main)` factors M again with a new diagonal of B, keeping the
-    LAPACK handles, c lower and the corners.  The unit solves decay from
-    their end into subnormal numbers (4474 of 8191 entries on periodic at
-    n = 8192), slow in every operation, so they are flushed to zero before
-    anything reads them.  A complex closure whose tridiagonal part is real
-    (the complex catalog ones, quasiperiodic+ and quasimixed+, keep their
-    phases in the corners) has T factored by dpttrf and its unit vectors
-    solved by dpttrs, with the bits of zpttrf and zpttrs and the unit solves
-    at half the cost (4.3 against 9.3 us at m = 256); complex right-hand
-    sides still go to zpttrs.
+    LAPACK handles, c lower, the corners and `rows`, rewritten in place.
+    The unit solves decay from their end into subnormal numbers (4474 of
+    8191 entries on periodic at n = 8192), slow in every operation, so they
+    and the rows are flushed to zero before anything reads them.  A complex
+    closure whose tridiagonal part is real (the complex catalog ones,
+    quasiperiodic+ and quasimixed+, keep their phases in the corners) has T
+    factored by dpttrf and its unit vectors solved by dpttrs, with the bits
+    of zpttrf and zpttrs and the unit solves at half the cost (4.3 against
+    9.3 us at m = 256); complex right-hand sides still go to zpttrs.
 
     Raises SingularFactor when T or the capacitance is exactly singular.
     """
 
-    def __init__(self, bands: Bands, c: float, d: float = 1.0):
+    def __init__(self, bands: Bands, c: float, d: float = 1.0, scales: tuple[float, ...] = ()):
         arrays = (bands.main, bands.upper, bands.lower)
         self._pttrf, self._pttrs, self._gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
             ("pttrf", "pttrs", "gttrf", "gttrs"), arrays)
@@ -446,6 +458,8 @@ class _ShiftedBandsFactor:
         if self._corners is not None:
             self._unit = np.zeros((len(bands.main), 2), dtype=lower.dtype, order="F")
             self._unit[0, 0] = self._unit[-1, 1] = 1.0
+            self._scales, rows = scales, 2 * max(len(scales), 1)
+            self.rows = np.empty((rows, len(bands.main)), np.result_type(lower, *self._corners))
         self.refactor(bands.main)
 
     def refactor(self, main: np.ndarray) -> None:
@@ -466,49 +480,49 @@ class _ShiftedBandsFactor:
                 raise SingularFactor(f"banded factor is singular (info {info})")
             self.tri_solve = unit_solve = functools.partial(self._gttrs, *lu)
             self.tri_flags = ("N", 1)  # trans, overwrite_b
-        self._corner_rows = None
         if self._corners is None:
             return
-        z = self.unit_solves = unit_solve(self._unit)[0]
+        z = unit_solve(self._unit)[0]
         _flush_subnormals(z.T)
         top, bottom = self._corners
         # the rows of z at the unknowns 0, 1, m-2 and m-1
-        self.unit_ends = z[[0, 1, -2, -1]].tolist()
-        (z00, z01), _, _, (z10, z11) = self.unit_ends
-        # the capacitance I + C U^T T^-1 U from the four end entries
+        ends = z[[0, 1, -2, -1]].tolist()
+        (z00, z01), _, _, (z10, z11) = ends
+        # the capacitance from the four end entries
         a, b = 1.0 + top * z10, top * z11
         g, h = bottom * z00, 1.0 + bottom * z01
         det = a * h - b * g
         if det == 0.0:
             raise SingularFactor("banded factor's corner correction is singular")
         self.positive_definite = self.positive_definite and det.real > 0.0
-        # row i of the correction is y[i, -1] p + y[i, 0] q, with
-        # [p; q] = C (capacitance^-1)^T z^T = corner_coef z^T
-        self.corner_coef = ((top * h / det, -top * g / det), (-bottom * b / det, bottom * a / det))
-
-    @property
-    def corner_rows(self) -> np.ndarray | None:
-        """[p; q] = `corner_coef` `unit_solves`^T, None without corners."""
-        if self._corner_rows is None and self._corners is not None:
-            self._corner_rows = _flush_subnormals(np.array(self.corner_coef) @ self.unit_solves.T)
-        return self._corner_rows
-
-    def solve_tridiagonal(self, rhs: np.ndarray) -> np.ndarray:
-        """T^-1 applied along the last axis of a C-ordered (r, m) array, in
-        place where the dtypes allow; ?pttrs and ?gttrs solve each row on
-        its own, so its bits do not depend on r.  `tri_solve(b, *tri_flags)`
-        is the same solve of an (m, r) array b, with positional arguments
-        only."""
-        return self.tri_solve(rhs.T, *self.tri_flags)[0].T
+        # the coefficients of z's two columns in q and in p, unscaled without
+        # scales: 1.0 times a complex number can flip the sign of a zero part
+        q, p = (-bottom * b / det, bottom * a / det), (top * h / det, -top * g / det)
+        coef = np.array([s * c for pair in (q, p) for s in self._scales for c in pair]
+                        if self._scales else [*q, *p])
+        if z.dtype.kind == "f" and coef.dtype.kind == "c":
+            # real unit solves: the real and imaginary parts as real products,
+            # with the bits of the complex one and without casting z (7.5 ->
+            # 4.5 us on quasimixed+ at n = 256)
+            np.matmul(z, coef.view(np.float64).reshape(-1, 2, 2),
+                      out=self.rows.view(np.float64).reshape(len(self.rows), -1, 2))
+        else:
+            np.matmul(coef.reshape(-1, 2), z.T, out=self.rows)
+        _flush_subnormals(self.rows)
+        (q0, q1), (p0, p1) = q, p
+        self.end_values = ([q0 * z0 + q1 * z1 for z0, z1 in ends],
+                           [p0 * z0 + p1 * z1 for z0, z1 in ends])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 applied as `solve_tridiagonal` does, each row with the bits
-        it has alone: the corner correction y -= y[:, -1] p + y[:, 0] q, with
-        [p; q] = `corner_rows`, is elementwise, not a matrix product, whose
-        BLAS kernel (and last bits) would depend on r."""
-        y = self.solve_tridiagonal(rhs)
-        if self.corner_rows is not None:
-            p, q = self.corner_rows
+        """M^-1 applied along the last axis of a C-ordered (r, m) array, in
+        place where the dtypes allow, each row with the bits it has alone:
+        after `tri_solve`, the correction y -= y[:, -1] p + y[:, 0] q, from
+        the `rows` [q; p] of a factor built without scales, is elementwise,
+        not a matrix product, whose BLAS kernel (and last bits) would depend
+        on r."""
+        y = self.tri_solve(rhs.T, *self.tri_flags)[0].T
+        if self._corners is not None:
+            q, p = self.rows
             correction = y[:, -1:] * p
             correction += y[:, :1] * q
             y -= correction
@@ -728,22 +742,25 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
             )
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    # imported at its one user: only a partial solve with corners pays for it
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     sigma, factor = bands.certified_shift
     m = len(bands.main)
     dtype = np.result_type(bands.lower, bands.bottom_left)
-    inverse = scipy.sparse.linalg.LinearOperator(
+    inverse = LinearOperator(
         (m, m), matvec=lambda x: factor.solve(np.array([x], dtype=dtype))[0], dtype=dtype
     )
     # ARPACK reads only the shape and dtype of K in shift-invert mode
-    k_op = scipy.sparse.linalg.LinearOperator((m, m), matvec=bands.matvec, dtype=dtype)
+    k_op = LinearOperator((m, m), matvec=bands.matvec, dtype=dtype)
     # a fixed generic start vector: ones would be orthogonal to every mode
     # that is odd under a symmetry of the problem
     v0 = np.random.default_rng(0).standard_normal(m).astype(dtype)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
+        vals, vecs = eigsh(
             k_op, k=k, sigma=sigma, OPinv=inverse, v0=v0, tol=0.0
         )
-    except scipy.sparse.linalg.ArpackError as exc:
+    except ArpackError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]

@@ -194,7 +194,7 @@ def _run_share(fn, share: list, write: int):
         os._exit(0)
 
 
-MAJORANA_TAGS = tuple(tag for tag, e in CATALOG.items() if abs(e.params.m2) < 1e-12)
+MAJORANA_TAGS = tuple(tag for tag, e in CATALOG.items() if e.params.majorana_compatible)
 
 
 def _at_most(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:

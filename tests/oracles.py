@@ -20,7 +20,10 @@ The literal fields build all nine local fields in one pass from a fresh
 sample of S, in the operation order of the definitions, against which the
 snapshot's one-at-a-time fields are compared bit for bit.
 The two brackets and the Dirac norm are integrated on their own, as the
-summary's norm and energy read them.
+summary's norm and energy read them.  The corner fold builds the banded
+step's end responses in one function, from the unit solves and the
+capacitance; the package splits that work between `_ShiftedBandsFactor`
+and `CayleyPropagator._fold`.
 
 Reference forms: the scattering-form U(2) matrix of a closure and its
 neutral-sector restriction; the inverse two-component map; the field scale
@@ -39,6 +42,7 @@ import scipy.linalg
 
 from kfglab.bc import NORM_TOL, BcParams, InvalidParams, NotMajoranaCompatible
 from kfglab.core import NATURAL_UNITS, FvState, KfgState, PhysicalUnits, kfg_to_fv
+from kfglab.evolution import CayleyPropagator
 from kfglab.observables import GlobalSummary, ObservableFields, Snapshot, _density_gradient
 from kfglab.operators import (
     DEGENERACY_TOL,
@@ -47,6 +51,7 @@ from kfglab.operators import (
     ModeSet,
     SingularFactor,
     System,
+    _flush_subnormals,
     canonical_pairs,
     gauge,
 )
@@ -142,6 +147,54 @@ def step_cayley(
         psi2=cl.extend(out[m:] / sqw),
         t=state.t + dt,
     )
+
+
+def corner_fold(prop: CayleyPropagator) -> np.ndarray:
+    """The end responses [H; G] of a corner closure's banded step at the
+    propagator's current factor, all in one place and apart from
+    `_ShiftedBandsFactor`'s rows: the two unit solves z of the factor's
+    tridiagonal part, the capacitance from their end entries and the
+    coefficients of [p; q] from it, the rows [2q; (2/k) q; 2p; (2/k) p] in
+    one product of z, and the four w-half end entries from K's bands."""
+    factor, bands, main = prop._factor, prop._kinetic.bands, prop._band[1]
+    m = len(main)
+    unit = np.zeros((m, 2), dtype=prop._band.dtype, order="F")
+    unit[0, 0] = unit[-1, 1] = 1.0
+    z = factor.tri_solve(unit, *factor.tri_flags)[0]
+    if np.iscomplexobj(z) and not z.imag.any():
+        # a real tridiagonal part: the factor solves its unit vectors in
+        # real numbers, with these values
+        z = np.asfortranarray(z.real)
+    _flush_subnormals(z.T)
+    top, bottom = (prop._m_scale * bands.corners).tolist()
+    unit_ends = z[[0, 1, -2, -1]].tolist()
+    (z00, z01), _, _, (z10, z11) = unit_ends
+    a, b = 1.0 + top * z10, top * z11
+    g, h = bottom * z00, 1.0 + bottom * z01
+    det = a * h - b * g
+    (p_0, p_1), (q_0, q_1) = ((top * h / det, -top * g / det),
+                              (-bottom * b / det, bottom * a / det))
+    s = prop._w_half
+    scaled = np.array([2.0 * q_0, 2.0 * q_1, s * q_0, s * q_1,
+                       2.0 * p_0, 2.0 * p_1, s * p_0, s * p_1]).reshape(4, 2)
+    ends = np.empty((4, m), dtype=prop._band.dtype)
+    if z.dtype != ends.dtype:
+        np.matmul(z, scaled.view(np.float64).reshape(4, 2, 2),
+                  out=ends.view(np.float64).reshape(4, -1, 2))
+    else:
+        np.matmul(scaled, z.T, out=ends)
+    _flush_subnormals(ends)
+    (q0, q1, q2, q3), (p0, p1, p2, p3) = zip(
+        *[(q_0 * z0 + q_1 * z1, p_0 * z0 + p_1 * z1) for z0, z1 in unit_ends])
+    d0, d1 = main[::m - 1].tolist()
+    u, l = bands.upper[0].item(), bands.lower[-1].item()
+    top, bottom = bands.corners.tolist()
+    a = -prop._w_scale
+    ends[1, 0] = a * (d0 * q0 + u * q1 + top * q3)
+    ends[1, -1] = a * (l * q2 + d1 * q3 + bottom * (q0 - 1.0))
+    ends[3, 0] = a * (d0 * p0 + u * p1 + top * (p3 - 1.0))
+    ends[3, -1] = a * (l * p2 + d1 * p3 + bottom * p0)
+    return ends
 
 
 def pairing_deviation(z: np.ndarray, kind: str, units: PhysicalUnits) -> float:

@@ -45,7 +45,7 @@ from kfglab.operators import (
     _ShiftedBandsFactor,
     _flush_subnormals,
 )
-from oracles import pairing_deviation
+from oracles import corner_fold, pairing_deviation
 
 # above the crossover, so static runs step banded as well as driven ones;
 # static runs at N_DENSE step with the dense step matrix
@@ -471,25 +471,41 @@ def test_driven_step_diagonal_is_the_assembled_one(tag):
 
 @pytest.mark.parametrize("tag", ["periodic", "quasimixed+"])
 def test_corner_unit_solves_hold_no_subnormal_entry(tag):
-    # at n = 8192 the unit solves decay below the smallest normal float
-    # within about 1900 unknowns
+    # at n = 8192 the unit solves, and so the rows [2q; (2/k) q; 2p; (2/k) p]
+    # built from them, decay below the smallest normal float within about
+    # 1900 unknowns
     pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE)
     system = System(Grid(0.0, math.pi, 8192), CATALOG[tag].params, pot)
     prop = CayleyPropagator(system, DT)
     x = prop.pack(packet_wave(system))
     for k in range(3):
         x = prop.advance(x, k * DT)
-    factor = prop._factor
-    z = factor.unit_solves.T
-    unit = np.zeros(z.shape, dtype=prop._band.dtype)
-    unit[0, 0] = unit[1, -1] = 1.0
-    # the step's own solve, complex on quasimixed+
-    full = factor.solve_tridiagonal(unit)
-    parts = np.ascontiguousarray(z).view(np.float64)
+    rows = prop._factor.rows
+    parts = rows.view(np.float64)
     assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(np.float64).tiny))
-    assert np.max(np.abs(z - full)) <= 1e-15 * np.max(np.abs(full))
+    assert np.count_nonzero(parts == 0.0) > parts.size // 4
+    # the rows of the unit solves that the step's own solve gives, flushed;
     # quasimixed+ solves them in real arithmetic, with the complex solve's bits
-    assert np.array_equal(z, _flush_subnormals(full))
+    assert rows.tobytes() == corner_fold(prop).tobytes()
+
+
+CORNER_TAGS = ("periodic", "antiperiodic", *(tag for tag in CATALOG if tag.startswith("rotation:")),
+               "quasiperiodic+", "quasimixed+")
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("n", [64, 257, 2049])
+@pytest.mark.parametrize("tag", CORNER_TAGS)
+def test_end_responses_have_the_bytes_of_the_reference_fold(tag, n, driven):
+    # the factor's correction rows and the propagator's end entries give the
+    # bytes of the reference fold (`oracles.corner_fold`): a static run's,
+    # and a driven run's after two refactors
+    pot = ScalarPotential(profile=QUADRATIC, time_factor=DRIVE if driven else TimeFactor())
+    system = System(Grid(0.0, math.pi, n), CATALOG[tag].params, pot)
+    prop = CayleyPropagator(system, DT)
+    if driven:
+        prop.advance(prop.pack(packet_wave(system)), 0.0, 3)
+    assert prop._ends.tobytes() == corner_fold(prop).tobytes()
 
 
 def test_driven_identifying_closure_checks_every_midpoint():

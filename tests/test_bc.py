@@ -344,14 +344,24 @@ def test_energy_condition_matches_literal_form_bit_for_bit():
             assert "endpoint_weight_defect" not in details
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def cli_import_loads(module: str) -> bool:
+    """Whether `import kfglab.cli` in a fresh interpreter loads `module`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kfglab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, kfglab.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, kfglab.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    assert not cli_import_loads("scipy.optimize")
+
+
+def test_cli_import_leaves_arpack_out():
+    # only the partial eigensolve on bands with corners imports it
+    assert not cli_import_loads("scipy.sparse.linalg")
 
 
 class TestTagsAndCatalog:

@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from unittest import mock
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import kfglab.cli
 import kfglab.observables
+from kfglab.bc import ALG_TOL, BcParams, classify
 from kfglab.cli import _write_csv, main
 from kfglab.config import (
     ConfigError,
@@ -22,9 +25,10 @@ from kfglab.config import (
     initial_state_from_config,
     system_from_config,
 )
+from kfglab.core import Grid
 from kfglab.evolution import evolve
 from kfglab.observables import DENSITY_NAMES, local_fields
-from kfglab.operators import eigenmodes, synthesize_state
+from kfglab.operators import System, eigenmodes, synthesize_state
 from kfglab.verify import SUITE_NAMES, run_suite
 
 
@@ -136,6 +140,20 @@ class TestClassify:
         write_config(cfg, bc="quasiperiodic+",
                      potential={"profile": {"kind": "constant", "value": 0.0}})
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("m2", [0.0, 1e-13, 1e-11, 5e-11, 2e-10, 1e-3])
+def test_classify_evolve_and_the_closure_agree_on_majorana_compatibility(tmp_path, m2):
+    # one rule, |m2| <= ALG_TOL = 1e-10, on the periodic slice: classify's
+    # report, the real closure and a neutral run's acceptance
+    bc = {"m0": 0.0, "m1": math.sqrt(1.0 - m2 * m2), "m2": m2, "m3": 0.0, "mu": math.pi / 2}
+    params = BcParams(**bc)
+    compatible = classify(params).majorana_compatible
+    assert compatible == (m2 <= ALG_TOL)
+    assert compatible == (not System(Grid(0.0, math.pi, 64), params).closure.is_complex)
+    cfg = tmp_path / "c.json"
+    write_config(cfg, bc=bc, majorana="plus")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == (0 if compatible else 2)
 
 
 class TestBadNumbers:
@@ -367,6 +385,49 @@ class TestBadNumbers:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         _, data = read_csv(tmp_path / "trajectory.csv")
         assert len(data) == 3
+
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("units", "hbar", 1e300, "evolve"),
+        ("units", "hbar", 1e300, "spectrum"),
+        ("units", "c", 1e200, "evolve"),
+        ("units", "c", 1e200, "spectrum"),
+        ("units", "mass", 1e200, "evolve"),
+        ("units", "mass", 1e200, "spectrum"),
+        ("evolution", "dt", 1e300, "evolve"),
+        ("grid", "b", 1e300, "evolve"),
+        ("grid", "b", 1e300, "spectrum"),
+        ("grid", "b", 1e-300, "evolve"),
+        ("grid", "b", 1e-300, "spectrum"),
+    ])
+    def test_scale_past_the_float_range_is_config_error(self, tmp_path, section, key, value,
+                                                        command):
+        # finite numbers whose squares and quotients, (hbar c)^2, (mc^2)^2,
+        # dx^2 and the step's (dt/2 hbar)^2, leave the float range; each run
+        # ended in an OverflowError or an eigensolver's ValueError
+        cfg = tmp_path / "c.json"
+        self.write_with(cfg, section, key, value)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kfglab.__file__)))
+        run = subprocess.run([sys.executable, "-m", "kfglab", command, "--config", str(cfg),
+                              "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"config error: bad {section} section")
+        assert "Traceback" not in run.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["evolve", "spectrum"])
+    @pytest.mark.parametrize("overrides", [
+        {"units": {"mass": 1e-200}},  # (mc^2)^2 underflows to zero
+        {"units": {"lambda": 1e-300}, "bc": "periodic"},
+        {"potential": {"profile": {"kind": "constant", "value": 1e300}}},
+        {"t0": 1e300},
+        {"potential": {"profile": {"kind": "constant", "value": 0.5},
+                       "time_factor": {"kind": "sinusoidal", "omega": 1e300, "offset": 1.0}}},
+    ], ids=["mass", "lambda", "potential", "t0", "omega"])
+    def test_extreme_numbers_that_stay_in_range_still_run(self, tmp_path, overrides, command):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 class TestStrictSections:
