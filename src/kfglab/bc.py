@@ -434,15 +434,9 @@ class BcReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "majorana_compatible": self.majorana_compatible,
-            "confining": self.confining,
-            "tau1_condition": self.tau1_condition,
-            "energy_condition": self.energy_condition,
-            "named_match": self.named_match,
-            "roman": self.roman,
-        }
-        out.update({f"value_{k}": v for k, v in self.details.items()})
+        """Every field, with each detail as its own `value_<name>` key."""
+        out = dict(vars(self))
+        out.update({f"value_{k}": v for k, v in out.pop("details").items()})
         return out
 
 

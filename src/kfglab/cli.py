@@ -119,13 +119,8 @@ def cmd_evolve(args) -> int:
         # any mode set lists every quarantined mode: reuse synthesis's
         n_diag = len(system.modes(1).diagnostics)
         comments.append(f"nonpositive_mode_count={n_diag}")
-    columns = list(rows[0].keys())
-    _write_csv(
-        out / "trajectory.csv",
-        columns,
-        [[r[c] for c in columns] for r in rows],
-        comments,
-    )
+    _write_csv(out / "trajectory.csv", list(rows[0]), [list(r.values()) for r in rows],
+               comments)
     fields = last.fields
     field_cols = ["x"]
     field_data = [system.grid.x]

@@ -182,7 +182,9 @@ def system_from_config(cfg: dict, evolution: EvolutionConfig | None = None) -> S
     are configuration errors, checked at the factor's extremes there.
     `evolution` is the config's evolution section, parsed here if not
     given.  A top-level object under a name that is no section (a misspelt
-    `potental`, say) is a configuration error; scalar annotations pass."""
+    `potental`, say) and units and a grid whose kinetic scale
+    4 (hbar c / dx)^2 leaves the float range are configuration errors;
+    scalar annotations pass."""
     sections = "units grid potential bc majorana initial_state evolution t0 seed".split()
     unknown = sorted(key for key, value in cfg.items()
                      if isinstance(value, dict) and key not in sections)
@@ -197,6 +199,11 @@ def system_from_config(cfg: dict, evolution: EvolutionConfig | None = None) -> S
         evolution = evolution_from_config(cfg)
     if evolution is not None:
         t1 = t0 + evolution.steps * evolution.dt
+    # each section is in range on its own, but K's second difference reaches
+    # 4 (hbar c / dx)^2, the top of the free spectrum
+    if not 4.0 * (units.hbar * units.c) ** 2 / grid.dx**2 <= sys.float_info.max:
+        raise ConfigError("the units and grid sections give 4 (hbar c / dx)^2 past the float "
+                          f"range: hbar = {units.hbar}, c = {units.c}, dx = {grid.dx}")
     system = System(grid=grid, bc=bc, potential=potential, units=units)
     factor = potential.time_factor
     try:

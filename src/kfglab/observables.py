@@ -20,7 +20,7 @@ no boundary condition, use plain centered differences with one-sided ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -33,14 +33,12 @@ from .operators import NumericalFailure, System
 class InsufficientData(KfgLabError):
     """Too few snapshots for centered time differencing."""
 
-DENSITY_NAMES = (
-    "rho", "j", "rho_E", "j_E", "rho_tilde_E", "T00", "cT10", "T11", "T01_check",
-)
-
 
 @dataclass(frozen=True)
 class ObservableFields:
-    """Per-grid-point snapshot of every local density and current."""
+    """Per-grid-point snapshot of every local density and current; the
+    fields after t, in order, are `DENSITY_NAMES`, whose real and imaginary
+    parts follow x in `fields_final.csv`."""
 
     t: float
     rho: np.ndarray
@@ -52,6 +50,9 @@ class ObservableFields:
     cT10: np.ndarray
     T11: np.ndarray
     T01_check: np.ndarray
+
+
+DENSITY_NAMES = tuple(f.name for f in fields(ObservableFields)[1:])
 
 
 def _j(u, psi, cp_psi, cp_psi_star):
@@ -79,10 +80,9 @@ class Snapshot:
     """One derivation per snapshot: psi, E psi, E psi* = -(E psi)* (applied to
     the conjugate) and the ghost-consistent x-derivatives of psi and E psi.
     Everything else is built when first read and kept: c p psi, E^2 psi, S,
-    each local field (rho, j, rho_E, j_E, rho_tilde_E, T00, cT10, T11,
-    T01_check) on its own, the end currents and the global summary.  A
-    reader pays only for the fields it reads; `fields` assembles all nine
-    with the same bits.  `ends` is the one endpoint derivation: the
+    each local field (`DENSITY_NAMES`) on its own, the end currents and the
+    global summary.  A reader pays only for the fields it reads; `fields`
+    assembles all nine with the same bits.  `ends` is the one endpoint derivation: the
     summary's six end currents, and with them the trajectory columns
     j_a ... jtildeE_b, are read from it."""
 
@@ -297,23 +297,10 @@ class GlobalSummary:
     # (boundary, gradient, mass, time-derivative, potential) pieces of the mean energy
 
     def as_row(self) -> dict[str, float]:
-        return {
-            "t": self.t,
-            "norm": self.norm,
-            "energy_mean": self.energy_mean.real,
-            "momentum_mean": self.momentum_mean.real,
-            "J_E": self.J_E.real,
-            "J_tilde_E": self.J_tilde_E,
-            "j_a": self.j_a,
-            "j_b": self.j_b,
-            "jE_a": self.jE_a.real,
-            "jE_b": self.jE_b.real,
-            "jtildeE_a": self.jtildeE_a,
-            "jtildeE_b": self.jtildeE_b,
-            "surface_term": self.surface_term,
-            "energy_split_residual": self.energy_split_residual,
-            "current_split_residual": self.current_split_residual,
-        }
+        """The trajectory columns: every field but `positivity`, as real
+        parts, in declaration order."""
+        return {f.name: getattr(self, f.name).real for f in fields(self)
+                if f.name != "positivity"}
 
 
 def _trapezoid_vdot(a: np.ndarray, b: np.ndarray, dx: float) -> complex:
@@ -369,12 +356,7 @@ def _summarize(snap: Snapshot) -> GlobalSummary:
     energy_split = abs(energy_mean - (surf + kinetic + mass_term + tderiv + pot_term))
 
     j_a, j_b, je_a, je_b, jt_a, jt_b = snap.ends
-    # the values of `GlobalSummary.as_row`
-    row = (state.t, norm, energy_mean.real, momentum_mean.real, j_e_total.real, jt_total,
-           j_a, j_b, je_a.real, je_b.real, jt_a, jt_b, surf, energy_split, current_split)
-    if not all(map(math.isfinite, row)):
-        raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
-    return GlobalSummary(
+    summary = GlobalSummary(
         t=state.t,
         norm=norm,
         energy_mean=energy_mean,
@@ -392,6 +374,9 @@ def _summarize(snap: Snapshot) -> GlobalSummary:
         current_split_residual=float(current_split),
         positivity=(float(surf), kinetic, mass_term, tderiv, pot_term),
     )
+    if not all(map(math.isfinite, summary.as_row().values())):
+        raise NumericalFailure(f"the summary is not finite at t = {state.t:.6g}")
+    return summary
 
 
 def global_summary(state: KfgState, system: System) -> GlobalSummary:
@@ -452,7 +437,7 @@ def continuity_residuals(states: list[KfgState], system: System) -> ContinuityRe
     snaps = [Snapshot(s, system) for s in states]
     sl = slice(EDGE_SKIP, system.grid.n - EDGE_SKIP)
 
-    worst = {"charge": 0.0, "energy": 0.0, "emt_time": 0.0, "emt_space": 0.0}
+    worst = dict.fromkeys((f.name for f in fields(ContinuityResiduals)), 0.0)
     c = system.units.c
     for k in range(1, len(states) - 1):
         fm, f0, fp = snaps[k - 1], snaps[k], snaps[k + 1]
@@ -464,16 +449,13 @@ def continuity_residuals(states: list[KfgState], system: System) -> ContinuityRe
         def dt_of(name):
             return (getattr(fp, name) - getattr(fm, name)) / (2.0 * dt)
 
-        r_charge = dt_of("rho") + _density_gradient(f0.j, dx)
-        r_energy = dt_of("rho_E") + _density_gradient(f0.j_E, dx) - s_t * abs2
-        r_emt_t = dt_of("T00") + _density_gradient(f0.cT10, dx) - s_t * abs2
-        r_emt_x = (
-            -dt_of("T01_check") / c**2
-            + _density_gradient(f0.T11, dx)
-            - s_x * abs2
+        # each balance law's pointwise residual at this snapshot, by name
+        residuals = ContinuityResiduals(
+            charge=dt_of("rho") + _density_gradient(f0.j, dx),
+            energy=dt_of("rho_E") + _density_gradient(f0.j_E, dx) - s_t * abs2,
+            emt_time=dt_of("T00") + _density_gradient(f0.cT10, dx) - s_t * abs2,
+            emt_space=-dt_of("T01_check") / c**2 + _density_gradient(f0.T11, dx) - s_x * abs2,
         )
-        worst["charge"] = max(worst["charge"], float(np.max(np.abs(r_charge[sl]))))
-        worst["energy"] = max(worst["energy"], float(np.max(np.abs(r_energy[sl]))))
-        worst["emt_time"] = max(worst["emt_time"], float(np.max(np.abs(r_emt_t[sl]))))
-        worst["emt_space"] = max(worst["emt_space"], float(np.max(np.abs(r_emt_x[sl]))))
+        for name, r in vars(residuals).items():
+            worst[name] = max(worst[name], float(np.max(np.abs(r[sl]))))
     return ContinuityResiduals(**worst)

@@ -818,28 +818,20 @@ def _ring_band(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
     return ab, pos
 
 
-def _all_eigenpairs(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
+def _all_eigenpairs(bands: Bands, vectors: bool = True) -> tuple | np.ndarray:
     """Every eigenpair of Hermitian bands, ascending: divide and conquer on a
     real tridiagonal K (LAPACK ?stevd), else on the ring-ordered band
-    (?sbevd, ?hbevd), whose vectors go back to the unknowns' order."""
+    (?sbevd, ?hbevd), whose vectors go back to the unknowns' order.  With
+    vectors=False, only the eigenvalues, in O(m) memory."""
     try:
         if bands.tridiagonal:
-            return scipy.linalg.eigh_tridiagonal(bands.main, bands.lower)
+            return scipy.linalg.eigh_tridiagonal(bands.main, bands.lower,
+                                                 eigvals_only=not vectors)
         ab, pos = _ring_band(bands)
-        vals, vecs = scipy.linalg.eig_banded(ab, lower=True)
+        out = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=not vectors)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return vals, vecs[pos]
-
-
-def _all_eigenvalues(bands: Bands) -> np.ndarray:
-    """Every eigenvalue of Hermitian bands, ascending, in O(m) memory."""
-    try:
-        if bands.tridiagonal:
-            return scipy.linalg.eigvalsh_tridiagonal(bands.main, bands.lower)
-        return scipy.linalg.eig_banded(_ring_band(bands)[0], lower=True, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    return (out[0], out[1][pos]) if vectors else out
 
 
 # Eigenvalues within DEGENERACY_TOL * ||K||_inf (`_mode_scale`) of each
@@ -910,7 +902,7 @@ def spectrum(kinetic: KineticMatrix) -> tuple[np.ndarray, tuple]:
     """Every eigenvalue of the closed kinetic operator, without vectors: the
     positive energies E = +sqrt(E^2), ascending, and the quarantined (index,
     E^2) pairs, by the rule of `eigenmodes`."""
-    vals = _all_eigenvalues(kinetic.bands)
+    vals = _all_eigenpairs(kinetic.bands, vectors=False)
     keep, diagnostics = _quarantine(vals, _mode_scale(kinetic.bands))
     return np.sqrt(vals[keep]), diagnostics
 

@@ -23,7 +23,9 @@ The two brackets and the Dirac norm are integrated on their own, as the
 summary's norm and energy read them.  The corner fold builds the banded
 step's end responses in one function, from the unit solves and the
 capacitance; the package splits that work between `_ShiftedBandsFactor`
-and `CayleyPropagator._fold`.
+and `CayleyPropagator._fold`.  The transform spectra give every E^2 of the
+four transform-diagonal closures under a constant potential in closed
+form, at any n, where the package solves the bands.
 
 Reference forms: the scattering-form U(2) matrix of a closure and its
 neutral-sector restriction; the inverse two-component map; the field scale
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from kfglab.bc import NORM_TOL, BcParams, InvalidParams, NotMajoranaCompatible
-from kfglab.core import NATURAL_UNITS, FvState, KfgState, PhysicalUnits, kfg_to_fv
+from kfglab.core import NATURAL_UNITS, FvState, Grid, KfgState, PhysicalUnits, kfg_to_fv
 from kfglab.evolution import CayleyPropagator
 from kfglab.observables import GlobalSummary, ObservableFields, Snapshot, _density_gradient
 from kfglab.operators import (
@@ -73,6 +75,27 @@ def dense_modes(kinetic: KineticMatrix) -> ModeSet:
         fields=closure.extend(gauge(fields)),
         diagnostics=tuple((int(i), float(vals[i])) for i in np.flatnonzero(~keep)),
     )
+
+
+def transform_spectrum(tag: str, grid: Grid, s0: float, units: PhysicalUnits) -> np.ndarray:
+    """Every E^2, ascending, of K on closure `tag` with the constant
+    potential s0:
+        E^2 = (mc^2)^2 + 2 mc^2 s0 + (hbar c)^2 (4/dx^2) sin^2(theta/2),
+    theta over the frequencies of the transform that diagonalizes the
+    closure's second difference (Strang, "The discrete cosine transform",
+    SIAM Review 41 (1999) 135):
+      dirichlet     DST-I on the m = n - 2 interior points, theta = j pi/(m+1);
+      neumann       DCT-I on m = n points, theta = j pi/(m-1);
+      periodic      the DFT on the ring of m = n - 1 points, theta = 2 pi j/m;
+      antiperiodic  the twisted DFT on that ring, theta = (2j+1) pi/m."""
+    m = {"dirichlet": grid.n - 2, "neumann": grid.n, "periodic": grid.n - 1,
+         "antiperiodic": grid.n - 1}[tag]
+    j = np.arange(m)
+    theta = {"dirichlet": (j + 1) * np.pi / (m + 1), "neumann": j * np.pi / (m - 1),
+             "periodic": 2.0 * np.pi * j / m, "antiperiodic": (2 * j + 1) * np.pi / m}[tag]
+    mc2 = units.mc2
+    kinetic = (units.hbar * units.c) ** 2 * (4.0 / grid.dx**2) * np.sin(theta / 2.0) ** 2
+    return np.sort(mc2**2 + 2.0 * mc2 * s0 + kinetic)
 
 
 @dataclass(frozen=True)

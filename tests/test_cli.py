@@ -406,14 +406,42 @@ class TestBadNumbers:
         # ended in an OverflowError or an eigensolver's ValueError
         cfg = tmp_path / "c.json"
         self.write_with(cfg, section, key, value)
+        self.assert_fails_at_load(command, cfg, tmp_path, f"config error: bad {section} section")
+
+    @staticmethod
+    def assert_fails_at_load(command, cfg, tmp_path, message):
+        """`kfglab command` run as a program exits with code 2 and writes no
+        file, and its stderr starts with `message` and holds no traceback."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(kfglab.__file__)))
         run = subprocess.run([sys.executable, "-m", "kfglab", command, "--config", str(cfg),
                               "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True)
         assert run.returncode == 2, run.stderr
-        assert run.stderr.startswith(f"config error: bad {section} section")
+        assert run.stderr.startswith(message)
         assert "Traceback" not in run.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "evolve"])
+    @pytest.mark.parametrize("units", [
+        {"hbar": 1e153},
+        {"c": 1e153, "mass": 1e-306},
+        {"hbar": 5e152},  # (hbar c / dx)^2 = 1.0e308, in range; K's diagonal is twice that
+    ], ids=["hbar", "c-mass", "hbar-near-max"])
+    def test_kinetic_scale_past_the_float_range_is_config_error(self, tmp_path, units, command):
+        # (hbar c)^2 and mc^2 are in range, but (hbar c)^2 / dx^2 on the
+        # default grid is not; each run ended with exit 1 in the band assembly
+        cfg = tmp_path / "c.json"
+        write_config(cfg, units=units)
+        self.assert_fails_at_load(command, cfg, tmp_path,
+                                  "config error: the units and grid sections")
+
+    # the Frobenius norm of the Hermiticity check squares K's entries
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_kinetic_scale_near_the_float_range_still_runs_spectrum(self, tmp_path):
+        # 4 (hbar c / dx)^2 = 1.6e303 on the default grid
+        cfg = tmp_path / "c.json"
+        write_config(cfg, units={"c": 1e150, "mass": 1e-300})
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command", ["evolve", "spectrum"])
     @pytest.mark.parametrize("overrides", [

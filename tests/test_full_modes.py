@@ -1,6 +1,7 @@
 """Every mode and the spectrum from the bands against the dense `eigh`
-oracle, the canonical basis of degenerate pairs, and that no solver
-diagonalizes, or `spectrum` forms, the dense n x n K."""
+oracle and, at any n, against the closed-form transform spectra; the
+canonical basis of degenerate pairs, and that no solver diagonalizes, or
+`spectrum` forms, the dense n x n K."""
 
 import argparse
 import dataclasses
@@ -15,7 +16,7 @@ import scipy.linalg
 
 from kfglab import cli, operators, verify
 from kfglab.bc import CATALOG
-from kfglab.core import Grid, ScalarPotential, SpatialProfile
+from kfglab.core import Grid, PhysicalUnits, ScalarPotential, SpatialProfile
 from kfglab.observables import Snapshot
 from kfglab.operators import (
     DEGENERACY_TOL,
@@ -26,7 +27,7 @@ from kfglab.operators import (
     spectrum,
 )
 from kfglab.verify import SUITE_NAMES, run_suite
-from oracles import dense_modes
+from oracles import dense_modes, transform_spectrum
 
 N = 168
 QUADRATIC = ScalarPotential(SpatialProfile(kind="quadratic", x0=math.pi / 2, coefficient=0.3))
@@ -63,6 +64,26 @@ def test_full_sets_and_spectrum_match_the_dense_oracle(tag):
         assert np.max(np.abs(e2 - want)) <= 1e-12 * top
     assert full.count == dense.count == len(energies)
     assert np.all(field_errors(full, dense) <= 1e-9)
+
+
+@pytest.mark.parametrize("n", [65, 1025, 8193])
+@pytest.mark.parametrize("tag", ["dirichlet", "neumann", "periodic", "antiperiodic"])
+def test_spectrum_and_lowest_modes_match_the_transform_spectra(tag, n):
+    # no dense oracle runs at these sizes; the corner closures reach the
+    # ring-ordered band solve, and the lowest modes at n = 8193 the partial
+    # solves (?stebz, shift-invert ARPACK)
+    s0, units = 0.25, PhysicalUnits(hbar=0.8, c=1.5, mass=0.7)
+    grid = Grid(0.0, math.pi, n)
+    kin = System(grid, CATALOG[tag].params, ScalarPotential(SpatialProfile(value=s0)),
+                 units).kinetic()
+    want = transform_spectrum(tag, grid, s0, units)
+    if n < 8193:
+        energies, diagnostics = spectrum(kin)
+        assert diagnostics == () and len(energies) == len(want)
+    else:
+        energies = eigenmodes(kin, 3).energies  # 4 on antiperiodic: a whole pair
+    err = np.max(np.abs(energies**2 - want[:len(energies)]))
+    assert err <= 16 * np.finfo(float).eps * operators._mode_scale(kin.bands)
 
 
 @pytest.mark.parametrize("tag", ["periodic", "antiperiodic"])
