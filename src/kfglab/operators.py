@@ -369,12 +369,17 @@ class Bands:
         )
 
     def hermiticity_norms(self) -> tuple[float, float]:
-        """Frobenius norms of B - B^dag and of B."""
+        """Frobenius norms of B - B^dag and of B.  Entries above 1 are scaled
+        by a power of two near the largest before they are squared, so the
+        norms do not overflow while B is finite; the scaling is exact, so
+        in-range norms keep their bits."""
         corners = np.array([self.top_right, self.bottom_left])
         entries = np.concatenate([self.main, self.upper, self.lower, corners])
         # B^dag keeps the diagonal and swaps upper with lower and the corners
         adjoint = np.concatenate([self.main, self.lower, self.upper, corners[::-1]]).conj()
-        return float(np.linalg.norm(entries - adjoint)), float(np.linalg.norm(entries))
+        scale = 2.0 ** max(math.frexp(float(np.max(np.abs(entries))))[1] - 1, 0)
+        return (float(np.linalg.norm(entries / scale - adjoint / scale)) * scale,
+                float(np.linalg.norm(entries / scale)) * scale)
 
     def hermiticity_defect(self) -> float:
         """Relative Frobenius norm of B - B^dag."""
@@ -735,13 +740,18 @@ def _lowest_eigenpairs(bands: Bands, k: int) -> tuple[np.ndarray, np.ndarray]:
     (`Bands.certified_shift`), so a count that grows does not search again.
     """
     if bands.tridiagonal:
+        # ?stebz squares the off-diagonal: bands above 2^500, whose squares
+        # near overflow, are solved divided by a power of two (exact)
+        top = float(max(np.max(np.abs(bands.main)), np.max(np.abs(bands.lower), initial=0.0)))
+        scale = 2.0 ** (math.frexp(top)[1] - 1) if top > 2.0**500 else 1.0
         try:
-            return scipy.linalg.eigh_tridiagonal(
-                bands.main, bands.lower, select="i", select_range=(0, k - 1),
-                lapack_driver="stebz",
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                bands.main / scale, bands.lower / scale, select="i",
+                select_range=(0, k - 1), lapack_driver="stebz",
             )
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+        return vals * scale, vecs
     # imported at its one user: only a partial solve with corners pays for it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 

@@ -25,7 +25,10 @@ step's end responses in one function, from the unit solves and the
 capacitance; the package splits that work between `_ShiftedBandsFactor`
 and `CayleyPropagator._fold`.  The transform spectra give every E^2 of the
 four transform-diagonal closures under a constant potential in closed
-form, at any n, where the package solves the bands.
+form, at any n, where the package solves the bands.  The percent CSV
+writer formats every value with one `%.17g` in one `%` over the table,
+against which the package's array kernel (`kfglab.cli._format_block`) is
+compared byte for byte.
 
 Reference forms: the scattering-form U(2) matrix of a closure and its
 neutral-sector restriction; the inverse two-component map; the field scale
@@ -472,3 +475,12 @@ def decomposition_checks(state: KfgState, system: System) -> dict[str, float]:
         "current_split": float(np.max(np.abs(current_split))),
         "scale": scale,
     }
+
+
+def percent_csv_bytes(columns: list[str], table, comments: list[str]) -> bytes:
+    """The bytes of a CLI CSV with every value formatted by `%.17g`: the
+    comment lines, the column names, then one line per row."""
+    data = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
+    return (head + (row * len(data)) % tuple(data.ravel().tolist())).encode()

@@ -4,6 +4,7 @@ neutral sectors over long runs, and the midpoint closure check."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ def random_hermitian_bands(rng, m, dtype, corners: bool) -> Bands:
     assert bands.hermiticity_defect() == 0.0
     assert (bands.corners is None) == (not corners)
     return bands
+
+
+def test_hermiticity_defect_of_bands_whose_squares_overflow():
+    # K's entries reach about 4e302: their squares overflow a float
+    system = System(Grid(0.0, math.pi, 64), CATALOG["dirichlet"].params,
+                    ScalarPotential(profile=QUADRATIC), PhysicalUnits(c=1e150, mass=1e-300))
+    big = system.kinetic(0.0).bands
+    defects = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bands in (big, dataclasses.replace(big, main=big.main / 1e300, upper=big.upper / 1e300,
+                                                lower=big.lower / 1e300)):
+            assert bands.hermiticity_defect() == 0.0
+            defects.append(dataclasses.replace(bands, upper=1.5 * bands.upper).hermiticity_defect())
+    assert defects[0] == pytest.approx(defects[1], rel=1e-14)
+    assert defects[0] == pytest.approx(0.26, abs=0.005)
 
 
 @pytest.mark.parametrize("c, routine", [(0.2, "pttrf"), (3.0, "gttrf")], ids=["ldl", "lu"])

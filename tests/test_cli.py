@@ -7,12 +7,15 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import kfglab.cli
 import kfglab.observables
@@ -30,6 +33,7 @@ from kfglab.evolution import evolve
 from kfglab.observables import DENSITY_NAMES, local_fields
 from kfglab.operators import System, eigenmodes, synthesize_state
 from kfglab.verify import SUITE_NAMES, run_suite
+from oracles import percent_csv_bytes
 
 
 def write_config(path, **overrides):
@@ -726,14 +730,14 @@ def test_csv_bytes_equal_savetxt(tmp_path, data, shape, block):
                                         max_size=math.prod(dims)))).reshape(dims)
     columns = [f"c{i}" for i in range(dims[1])]
     path = tmp_path / "t.csv"
-    with mock.patch.object(kfglab.cli, "CSV_BLOCK_ROWS", block):
+    with mock.patch.object(kfglab.cli, "CSV_BLOCK_CELLS", block * dims[1]):
         _write_csv(path, columns, table, ["config_hash=0"])
     assert path.read_bytes() == savetxt_bytes(["config_hash=0"], columns, table)
 
 
 def test_csv_bytes_equal_savetxt_over_several_blocks(tmp_path):
     rng = np.random.default_rng(5)
-    rows = 2 * kfglab.cli.CSV_BLOCK_ROWS + 3
+    rows = 2 * kfglab.cli.CSV_BLOCK_CELLS // 4 + 3
     table = np.column_stack([np.arange(rows), rng.standard_normal(rows),
                              rng.standard_normal(rows) * 1e-300, rows * [0.0]])
     table[::7, 1] = np.nan
@@ -780,6 +784,84 @@ def test_csv_row_bytes(tmp_path):
         b"# config_hash=0\ni,flag,a,b,c,d\n"
         b"3,1,0.10000000000000001,-0,nan,1e-300\n"
     )
+
+
+# Every double: CSV_VALUES and random bit patterns.
+KERNEL_VALUES = st.one_of(
+    CSV_VALUES,
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+)
+
+
+def assert_percent_csv(path, table, **constants):
+    """`_write_csv`, with kfglab.cli's constants set as given, writes the
+    bytes of the percent writer."""
+    columns = [f"c{i}" for i in range(table.shape[1])]
+    with mock.patch.multiple(kfglab.cli, **constants):
+        _write_csv(path, columns, table, ["config_hash=0"])
+    assert path.read_bytes() == percent_csv_bytes(columns, table, ["config_hash=0"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(1, 5)),
+                    elements=KERNEL_VALUES),
+       block=st.integers(1, 600))
+def test_kernel_csv_bytes_equal_percent_writer(tmp_path, table, block):
+    # every block of at least one cell goes through the kernel
+    assert_percent_csv(tmp_path / "t.csv", table, CSV_KERNEL_CELLS=1, CSV_BLOCK_CELLS=block)
+
+
+def edge_values() -> np.ndarray:
+    """Powers of ten and two, the ends of %g's fixed notation (e = -5, -4,
+    16, 17), doubles whose 17 digits round up to the next power of ten
+    (1e-14, 1e98, ...), the float range, and the neighbours of each; and
+    doubles whose scaled significand lies within 6e-4 of a half-integer,
+    where the long-double product rounds to the wrong neighbour."""
+    values = [10.0**k for k in range(-323, 309)] + [2.0**k for k in range(-1074, 1024)]
+    values += [3.3792541078241947e-221, 3.5084226677098645e-99, 3.021148536989063e+118,
+               2.6157636084191e-214, 2.933800709587983e-152, 6.443070367160406e-208]
+    values += [1.2345678901234567e-5, 9.8765432109876543e-5, 1.5e-4, 9.9999999999999995e-5,
+               1.2345678901234567e16, 9.9999999999999984e16, 1.5e16, 1.2345678901234567e17,
+               1e-14, 1e98, 1e129, 0.5, 0.1, 123.0, 12000.0, 2.0**53 + 2, 2.0**60,
+               5e-324, np.finfo(float).tiny, np.finfo(float).max]
+    with np.errstate(over="ignore"):
+        values += [np.nextafter(v, w) for v in values for w in (0.0, np.inf)]
+    values += [0.0, np.nan, np.inf]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["kernel", "long-double-fallback"])
+def test_kernel_csv_edge_values(tmp_path, exact):
+    # exact=False is a platform whose long double lacks a 64-bit significand
+    table = edge_values()
+    table = np.resize(table, (-(-len(table) // 3), 3))
+    assert_percent_csv(tmp_path / "t.csv", table, KERNEL_EXACT=exact and kfglab.cli.KERNEL_EXACT)
+
+
+@pytest.mark.skipif(not kfglab.cli.KERNEL_EXACT, reason="the kernel is off on this platform")
+def test_kernel_powers_are_correctly_rounded():
+    for e, power in zip(range(-325, 310), kfglab.cli._tables()[0]):
+        error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** int(16 - e)
+        assert abs(error) <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, e
+
+
+def test_evolve_solves_bands_whose_squares_overflow(tmp_path, capsys):
+    # K's off-diagonal is about 4e154 here, and LAPACK ?stebz (the partial
+    # solve of the modes) squares it
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, units={"hbar": 1.0, "c": 1e76, "mass": 1e-152, "lambda": 1.0},
+                 initial_state={"modes": [{"index": 0, "amplitude": 1.0, "phase": 0.3}]},
+                 evolution={"dt": 0.002, "steps": 4, "record_every": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lowest = system_from_config(json.loads(cfg.read_text())).modes(1).energies[0] ** 2
+    _, spectrum = read_csv(tmp_path / "spectrum.csv")
+    assert lowest == pytest.approx(spectrum[0, 2], rel=1e-12)
 
 
 class TestEnumerateAndVerify:
